@@ -42,10 +42,12 @@ class Gains:
             raise ValueError(
                 f"need {self.M - 1} beta gains for M={self.M}, got {len(self.betas)}"
             )
-        if self.alpha == 0:
-            raise AlphaZeroError("alpha = 0 makes every state stationary")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        if not np.isfinite((self.alpha, *self.betas)).all():
+            raise ValueError(f"gains must be finite: alpha={self.alpha}, betas={self.betas}")
+        if self.alpha == 0:
+            raise AlphaZeroError("alpha = 0 makes every state stationary")
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,22 @@ class GuaranteeReport:
     refined: bool
 
 
+def _char_coeffs(g: Gains, lambdas) -> np.ndarray:
+    """(K, M+1) low-to-high coefficients of :func:`char_poly` at each lambda."""
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    M = g.M
+    coeffs = np.zeros((lambdas.size, M + 1))
+    coeffs[:, M] = 1.0
+    coeffs[:, M - 1] = -(1.0 - g.alpha * lambdas) + sum(g.betas)
+    for m in range(M - 1):
+        coeffs[:, m] = -g.betas[M - m - 2]
+    return coeffs
+
+
 def char_poly(g: Gains, lam: float) -> RealPolynomial:
     """Monic degree-M characteristic polynomial of the mode at eigenvalue
     lam: z^M - (1 - alpha*lam) z^{M-1} + sum_m beta_{M-m-1} (z^{M-1} - z^m)."""
-    coeffs = np.zeros(g.M + 1)
-    coeffs[g.M] = 1.0
-    coeffs[g.M - 1] = -(1.0 - g.alpha * lam) + sum(g.betas)
-    for m in range(g.M - 1):
-        coeffs[m] -= g.betas[g.M - m - 2]
-    return RealPolynomial(tuple(coeffs))
+    return RealPolynomial(tuple(_char_coeffs(g, lam)[0]))
 
 
 def mode_roots(g: Gains, lam: float) -> ComplexRootSet:
@@ -87,28 +96,10 @@ def mode_roots(g: Gains, lam: float) -> ComplexRootSet:
     return polyroots.roots(char_poly(g, lam))
 
 
-def _companion_stack(g: Gains, lambdas: np.ndarray) -> np.ndarray:
-    """(K, M, M) companion matrices of the characteristic polynomials."""
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    k, M = lambdas.size, g.M
-    c = np.zeros((k, M))
-    for m in range(M - 1):
-        c[:, m] = -g.betas[M - m - 2]
-    c[:, M - 1] = -(1.0 - g.alpha * lambdas) + sum(g.betas)
-    comp = np.zeros((k, M, M))
-    idx = np.arange(M - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, M - 1] = -c
-    return comp
-
-
 def max_root_moduli(g: Gains, lambdas) -> np.ndarray:
     """Max root modulus of the characteristic polynomial at each lambda,
     computed in one batched companion-eigenvalue call."""
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if g.M == 1:
-        return np.abs(1.0 - g.alpha * lambdas)
-    eigs = np.linalg.eigvals(_companion_stack(g, lambdas))
+    eigs = polyroots.companion_eigvals(_char_coeffs(g, lambdas))
     return np.abs(eigs).max(axis=1)
 
 
@@ -146,6 +137,8 @@ def guarantee(
         raise ValueError("empty spectral set")
     if grid < 2:
         raise ValueError("need at least 2 grid samples per interval")
+    if not 0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 
     samples: list[tuple[float, float]] = []
     refined_any = False

@@ -127,25 +127,15 @@ def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     return ClaimCoeffs(M=M, nu=nu, a=a)
 
 
-def _p_tilde_base(c: ClaimCoeffs) -> np.ndarray:
-    """Coefficients of (y^2 + 1) y^{M-2} + (y - 1/nu) sum_k a_k y^k,
-    i.e. the test polynomial with its cos(theta) term left out."""
-    M = c.M
-    coeffs = np.zeros(M + 1)
-    coeffs[M] += 1.0
-    coeffs[M - 2] += 1.0
-    inv_nu = 1.0 / c.nu
-    for k, ak in enumerate(c.a):
-        coeffs[k + 1] += ak
-        coeffs[k] -= inv_nu * ak
-    return coeffs
-
-
-def _p_tilde_coeffs(c: ClaimCoeffs, theta: float) -> np.ndarray:
-    """Low-to-high coefficients of
-    (y^2 - 2 cos(theta) y + 1) y^{M-2} + (y - 1/nu) sum_k a_k y^k."""
-    coeffs = _p_tilde_base(c)
-    coeffs[c.M - 1] += -2.0 * np.cos(theta)
+def _p_tilde_stack(c: ClaimCoeffs, thetas) -> np.ndarray:
+    """(K, M+1) low-to-high coefficients of the test polynomial
+    P1 - P2 = (y^2 - 2 cos(theta) y + 1) y^{M-2} + (y - 1/nu) sum_k a_k y^k
+    at each theta; only the y^{M-1} coefficient varies with theta."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    coeffs = np.tile(-_p2_coeffs(c), (thetas.size, 1))
+    coeffs[:, c.M] += 1.0
+    coeffs[:, c.M - 2] += 1.0
+    coeffs[:, c.M - 1] -= 2.0 * np.cos(thetas)
     return coeffs
 
 
@@ -153,27 +143,17 @@ def p_tilde(c: ClaimCoeffs, theta: float) -> RealPolynomial:
     """The degree-M test polynomial at angle theta."""
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return RealPolynomial(tuple(_p_tilde_coeffs(c, theta)))
+    return RealPolynomial(tuple(_p_tilde_stack(c, theta)[0]))
 
 
 def _batched_max_roots(c: ClaimCoeffs, thetas: np.ndarray):
     """(max modulus, argmax root) of the test polynomial for each theta,
-    via stacked companion matrices; only the y^{M-1} coefficient varies."""
-    thetas = np.atleast_1d(thetas)
-    M = c.M
-    base = _p_tilde_base(c)
-    lead = base[M]
-    k = thetas.size
-    coeffs = np.tile(base[:M] / lead, (k, 1))
-    coeffs[:, M - 1] += -2.0 * np.cos(thetas) / lead
-    comp = np.zeros((k, M, M))
-    idx = np.arange(M - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, M - 1] = -coeffs
-    eigs = np.linalg.eigvals(comp)
+    in one batched companion-eigenvalue call."""
+    eigs = polyroots.companion_eigvals(_p_tilde_stack(c, thetas))
     mods = np.abs(eigs)
     best = mods.argmax(axis=1)
-    return mods[np.arange(k), best], eigs[np.arange(k), best]
+    k = np.arange(len(eigs))
+    return mods[k, best], eigs[k, best]
 
 
 def prop8_check(c: ClaimCoeffs, tol: float = 1e-9) -> Prop8Result:

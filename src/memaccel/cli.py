@@ -173,7 +173,10 @@ def _cmd_simulate(args) -> int:
 
 def _initial_state(args, n: int) -> np.ndarray:
     if args.x0:
-        vals = [float(v) for v in args.x0.split(",")]
+        try:
+            vals = [float(v) for v in args.x0.split(",")]
+        except ValueError:
+            raise ParseError(0, args.x0) from None
         if len(vals) != n:
             raise ParseError(0, args.x0)
         return np.asarray(vals)
@@ -189,21 +192,21 @@ def _cmd_certify(args) -> int:
     w = certify.claim6_witness(c, theta_samples=args.theta_samples)
     payload = {
         "claim_coeffs": {"M": c.M, "nu": c.nu, "a": list(c.a)},
-        "prop8": {"kind": p8.kind,
-                  "root": p8.root if p8.root is not None else None}
-        if p8.root is not None else {"kind": p8.kind},
+        "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
+        else {"kind": p8.kind},
         "witness": {"found": w.found, "theta": w.theta, "root": w.root,
                     "modulus": w.modulus, "scanned": w.scanned},
     }
     _emit(payload, args.output)
     if args.field is not None:
-        lo_r, hi_r, lo_i, hi_i, res = args.window.split(":")
-        field = certify.partition_field(
-            c, args.field,
-            re_range=(float(lo_r), float(hi_r)),
-            im_range=(float(lo_i), float(hi_i)),
-            resolution=int(res),
-        )
+        try:
+            lo_r, hi_r, lo_i, hi_i, res = args.window.split(":")
+            re_range, im_range = (float(lo_r), float(hi_r)), (float(lo_i), float(hi_i))
+            resolution = int(res)
+        except ValueError:
+            raise ParseError(0, args.window) from None
+        field = certify.partition_field(c, args.field, re_range=re_range,
+                                        im_range=im_range, resolution=resolution)
         with open(args.field_out, "w") as fh:
             fh.write(field.to_json() + "\n")
     return 0

@@ -145,22 +145,12 @@ def simulate(
             raise DropOnNonLaplacianError(
                 "drop schedule requires A to be the Laplacian of its graph"
             )
-    x = p.x0.astype(float).copy()
-    history = [x.copy() for _ in range(max(g.M - 1, 1))]  # x(t-1), x(t-2), ...
-    states = [x.copy()]
     limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), 1e-300)
-    diverged = False
-    for t in range(T):
-        A_t = p.A if drops is None else drops.laplacian_at(t)
-        nxt = x + g.alpha * (p.b - A_t @ x)
-        for m, beta in enumerate(g.betas, start=1):
-            nxt = nxt + beta * (history[m - 1] - x)
-        history = [x.copy()] + history[:-1]
-        x = nxt
-        states.append(x.copy())
-        if np.linalg.norm(x) > limit:
-            diverged = True
-            break
+    states, diverged = _recur(
+        p.x0.astype(float), g, T,
+        lambda t, x: p.b - (p.A if drops is None else drops.laplacian_at(t)) @ x,
+        limit,
+    )
     return _finish_trace(states, p.A, p.b, diverged,
                          drops.drops if drops is not None else None)
 
@@ -168,21 +158,32 @@ def simulate(
 def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np.ndarray:
     """Scalar mode recursion at eigenvalue lam; returns x(0..T).
 
-    Uses the same arithmetic as :func:`simulate` so diagonal systems
-    match coordinate-wise to machine precision."""
+    Runs the recursion of :func:`simulate` without its divergence abort,
+    so diagonal systems match it coordinate-wise, bit for bit."""
     if T < 1:
         raise ValueError("need T >= 1")
-    x = float(x0)
-    history = [x] * max(g.M - 1, 1)
-    out = [x]
-    for _ in range(T):
-        nxt = x + g.alpha * (b_mode - lam * x)
+    states, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
+    return np.asarray(states)
+
+
+def _recur(x0, g: Gains, T: int, force, limit: float):
+    """States x(0..) of x(t+1) = x(t) + alpha force(t, x(t))
+    + sum_m beta_m (x(t-m) - x(t)) with constant history x(s) = x0 for
+    s <= 0. Stops after T steps, or early once ||x|| exceeds limit.
+    Returns (states, diverged)."""
+    x = x0
+    history = [x] * max(g.M - 1, 1)  # x(t-1), x(t-2), ...
+    states = [x]
+    for t in range(T):
+        nxt = x + g.alpha * force(t, x)
         for m, beta in enumerate(g.betas, start=1):
             nxt = nxt + beta * (history[m - 1] - x)
         history = [x] + history[:-1]
         x = nxt
-        out.append(x)
-    return np.asarray(out)
+        states.append(x)
+        if np.linalg.norm(x) > limit:
+            return states, True
+    return states, False
 
 
 def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
@@ -225,17 +226,23 @@ def find_divergent_drop_schedule(
     rng = np.random.default_rng(rng_seed)
     L = laplacian(graph).entries
     prob = IterationProblem(L, np.zeros(graph.n), np.asarray(x0, dtype=float))
-    edge_keys = [(min(i, j), max(i, j)) for i, j, _ in graph.edges]
     for _ in range(trials):
-        drops = {}
-        for t in range(T):
-            mask = rng.random(len(edge_keys)) < drop_prob
-            if mask.any():
-                drops[t] = frozenset(e for e, m in zip(edge_keys, mask) if m)
-        schedule = DropSchedule(graph, drops)
+        schedule = _random_drops(graph, T, drop_prob, rng)
         if simulate(prob, g, T, drops=schedule).diverged:
             return schedule
     return None
+
+
+def _random_drops(graph: WeightedGraph, T: int, p: float, rng) -> DropSchedule:
+    """Drop every edge of graph independently with probability p at each
+    of the steps 0..T-1."""
+    edge_keys = [(min(i, j), max(i, j)) for i, j, _ in graph.edges]
+    drops = {}
+    for t in range(T):
+        mask = rng.random(len(edge_keys)) < p
+        if mask.any():
+            drops[t] = frozenset(e for e, m in zip(edge_keys, mask) if m)
+    return DropSchedule(graph, drops)
 
 
 def memory_fragility_example() -> tuple[WeightedGraph, Gains, DropSchedule, np.ndarray]:
@@ -253,7 +260,9 @@ def memory_fragility_example() -> tuple[WeightedGraph, Gains, DropSchedule, np.n
     nz = eigs[eigs > 1e-9]
     g = tune_theorem3(SpectralInterval(float(nz.min()), float(nz.max()))).gains
     x0 = _fragility_x0(graph.n)
-    schedule = _fragility_schedule(graph)
+    # Frozen seeded reconstruction of the first trial of
+    # find_divergent_drop_schedule; regenerating keeps the fixture small.
+    schedule = _random_drops(graph, 400, 0.5, np.random.default_rng(0))
     return graph, g, schedule, x0
 
 
@@ -272,16 +281,3 @@ def _fragility_x0(n: int) -> np.ndarray:
     x0[: n // 2] = 1.0
     x0[n // 2:] = -1.0
     return x0
-
-
-def _fragility_schedule(graph: WeightedGraph, T: int = 400, rng_seed: int = 0) -> DropSchedule:
-    # Frozen seeded reconstruction of the schedule found by
-    # find_divergent_drop_schedule; regenerating keeps the fixture small.
-    rng = np.random.default_rng(rng_seed)
-    edge_keys = [(min(i, j), max(i, j)) for i, j, _ in graph.edges]
-    drops = {}
-    for t in range(T):
-        mask = rng.random(len(edge_keys)) < 0.5
-        if mask.any():
-            drops[t] = frozenset(e for e, m in zip(edge_keys, mask) if m)
-    return DropSchedule(graph, drops)

@@ -1,10 +1,13 @@
 """Real-coefficient polynomials and a robust complex root solver.
 
 Coefficients are stored low-to-high: ``coeffs[i]`` multiplies ``z**i``.
-Root finding combines companion-matrix eigenvalues (deterministic, good
-starting points) with Aberth-Ehrlich simultaneous correction, iterated
-until every root satisfies the residual contract
-``|p(root)| <= ROOT_RESIDUAL_TOL * (1 + max|c_i|)``.
+:func:`companion_eigvals` is the package's one companion-matrix solve,
+batched over a stack of polynomials; the guarantee and the certificate
+scans call it directly. :func:`roots` starts from its eigenvalues and
+applies Aberth-Ehrlich simultaneous correction to any root that misses
+the residual contract ``|p(root)| <= ROOT_RESIDUAL_TOL * (1 + max|c_i|)``
+(widened by :func:`residual_tolerance` outside the unit disk). A
+non-finite residual never meets the contract.
 """
 
 from __future__ import annotations
@@ -81,6 +84,19 @@ def _eval_and_derivative(coeffs, z):
     return p, dp
 
 
+def companion_eigvals(coeffs) -> np.ndarray:
+    """(K, d) eigenvalues of the companion matrices of a (K, d+1) stack of
+    low-to-high coefficient rows, each with a nonzero leading coefficient,
+    in one batched eigenvalue call."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    k, d = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((k, d, d))
+    idx = np.arange(d - 1)
+    comp[:, idx + 1, idx] = 1.0
+    comp[:, :, d - 1] = -coeffs[:, :d] / coeffs[:, d:]
+    return np.linalg.eigvals(comp)
+
+
 def residual_tolerance(coeffs, z):
     """Attainable residual bound at z: the base contract
     ROOT_RESIDUAL_TOL * (1 + max|c_i|), widened by the evaluation scale
@@ -99,7 +115,8 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
     """All complex roots of p, with multiplicity.
 
     Raises DegreeZeroError for constant polynomials and NoConvergenceError
-    if the residual contract cannot be met within the polish budget.
+    if the residual contract cannot be met within the polish budget; a
+    non-finite residual counts as a miss.
     """
     if p.degree < 1:
         raise DegreeZeroError("constant polynomial has no roots")
@@ -108,14 +125,19 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
     monic = c / c[-1]
 
     # Companion-matrix eigenvalues as deterministic starting points.
-    z = np.polynomial.polynomial.polyroots(monic).astype(complex)
+    z = companion_eigvals(monic[None, :])[0].astype(complex)
 
     # Aberth-Ehrlich polish of any root violating the residual contract,
-    # measured against the original (unnormalized) coefficients.
+    # measured against the original (unnormalized) coefficients. An
+    # overflowing |p(z)| also overflows the tolerance, so test finiteness.
     cc = c.astype(complex)
+
+    def misses_contract(z):
+        res = np.abs(_eval_and_derivative(cc, z)[0])
+        return ~(np.isfinite(res) & (res <= residual_tolerance(c, z)))
+
     for _ in range(MAX_POLISH_ITERS):
-        pv, _ = _eval_and_derivative(cc, z)
-        bad = np.abs(pv) > residual_tolerance(c, z)
+        bad = misses_contract(z)
         if not np.any(bad):
             break
         pv_m, dp_m = _eval_and_derivative(monic.astype(complex), z)
@@ -130,8 +152,7 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
         step = np.where(np.abs(denom) > 1e-12, newton / np.where(denom != 0, denom, 1.0), newton)
         z = np.where(bad, z - step, z)
     else:
-        pv, _ = _eval_and_derivative(cc, z)
-        if np.any(np.abs(pv) > residual_tolerance(c, z)):
+        if np.any(misses_contract(z)):
             raise NoConvergenceError(
                 f"residual contract unreachable in {MAX_POLISH_ITERS} iterations"
             )

@@ -68,8 +68,8 @@ class SpectralInterval:
     hi: float
 
     def __post_init__(self):
-        if not (0 < self.lo <= self.hi):
-            raise ValueError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (0 < self.lo <= self.hi < np.inf):
+            raise ValueError(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
@@ -103,8 +103,8 @@ class SpectralSet:
             else:
                 merged.append([iv.lo, iv.hi])
         for p in pts:
-            if p <= 0:
-                raise ValueError(f"spectral point {p} not strictly positive")
+            if not 0 < p < np.inf:
+                raise ValueError(f"spectral point {p} not strictly positive and finite")
         keep = tuple(
             sorted(p for p in set(pts) if not any(lo <= p <= hi for lo, hi in merged))
         )

@@ -32,6 +32,13 @@ class TestGains:
         g = Gains(M=1, alpha=0.5)
         assert g.betas == ()
 
+    @pytest.mark.parametrize("alpha, betas", [
+        (np.nan, (0.1,)), (np.inf, (0.1,)), (1.0, (np.nan,)), (1.0, (-np.inf,)),
+    ])
+    def test_non_finite_rejected(self, alpha, betas):
+        with pytest.raises(ValueError):
+            Gains(M=2, alpha=alpha, betas=betas)
+
 
 class TestCharPoly:
     def test_reference_tuning_midpoint(self):
@@ -74,6 +81,19 @@ class TestModeRoots:
         assert r.roots[0] == pytest.approx(-0.9756, abs=1e-12)
 
 
+class TestMaxRootModuli:
+    def test_memoryless_is_exact(self):
+        lams = np.linspace(0.01, 3.0, 301)
+        np.testing.assert_array_equal(max_root_moduli(Gains(M=1, alpha=0.7), lams),
+                                      np.abs(1.0 - 0.7 * lams))
+
+    def test_matches_mode_roots(self):
+        g = Gains(M=4, alpha=3.6908, betas=(-0.9083, 0.006662, 0.06785))
+        lams = np.array([0.0122, 0.015, 0.5, 0.9878])
+        expect = [max_modulus(mode_roots(g, lam)) for lam in lams]
+        np.testing.assert_allclose(max_root_moduli(g, lams), expect, rtol=1e-12)
+
+
 class TestGuarantee:
     def test_reference_interval(self):
         t = tune_theorem3(REF_IV)
@@ -108,6 +128,12 @@ class TestGuarantee:
     def test_divergent_tuning_reported_as_is(self):
         rep = guarantee(Gains(M=1, alpha=-1.0), SpectralInterval(1.0, 2.0))
         assert rep.nu > 1.0
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_refine_tol_must_be_finite_positive(self, tol):
+        with pytest.raises(ValueError):
+            guarantee(Gains(M=2, alpha=1.0, betas=(-0.3,)), SpectralInterval(0.5, 2.5),
+                      refine_tol=tol)
 
 
 class TestTuneMemoryless:

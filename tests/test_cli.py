@@ -60,6 +60,11 @@ class TestTune:
         code, _, err = run(capsys, "tune", "--interval", "3,1")
         assert code == 3 and "error" in err
 
+    def test_infinite_interval_exit3(self, capsys):
+        code, out, err = run(capsys, "tune", "--interval", "0.1,inf")
+        assert code == 3 and "error" in err
+        assert out == ""
+
 
 class TestRoundTrip:
     def test_tune_then_guarantee(self, capsys, tmp_path):
@@ -103,6 +108,17 @@ class TestGuarantee:
         p.write_text("{not json")
         code, _, _ = run(capsys, "guarantee", "--gains", str(p), "--set", "1:2")
         assert code == 3
+
+    def test_nan_gains_exit3(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, float("nan"), [-0.5])
+        code, _, err = run(capsys, "guarantee", "--gains", gains, "--set", "1:2")
+        assert code == 3 and "finite" in err
+
+    def test_negative_refine_tol_exit3(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, 1.0, [-0.3])
+        code, _, err = run(capsys, "guarantee", "--gains", gains, "--set", "1:2",
+                           "--refine-tol", "-1")
+        assert code == 3 and "refine_tol" in err
 
 
 class TestSearch:
@@ -161,6 +177,13 @@ class TestSimulate:
                          "--steps", "5", "--x0", "1,0")
         assert code == 2
 
+    def test_malformed_x0_exit2(self, capsys, tmp_path):
+        graph = write_path3(tmp_path)
+        gains = write_gains(tmp_path, 1, 0.5, [])
+        code, _, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
+                           "--steps", "5", "--x0", "1,2,x")
+        assert code == 2 and "error" in err
+
     def test_bad_edge_list_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 1\nbroken line\n")
@@ -201,6 +224,16 @@ class TestCertify:
         d = json.loads(field.read_text())
         assert d["re_range"][2] == 64
         assert len(d["type_mask"]) == 64 * 64
+
+    @pytest.mark.parametrize("window", ["-2:2:oops", "-2:2:-2:2:x", "a:2:-2:2:64"])
+    def test_malformed_window_exit2(self, capsys, tmp_path, window):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        field = tmp_path / "field.json"
+        code, _, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                           "--field", "0.5", f"--window={window}",
+                           "--field-out", str(field))
+        assert code == 2 and "error" in err
+        assert not field.exists()
 
 
 class TestSpectrum:

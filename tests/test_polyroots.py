@@ -4,12 +4,13 @@ import pytest
 from memaccel.polyroots import (
     ComplexRootSet,
     RealPolynomial,
+    companion_eigvals,
     eval_poly,
     max_modulus,
     residual_tolerance,
     roots,
 )
-from memaccel.errors import DegreeZeroError, EmptyRootSetError
+from memaccel.errors import DegreeZeroError, EmptyRootSetError, NoConvergenceError
 
 
 class TestEval:
@@ -72,6 +73,41 @@ class TestRoots:
         b = roots(p).roots
         assert a == b
         assert list(a) == sorted(a, key=lambda z: (z.real, z.imag))
+
+
+class TestCompanionEigvals:
+    def test_batched_rows(self):
+        # (z-1)(z-2), z^2 + 0.64 and 3z^2 - 6 in one call
+        stack = np.array([[2.0, -3.0, 1.0], [0.64, 0.0, 1.0], [-6.0, 0.0, 3.0]])
+        eigs = companion_eigvals(stack)
+        assert eigs.shape == (3, 2)
+        expect = ([1.0, 2.0], [-0.8j, 0.8j], [-np.sqrt(2.0), np.sqrt(2.0)])
+        for row, want in zip(eigs, expect):
+            got = sorted(row.astype(complex), key=lambda z: (z.real, z.imag))
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_linear_is_exact(self):
+        assert companion_eigvals(np.array([[3.0, -1.5]])).tolist() == [[2.0]]
+
+
+class TestPolish:
+    def test_repairs_companion_start(self):
+        # Companion eigenvalues alone miss the residual contract on the
+        # small root of z^2 + 1e8 z + 1; the Aberth polish repairs it.
+        p = RealPolynomial((1.0, 1e8, 1.0))
+        start = companion_eigvals(np.array([p.coeffs]))[0].astype(complex)
+        assert np.any(np.abs(eval_poly(p, start)) > residual_tolerance(p.coeffs, start))
+        r = roots(p)
+        assert r.roots[1] == pytest.approx(-1e-8, rel=1e-12, abs=0.0)
+        for z, res in zip(r.roots, r.residuals):
+            assert res <= residual_tolerance(p.coeffs, abs(z))
+
+    def test_overflowing_residual_is_a_miss(self):
+        # |p(z)| and its tolerance both overflow at the root near -1e11;
+        # an infinite residual must not pass the contract.
+        p = RealPolynomial((1.0,) * 32 + (1e-11,))
+        with np.errstate(all="ignore"), pytest.raises(NoConvergenceError):
+            roots(p)
 
 
 class TestMaxModulus:

@@ -130,6 +130,15 @@ class TestNonzeroInterval:
         assert all(iv.contains(e) for e in eigs if e > 1e-9)
 
 
+class TestSpectralInterval:
+    @pytest.mark.parametrize("lo, hi", [
+        (0.1, np.inf), (np.inf, np.inf), (np.nan, 1.0), (0.1, np.nan),
+    ])
+    def test_non_finite_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            SpectralInterval(lo, hi)
+
+
 class TestSpectralSet:
     def test_merge_and_sort(self):
         s = SpectralSet(
@@ -148,6 +157,11 @@ class TestSpectralSet:
         s = SpectralSet(intervals=(SpectralInterval(2.0, 2.0),))
         assert s.intervals == ()
         assert s.points == (2.0,)
+
+    @pytest.mark.parametrize("pt", [np.inf, np.nan, 0.0])
+    def test_bad_point_rejected(self, pt):
+        with pytest.raises(ValueError):
+            SpectralSet(points=(pt,))
 
     def test_hull(self):
         s = SpectralSet(intervals=(SpectralInterval(0.0122, 0.0182),), points=(0.9878,))
