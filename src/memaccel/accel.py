@@ -9,10 +9,9 @@ richer spectral knowledge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import polyroots
 from .errors import AlphaZeroError, OutOfIntervalError
@@ -21,6 +20,12 @@ from .spectral import SpectralInterval, SpectralSet
 
 DEFAULT_GRID = 2001
 DEFAULT_REFINE_TOL = 1e-10
+# search_gains: jittered restarts and polish rounds after the seeded run,
+# and the coarser guarantee each search evaluation uses.
+SEARCH_RESTARTS = 5
+SEARCH_POLISH_ROUNDS = 8
+SEARCH_GRID = 161
+SEARCH_REFINE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -210,24 +215,92 @@ def modal_angle(lam: float, iv: SpectralInterval) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+class _BudgetSpent(Exception):
+    """_nelder_mead has made its maxfev calls."""
+
+
+def _nelder_mead(f, x0, maxfev, xatol, fatol):
+    """Minimise f from x0 by Nelder-Mead with the standard coefficients
+    (reflection 1, expansion 2, contraction 1/2, shrink 1/2; Lagarias,
+    Reeds, Wright & Wright, SIAM J. Optim. 1998) and an initial simplex
+    that scales each coordinate by 1.05 (0.00025 for a zero). Stops when
+    the simplex is within xatol and its values within fatol of the best
+    vertex, or after exactly maxfev calls of f, even within a step. f
+    gets a copy of each point, which it may keep; nothing is returned."""
+    calls = 0
+
+    def call(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(x.copy())
+
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+        # np.argsort is not stable, so each sort may reorder tied
+        # vertices; sort as often as the reference Nelder-Mead the tests
+        # compare against: once here and once before every step.
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        while calls < maxfev:
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+    except _BudgetSpent:
+        pass
+
+
 def search_gains(
     s: SpectralSet | SpectralInterval,
     M: int,
     seed: Gains | None = None,
     budget: int = 4000,
     rng_seed: int = 0,
-    restarts: int = 5,
-    polish_rounds: int = 8,
-    search_grid: int = 161,
-    search_refine_tol: float = 1e-7,
 ) -> tuple[Gains, GuaranteeReport]:
     """Derivative-free local descent of the guarantee over (alpha, betas).
 
-    Three Nelder-Mead stages: a run from the seed (default: single-memory
-    optimal tuning of the convex hull of s), wide jittered restarts to
-    escape the seed's basin, then small-jitter polish rounds around the
-    incumbent best. ``budget`` counts guarantee evaluations. Returns the
-    seed itself when no improvement is found. Deterministic for a fixed
+    Three stages of the in-house Nelder-Mead (:func:`_nelder_mead`,
+    coefficients 1, 2, 1/2, 1/2 as in Lagarias et al. 1998): a run from
+    the seed (default: single-memory optimal tuning of the convex hull of
+    s), SEARCH_RESTARTS wide jittered restarts to escape the seed's
+    basin, then SEARCH_POLISH_ROUNDS small-jitter polish rounds around
+    the incumbent best. ``budget`` caps the guarantee evaluations, each
+    on a SEARCH_GRID grid refined to SEARCH_REFINE_TOL. Returns the seed
+    itself when no improvement is found. Deterministic for a fixed
     rng_seed."""
     if isinstance(s, SpectralInterval):
         s = SpectralSet.from_interval(s)
@@ -238,47 +311,43 @@ def search_gains(
     if seed.M != M:
         raise ValueError(f"seed has M={seed.M}, expected {M}")
 
-    evals = {"n": 0}
-    best = {"x": None, "f": np.inf}
+    evals = 0
+    best_x, best_f = None, np.inf
 
     def objective(x):
-        if evals["n"] >= budget:
-            return best["f"] + 1.0  # budget spent; freeze the search
+        nonlocal evals, best_x, best_f
         alpha = float(x[0])
         if alpha == 0.0:
             return np.inf
-        evals["n"] += 1
+        evals += 1
         g = Gains(M=M, alpha=alpha, betas=tuple(x[1:]))
-        nu = guarantee(g, s, grid=search_grid, refine_tol=search_refine_tol).nu
-        if nu < best["f"]:
-            best["x"], best["f"] = np.asarray(x, dtype=float).copy(), nu
+        nu = guarantee(g, s, grid=SEARCH_GRID, refine_tol=SEARCH_REFINE_TOL).nu
+        if nu < best_f:
+            best_x, best_f = x, nu
         return nu
 
-    def run(start, maxfev):
-        if evals["n"] < budget and maxfev > 0:
-            minimize(objective, start, method="Nelder-Mead",
-                     options={"maxfev": maxfev, "xatol": 1e-11, "fatol": 1e-13})
+    per_run = max(1, budget // (1 + SEARCH_RESTARTS + SEARCH_POLISH_ROUNDS))
+
+    def run(start):
+        _nelder_mead(objective, start, min(per_run, budget - evals),
+                     xatol=1e-11, fatol=1e-13)
 
     x0 = np.array([seed.alpha, *seed.betas])
     rng = np.random.default_rng(rng_seed)
-    per_run = max(1, budget // (1 + restarts + polish_rounds))
-
-    run(x0, per_run)
+    run(x0)
     # The optimal-tuning seed is itself a local minimum on structured
     # sets; wide restarts are needed to leave its basin.
-    for _ in range(restarts):
-        start = x0 + rng.normal(0.0, 0.15, x0.size) * np.maximum(np.abs(x0), 0.3)
-        run(start, per_run)
-    for _ in range(polish_rounds):
-        if best["x"] is None:
+    for _ in range(SEARCH_RESTARTS):
+        run(x0 + rng.normal(0.0, 0.15, x0.size) * np.maximum(np.abs(x0), 0.3))
+    for _ in range(SEARCH_POLISH_ROUNDS):
+        if best_x is None:
             break
-        start = best["x"] * (1.0 + 0.01 * rng.standard_normal(x0.size))
-        run(start, per_run)
+        run(best_x * (1.0 + 0.01 * rng.standard_normal(x0.size)))
 
     seed_report = guarantee(seed, s)
-    if best["x"] is None:
+    if best_x is None:
         return seed, seed_report
-    g_best = Gains(M=M, alpha=float(best["x"][0]), betas=tuple(best["x"][1:]))
+    g_best = Gains(M=M, alpha=float(best_x[0]), betas=tuple(best_x[1:]))
     best_report = guarantee(g_best, s)
     if best_report.nu < seed_report.nu:
         return g_best, best_report

@@ -21,6 +21,7 @@ from .polyroots import RealPolynomial
 from .spectral import SpectralInterval
 
 WITNESS_TOL = 1e-8
+UNIT_CIRCLE_TOL = 1e-9
 DEFAULT_THETA_SAMPLES = 4096
 ANGLE_TOL = 0.02
 TIE_TOL = 1e-12
@@ -156,7 +157,7 @@ def _batched_max_roots(c: ClaimCoeffs, thetas: np.ndarray):
     return mods[k, best], eigs[k, best]
 
 
-def prop8_check(c: ClaimCoeffs, tol: float = 1e-9) -> Prop8Result:
+def prop8_check(c: ClaimCoeffs) -> Prop8Result:
     """Detect the two short-circuit cases: a root of the perturbation
     polynomial on the unit circle, or leading coefficient below -1.
     The zero vector (optimal tuning) is 'none' by convention."""
@@ -166,7 +167,7 @@ def prop8_check(c: ClaimCoeffs, tol: float = 1e-9) -> Prop8Result:
     if pert.is_zero or pert.degree == 0:
         return Prop8Result(kind="none")
     for r in polyroots.roots(pert).roots:
-        if abs(abs(r) - 1.0) <= tol:
+        if abs(abs(r) - 1.0) <= UNIT_CIRCLE_TOL:
             return Prop8Result(kind="unit_circle_root", root=r)
     return Prop8Result(kind="none")
 
@@ -174,10 +175,9 @@ def prop8_check(c: ClaimCoeffs, tol: float = 1e-9) -> Prop8Result:
 def claim6_witness(
     c: ClaimCoeffs,
     theta_samples: int = DEFAULT_THETA_SAMPLES,
-    witness_tol: float = WITNESS_TOL,
 ) -> WitnessReport:
     """Find theta in [0, pi] whose test polynomial has a root of modulus
-    >= 1 - witness_tol.
+    >= 1 - WITNESS_TOL.
 
     Special cases short-circuit the scan: a unit-circle root of the
     perturbation gives the angle directly, and a leading coefficient
@@ -204,7 +204,7 @@ def claim6_witness(
         thetas = np.linspace(0.0, np.pi, n)
         mods, roots_ = _batched_max_roots(c, thetas)
         scanned += n
-        hit = np.flatnonzero(mods >= 1.0 - witness_tol)
+        hit = np.flatnonzero(mods >= 1.0 - WITNESS_TOL)
         if hit.size:
             i = int(hit[0])
             return WitnessReport(found=True, theta=float(thetas[i]),
@@ -227,7 +227,7 @@ def claim6_witness(
             best_theta, best_mod, best_root = float(thetas[i]), float(mods[i]), complex(roots_[i])
         step = (hi - lo) / 8
         lo, hi = max(lo, thetas[i] - step), min(hi, thetas[i] + step)
-    return WitnessReport(found=bool(best_mod >= 1.0 - witness_tol),
+    return WitnessReport(found=bool(best_mod >= 1.0 - WITNESS_TOL),
                          theta=best_theta, root=best_root,
                          modulus=best_mod, scanned=scanned)
 
@@ -265,7 +265,6 @@ def partition_field(
     re_range: tuple[float, float] = (-2.0, 2.0),
     im_range: tuple[float, float] = (-2.0, 2.0),
     resolution: int = 256,
-    angle_tol: float = ANGLE_TOL,
 ) -> PartitionField:
     """Sample sign(|P1| - |P2|) and the phase-match locus on a window of
     the complex plane, with root overlays. Tie cells (difference below
@@ -282,7 +281,7 @@ def partition_field(
     dphi = np.angle(v1) - np.angle(v2)
     wrapped = np.abs((dphi + np.pi) % (2.0 * np.pi) - np.pi)
     return PartitionField(
-        re=re, im=im, type_mask=mask, phase_match=wrapped <= angle_tol,
+        re=re, im=im, type_mask=mask, phase_match=wrapped <= ANGLE_TOL,
         roots_p1=p1_roots(c, theta), roots_p2=p2_roots(c), theta=theta,
     )
 
@@ -290,20 +289,19 @@ def partition_field(
 def large_radius_phase_check(
     c: ClaimCoeffs,
     theta_grid: int = 512,
-    R: float | None = None,
     phase_grid: int = 512,
 ) -> tuple[bool, tuple[float, float] | None]:
     """Verify that Real(P1/P2) stays negative on the circle |y| = R for
-    all sampled angles, so no phase match exists at large radius.
+    all sampled angles, so no phase match exists at large radius; R = 10 (1 + b)
+    for b the larger of the Cauchy root bounds of P1 and P2.
     Requires a positive leading coefficient. Returns (ok, violating
     (theta, phase) sample or None)."""
     if c.a[-1] <= 0:
         raise ValueError("check requires a_{M-1} > 0")
-    if R is None:
-        bound1 = 3.0  # Cauchy bound of P1: coefficients within [-2, 2]
-        p2c = _p2_coeffs(c)
-        bound2 = 1.0 + max(abs(v) for v in p2c[:-1]) / abs(p2c[-1])
-        R = 10.0 * (1.0 + max(bound1, bound2))
+    bound1 = 3.0  # Cauchy bound of P1: coefficients within [-2, 2]
+    p2c = _p2_coeffs(c)
+    bound2 = 1.0 + max(abs(v) for v in p2c[:-1]) / abs(p2c[-1])
+    R = 10.0 * (1.0 + max(bound1, bound2))
     phis = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
     y = R * np.exp(1j * phis)
     v2 = p2_eval(c, y)

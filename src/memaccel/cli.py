@@ -3,7 +3,8 @@
 Subcommands: tune, guarantee, search, simulate, certify, spectrum.
 All numeric output is printed with 12 significant digits and runs are
 fully deterministic for a fixed --seed-rng. Exit codes: 0 success,
-2 usage or parse error, 3 domain error (message on stderr).
+2 usage or parse error, 3 domain error or a gains or drops file of
+the wrong JSON shape (message on stderr).
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -88,8 +89,28 @@ def _parse_set(text: str) -> spectral.SpectralSet:
 def _load_gains(path: str) -> accel.Gains:
     with open(path) as fh:
         data = json.load(fh)
-    return accel.Gains(M=int(data["M"]), alpha=float(data["alpha"]),
-                       betas=tuple(float(b) for b in data.get("betas", [])))
+    shape = ValueError(f'gains file {path} is not JSON {{"M": k, "alpha": a, "betas": [...]}}')
+    if not isinstance(data, dict) or not isinstance(data.get("betas", []), list):
+        raise shape
+    try:
+        M, alpha = int(data["M"]), float(data["alpha"])
+        betas = tuple(float(b) for b in data.get("betas", []))
+    except TypeError:
+        raise shape from None
+    return accel.Gains(M=M, alpha=alpha, betas=betas)
+
+
+def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
+    with open(path) as fh:
+        raw = json.load(fh)
+    shape = ValueError(f'drops file {path} is not JSON {{"step": [[i, j], ...], ...}}')
+    if not isinstance(raw, dict) or not all(isinstance(e, list) for e in raw.values()):
+        raise shape
+    try:
+        return {int(t): frozenset((int(i), int(j)) for i, j in edges)
+                for t, edges in raw.items()}
+    except TypeError:
+        raise shape from None
 
 
 def _gains_dict(g: accel.Gains) -> dict:
@@ -152,13 +173,7 @@ def _cmd_simulate(args) -> int:
                                      _initial_state(args, graph.n))
     schedule = None
     if args.drops:
-        with open(args.drops) as fh:
-            raw = json.load(fh)
-        schedule = dynamics.DropSchedule(
-            graph,
-            {int(t): frozenset((int(i), int(j)) for i, j in edges)
-             for t, edges in raw.items()},
-        )
+        schedule = dynamics.DropSchedule(graph, _load_drops(args.drops))
     trace = dynamics.simulate(prob, g, args.steps, drops=schedule)
     text = dynamics.trace_to_csv(trace)
     if args.output:

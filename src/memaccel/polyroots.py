@@ -111,12 +111,16 @@ def residual_tolerance(coeffs, z):
     return ROOT_RESIDUAL_TOL * np.maximum(base, scale)
 
 
+# An overflow surfaces as a contract miss or a non-finite root, both
+# raised, so numpy's floating-point warnings would only repeat them.
+@np.errstate(all="ignore")
 def roots(p: RealPolynomial) -> ComplexRootSet:
     """All complex roots of p, with multiplicity.
 
     Raises DegreeZeroError for constant polynomials and NoConvergenceError
     if the residual contract cannot be met within the polish budget; a
-    non-finite residual counts as a miss.
+    non-finite residual counts as a miss, and a root the polish drives to
+    a non-finite value ends it at once.
     """
     if p.degree < 1:
         raise DegreeZeroError("constant polynomial has no roots")
@@ -146,11 +150,13 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
         np.fill_diagonal(diff, np.inf)
         # Clustered roots give near-zero pairwise gaps; those corrections
         # are unreliable, so guard the denominator.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sum(1.0 / diff, axis=1)
+        s = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - newton * s
         step = np.where(np.abs(denom) > 1e-12, newton / np.where(denom != 0, denom, 1.0), newton)
         z = np.where(bad, z - step, z)
+        # A non-finite root poisons every later Aberth step.
+        if not np.isfinite(z).all():
+            raise NoConvergenceError("polish produced a non-finite root")
     else:
         if np.any(misses_contract(z)):
             raise NoConvergenceError(

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from memaccel import accel
 from memaccel.accel import (
+    SEARCH_GRID,
+    SEARCH_REFINE_TOL,
     Gains,
+    _nelder_mead,
     char_poly,
     guarantee,
     max_root_moduli,
@@ -230,3 +234,98 @@ class TestSearchGains:
         g1, r1 = search_gains(s, M=2, budget=60, rng_seed=3)
         g2, r2 = search_gains(s, M=2, budget=60, rng_seed=3)
         assert g1 == g2 and r1.nu == r2.nu
+
+
+DEMO03_SET = SpectralSet(intervals=(SpectralInterval(0.0122, 0.0182),), points=(0.9878,))
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+def _rounded_rosenbrock(x):
+    # Integer plateaus make contractions fail, so the simplex shrinks, and
+    # give ties for the vertex sort and the contraction tests.
+    return float(np.round(_rosenbrock(x)))
+
+
+def _demo03_nu(x):
+    g = Gains(M=4, alpha=float(x[0]), betas=tuple(x[1:]))
+    return guarantee(g, DEMO03_SET, grid=SEARCH_GRID, refine_tol=SEARCH_REFINE_TOL).nu
+
+
+class TestNelderMead:
+    """_nelder_mead evaluates exactly the points scipy's Nelder-Mead does."""
+
+    @staticmethod
+    def _calls(f, x0, maxfev, xatol, fatol):
+        """(points _nelder_mead calls f on, the same for scipy, and the
+        number of calls scipy's iterations had made after each step)."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        ours, ref, after_step = [], [], []
+
+        def recorder(out):
+            def g(x):
+                out.append(np.array(x))
+                return f(x)
+            return g
+
+        _nelder_mead(recorder(ours), x0, maxfev, xatol, fatol)
+        scipy_optimize.minimize(
+            recorder(ref), x0, method="Nelder-Mead",
+            callback=lambda *_: after_step.append(len(ref)),
+            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+        shape = (-1, len(x0))
+        return np.reshape(ours, shape), np.reshape(ref, shape), np.array(after_step)
+
+    @pytest.mark.parametrize("f", [_rosenbrock, _rounded_rosenbrock])
+    def test_2d_matches_scipy_at_every_budget(self, f):
+        x0 = np.array([-1.2, 1.0])
+        ours, ref, after_step = self._calls(f, x0, 10_000, 1e-8, 1e-8)
+        assert len(ref) < 10_000  # stopped by xatol/fatol
+        np.testing.assert_array_equal(ours, ref)
+        step_calls = np.diff(after_step)
+        assert step_calls.max() >= 2
+        if f is _rounded_rosenbrock:
+            assert step_calls.max() == 4  # reflection, contraction, 2-point shrink
+        # Every budget up to the full run: each multi-call step (expansion,
+        # contraction, shrink) is cut after each of its calls somewhere.
+        for maxfev in range(len(ref) + 1):
+            ours, ref_cut, _ = self._calls(f, x0, maxfev, 1e-8, 1e-8)
+            np.testing.assert_array_equal(ours, ref_cut)
+            np.testing.assert_array_equal(ours, ref[:maxfev])
+
+    def test_4d_search_objective_matches_scipy(self):
+        seed = tune_theorem3(DEMO03_SET.hull(), M=4).gains
+        x0 = np.array([seed.alpha, *seed.betas])
+        x0 = x0 + np.random.default_rng(0).normal(0.0, 0.15, 4) * np.maximum(np.abs(x0), 0.3)
+        cache = {}
+
+        def f(x):
+            key = tuple(x)
+            if key not in cache:
+                cache[key] = _demo03_nu(x)
+            return cache[key]
+
+        ours, ref, _ = self._calls(f, x0, 120, 1e-11, 1e-13)
+        assert len(ref) == 120
+        np.testing.assert_array_equal(ours, ref)
+        for maxfev in range(120):
+            ours, ref_cut, _ = self._calls(f, x0, maxfev, 1e-11, 1e-13)
+            np.testing.assert_array_equal(ours, ref_cut)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("budget", [1, 13, 30, 100])
+    def test_at_most_budget_search_evaluations(self, monkeypatch, budget):
+        search_evals = []
+        orig = accel.guarantee
+
+        def counted(g, s, **kwargs):
+            if kwargs.get("grid") == SEARCH_GRID:
+                search_evals.append(g)
+            return orig(g, s, **kwargs)
+
+        monkeypatch.setattr(accel, "guarantee", counted)
+        search_gains(SpectralSet(points=(0.5, 1.5)), M=3, budget=budget, rng_seed=1)
+        assert 0 < len(search_evals) <= budget

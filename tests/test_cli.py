@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import memaccel
 from memaccel.cli import main
 
 
@@ -120,6 +125,15 @@ class TestGuarantee:
                            "--refine-tol", "-1")
         assert code == 3 and "refine_tol" in err
 
+    @pytest.mark.parametrize("text", ['[2, 1.0, [-0.5]]',
+                                      '{"M": 2, "alpha": null, "betas": [-0.5]}',
+                                      '{"M": 2, "alpha": 1.0, "betas": 0.5}'])
+    def test_wrong_gains_shape_exit3(self, capsys, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, _, err = run(capsys, "guarantee", "--gains", str(p), "--set", "1:2")
+        assert code == 3 and err.startswith("error:")
+
 
 class TestSearch:
     def test_deterministic_bytes(self, capsys, tmp_path):
@@ -169,6 +183,15 @@ class TestSimulate:
                            "--drops", str(drops))
         assert code == 0
         assert len(out.strip().splitlines()) == 7
+
+    def test_drops_file_list_exit3(self, capsys, tmp_path):
+        graph = write_path3(tmp_path)
+        gains = write_gains(tmp_path, 1, 0.4, [])
+        drops = tmp_path / "drops.json"
+        drops.write_text(json.dumps([[0, 1]]))
+        code, _, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
+                           "--steps", "5", "--x0", "1,0,-1", "--drops", str(drops))
+        assert code == 3 and err.startswith("error:")
 
     def test_wrong_x0_length_exit2(self, capsys, tmp_path):
         graph = write_path3(tmp_path)
@@ -225,6 +248,12 @@ class TestCertify:
         assert d["re_range"][2] == 64
         assert len(d["type_mask"]) == 64 * 64
 
+    def test_null_alpha_exit3(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"M": 2, "alpha": null, "betas": [-0.5]}')
+        code, _, err = run(capsys, "certify", "--gains", str(p), "--interval", REF)
+        assert code == 3 and err.startswith("error:")
+
     @pytest.mark.parametrize("window", ["-2:2:oops", "-2:2:-2:2:x", "a:2:-2:2:64"])
     def test_malformed_window_exit2(self, capsys, tmp_path, window):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])
@@ -250,3 +279,11 @@ class TestSpectrum:
         bad.write_text("# no edges\n")
         code, _, _ = run(capsys, "spectrum", "--graph", str(bad))
         assert code == 3
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(memaccel.__file__).resolve().parents[1])
+    code = "import sys, memaccel.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

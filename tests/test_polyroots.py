@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from memaccel import polyroots
 from memaccel.polyroots import (
     ComplexRootSet,
     RealPolynomial,
@@ -108,6 +111,21 @@ class TestPolish:
         p = RealPolynomial((1.0,) * 32 + (1e-11,))
         with np.errstate(all="ignore"), pytest.raises(NoConvergenceError):
             roots(p)
+
+    def test_non_finite_root_stops_polish_silently(self, monkeypatch):
+        # The first Aberth step sends the root near -1e11 to a non-finite
+        # value, which no later step can repair: the polish stops there
+        # instead of spending its budget, and no numpy warning escapes.
+        calls = []
+        evaluate = polyroots._eval_and_derivative
+        monkeypatch.setattr(polyroots, "_eval_and_derivative",
+                            lambda c, z: calls.append(z) or evaluate(c, z))
+        p = RealPolynomial((1.0,) * 32 + (1e-11,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match="non-finite"):
+                roots(p)
+        assert len(calls) == 2  # the contract test and one Aberth step
 
 
 class TestMaxModulus:
