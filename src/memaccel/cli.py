@@ -86,6 +86,16 @@ def _parse_set(text: str) -> spectral.SpectralSet:
     return spectral.SpectralSet(intervals=tuple(intervals), points=tuple(points))
 
 
+def _json_int(v, what: str) -> int:
+    """An integer read from JSON; integral floats pass, bools and
+    non-integral values raise ValueError instead of being truncated."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{what} must be an integer, got {json.dumps(v)}")
+
+
 def _load_gains(path: str) -> accel.Gains:
     with open(path) as fh:
         data = json.load(fh)
@@ -93,7 +103,7 @@ def _load_gains(path: str) -> accel.Gains:
     if not isinstance(data, dict) or not isinstance(data.get("betas", []), list):
         raise shape
     try:
-        M, alpha = int(data["M"]), float(data["alpha"])
+        M, alpha = _json_int(data["M"], f"M in gains file {path}"), float(data["alpha"])
         betas = tuple(float(b) for b in data.get("betas", []))
     except TypeError:
         raise shape from None
@@ -106,8 +116,9 @@ def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
     shape = ValueError(f'drops file {path} is not JSON {{"step": [[i, j], ...], ...}}')
     if not isinstance(raw, dict) or not all(isinstance(e, list) for e in raw.values()):
         raise shape
+    node = f"node index in drops file {path}"
     try:
-        return {int(t): frozenset((int(i), int(j)) for i, j in edges)
+        return {int(t): frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
                 for t, edges in raw.items()}
     except TypeError:
         raise shape from None
@@ -182,7 +193,8 @@ def _cmd_simulate(args) -> int:
     else:
         sys.stdout.write(text)
     if trace.diverged:
-        sys.stderr.write("warning: divergence detected, run aborted early\n")
+        sys.stderr.write(f"warning: divergence detected at step {trace.diverged_at}, "
+                         "run aborted early\n")
     return 0
 
 

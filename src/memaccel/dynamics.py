@@ -28,8 +28,10 @@ DIVERGENCE_FACTOR = 1e6
 class IterationProblem:
     """Fixed-point problem A x = b with start vector x0.
 
-    A must be symmetric and b orthogonal to the numerical kernel of A,
-    otherwise no fixed point exists.
+    A must be symmetric, A, b and x0 finite, and b orthogonal to the
+    numerical kernel of A, otherwise no fixed point exists. The kernel
+    check needs a full eigendecomposition of A, so it runs only when b
+    has a nonzero entry; b = 0 is orthogonal to every kernel.
     """
 
     A: np.ndarray
@@ -42,16 +44,19 @@ class IterationProblem:
         x0 = np.asarray(self.x0, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(x0).all()):
+            raise ValueError("A, b and x0 must be finite")
         scale = np.abs(A).max() if A.size else 0.0
         if np.abs(A - A.T).max() > 1e-12 * max(scale, 1.0):
             raise ValueError("A must be symmetric within 1e-12")
         if b.shape != (A.shape[0],) or x0.shape != (A.shape[0],):
             raise ValueError("b and x0 must match the dimension of A")
-        w, v = np.linalg.eigh(A)
-        kernel = v[:, np.abs(w) <= 1e-9 * max(np.abs(w).max(), 1.0)]
-        nb = np.linalg.norm(b)
-        if kernel.size and nb > 0 and np.linalg.norm(kernel.T @ b) > 1e-9 * nb:
-            raise IncompatibleBiasError("b has a component in the kernel of A")
+        if b.any():
+            w, v = np.linalg.eigh(A)
+            kernel = v[:, np.abs(w) <= 1e-9 * max(np.abs(w).max(), 1.0)]
+            nb = np.linalg.norm(b)
+            if kernel.size and nb > 0 and np.linalg.norm(kernel.T @ b) > 1e-9 * nb:
+                raise IncompatibleBiasError("b has a component in the kernel of A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x0", x0)
@@ -62,22 +67,30 @@ class DropSchedule:
     """Per-step sets of undirected edges whose weight is zeroed.
 
     Tied to the graph whose Laplacian the simulation runs on; every
-    referenced edge must exist there.
+    referenced edge must exist there. Each step's dropped edges are also
+    kept as arrays (i, j, w), sorted by edge, for the simulator.
     """
 
     graph: WeightedGraph
     drops: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
+    cuts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        known = {(min(i, j), max(i, j)) for i, j, _ in self.graph.edges}
-        canon = {}
+        weight = {(min(i, j), max(i, j)): w for i, j, w in self.graph.edges}
+        canon, cuts = {}, {}
         for t, edges in self.drops.items():
             es = frozenset((min(i, j), max(i, j)) for i, j in edges)
             for e in es:
-                if e not in known:
+                if e not in weight:
                     raise ValueError(f"dropped edge {e} not in graph")
             canon[int(t)] = es
+            if es:
+                keys = sorted(es)
+                ij = np.array(keys)
+                cuts[int(t)] = (ij[:, 0], ij[:, 1], np.array([weight[e] for e in keys]))
         object.__setattr__(self, "drops", canon)
+        object.__setattr__(self, "cuts", cuts)
 
     def laplacian_at(self, t: int) -> np.ndarray:
         dropped = self.drops.get(t, frozenset())
@@ -100,12 +113,16 @@ class SimTrace:
     spread: np.ndarray          # (T+1,) of max - min
     rms: np.ndarray             # (T+1,) of rms deviation from the mean
     mean: np.ndarray            # (T+1,)
-    diverged: bool = False
     dropped_links: dict[int, frozenset[tuple[int, int]]] | None = None
+    diverged_at: int | None = None  # first step t with ||x(t)|| over the limit
 
     @property
     def T(self) -> int:
         return len(self.states) - 1
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 def consensus_metrics(x) -> tuple[float, float, float]:
@@ -118,14 +135,14 @@ def consensus_metrics(x) -> tuple[float, float, float]:
     return float(x.max() - x.min()), float(np.sqrt(np.mean((x - m) ** 2))), m
 
 
-def _finish_trace(states, A, b, diverged, dropped):
+def _finish_trace(states, A, b, diverged_at, dropped):
     xs = np.asarray(states)
     residuals = np.linalg.norm(xs @ A.T - b, axis=1)
     spread = xs.max(axis=1) - xs.min(axis=1)
     mean = xs.mean(axis=1)
     rms = np.sqrt(np.mean((xs - mean[:, None]) ** 2, axis=1))
     return SimTrace(states=xs, residuals=residuals, spread=spread, rms=rms,
-                    mean=mean, diverged=diverged, dropped_links=dropped)
+                    mean=mean, dropped_links=dropped, diverged_at=diverged_at)
 
 
 def simulate(
@@ -146,13 +163,28 @@ def simulate(
                 "drop schedule requires A to be the Laplacian of its graph"
             )
     limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), 1e-300)
-    states, diverged = _recur(
-        p.x0.astype(float), g, T,
-        lambda t, x: p.b - (p.A if drops is None else drops.laplacian_at(t)) @ x,
-        limit,
-    )
-    return _finish_trace(states, p.A, p.b, diverged,
+    states, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops), limit)
+    return _finish_trace(states, p.A, p.b, diverged_at,
                          drops.drops if drops is not None else None)
+
+
+def _force(p: IterationProblem, drops: DropSchedule | None):
+    """force(t, x) = b - A_t x for simulate. A step with dropped links
+    subtracts their Laplacian from A @ x as a scatter of w (x_i - x_j)
+    over the dropped edges (i, j, w); this equals laplacian_at(t) @ x
+    because simulate checks that A is the Laplacian of drops.graph."""
+    cuts = drops.cuts if drops is not None else {}
+    n = len(p.x0)
+
+    def force(t, x):
+        Ax = p.A @ x
+        if t in cuts:
+            i, j, w = cuts[t]
+            d = w * (x[i] - x[j])
+            Ax = Ax - (np.bincount(i, d, n) - np.bincount(j, d, n))
+        return p.b - Ax
+
+    return force
 
 
 def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np.ndarray:
@@ -170,7 +202,7 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
     """States x(0..) of x(t+1) = x(t) + alpha force(t, x(t))
     + sum_m beta_m (x(t-m) - x(t)) with constant history x(s) = x0 for
     s <= 0. Stops after T steps, or early once ||x|| exceeds limit.
-    Returns (states, diverged)."""
+    Returns (states, the step t whose x(t) exceeded limit or None)."""
     x = x0
     history = [x] * max(g.M - 1, 1)  # x(t-1), x(t-2), ...
     states = [x]
@@ -182,8 +214,8 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
         x = nxt
         states.append(x)
         if np.linalg.norm(x) > limit:
-            return states, True
-    return states, False
+            return states, t + 1
+    return states, None
 
 
 def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:

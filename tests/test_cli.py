@@ -135,6 +135,19 @@ class TestGuarantee:
         assert code == 3 and err.startswith("error:")
 
 
+    @pytest.mark.parametrize("M", [2.7, True, "2"])
+    def test_non_integer_M_exit3(self, capsys, tmp_path, M):
+        gains = write_gains(tmp_path, M, 1.0, [-0.3])
+        code, out, err = run(capsys, "guarantee", "--gains", gains, "--set", "1:2")
+        assert code == 3 and err.startswith("error:") and "M" in err
+        assert out == ""
+
+    def test_integral_float_M_accepted(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2.0, 1.0, [-0.3])
+        code, _, _ = run(capsys, "guarantee", "--gains", gains, "--set", "1:2")
+        assert code == 0
+
+
 class TestSearch:
     def test_deterministic_bytes(self, capsys, tmp_path):
         args = ("search", "--set", "0.5,1.5", "--M", "2", "--budget", "60",
@@ -192,6 +205,37 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
                            "--steps", "5", "--x0", "1,0,-1", "--drops", str(drops))
         assert code == 3 and err.startswith("error:")
+
+    @pytest.mark.parametrize("drops", [{"0": [[0.9, 1]]}, {"0": [[0, True]]},
+                                       {"1.5": [[0, 1]]}, {"true": [[0, 1]]}])
+    def test_non_integer_drops_exit3(self, capsys, tmp_path, drops):
+        graph = write_path3(tmp_path)
+        gains = write_gains(tmp_path, 1, 0.4, [])
+        path = tmp_path / "drops.json"
+        path.write_text(json.dumps(drops))
+        code, out, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
+                             "--steps", "5", "--x0", "1,0,-1", "--drops", str(path))
+        assert code == 3 and err.startswith("error:")
+        assert out == ""
+
+    def test_nan_x0_exit3(self, capsys, tmp_path):
+        graph = write_path3(tmp_path)
+        gains = write_gains(tmp_path, 1, 0.5, [])
+        code, out, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
+                             "--steps", "5", "--x0", "nan,0,1")
+        assert code == 3 and "finite" in err
+        assert out == ""
+
+    def test_divergence_warning_names_step(self, capsys, tmp_path):
+        graph = write_path3(tmp_path)
+        gains = write_gains(tmp_path, 1, 5.0, [])
+        code, out, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
+                             "--steps", "100", "--x0", "1,0,-1")
+        # (1, 0, -1) is the eigenvector of eigenvalue 1, so |x(t)| = 4^t |x0|
+        # first exceeds 1e6 |x0| at t = 10.
+        assert code == 0
+        assert err == "warning: divergence detected at step 10, run aborted early\n"
+        assert len(out.strip().splitlines()) == 1 + 11
 
     def test_wrong_x0_length_exit2(self, capsys, tmp_path):
         graph = write_path3(tmp_path)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaccel.accel import Gains, tune_memoryless, tune_theorem3
 from memaccel.dynamics import (
+    DIVERGENCE_FACTOR,
     DropSchedule,
     IterationProblem,
+    _force,
     consensus_metrics,
     empirical_rate,
     find_divergent_drop_schedule,
@@ -51,6 +55,30 @@ class TestIterationProblem:
         b = L @ np.array([0.3, -0.1, 0.5])  # in the range of L
         IterationProblem(L, b, np.zeros(3))
 
+    def test_zero_bias_skips_eigendecomposition(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called for b = 0")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        L = laplacian(PATH3).entries
+        IterationProblem(L, np.zeros(3), np.array([1.0, 0.0, -1.0]))
+
+    def test_nan_in_A_rejected(self):
+        L = laplacian(PATH3).entries
+        L[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            IterationProblem(L, np.zeros(3), np.zeros(3))
+
+    def test_nan_in_b_rejected(self):
+        L = laplacian(PATH3).entries
+        with pytest.raises(ValueError, match="finite"):
+            IterationProblem(L, np.array([np.nan, 0.0, 0.0]), np.zeros(3))
+
+    def test_inf_in_x0_rejected(self):
+        L = laplacian(PATH3).entries
+        with pytest.raises(ValueError, match="finite"):
+            IterationProblem(L, np.zeros(3), np.array([np.inf, 0.0, 1.0]))
+
 
 class TestSimulate:
     def test_single_step_scalar(self):
@@ -86,6 +114,10 @@ class TestSimulate:
     def test_drop_schedule_rejects_unknown_edge(self):
         with pytest.raises(ValueError):
             DropSchedule(PATH3, {0: frozenset({(0, 2)})})
+
+    def test_converging_run_has_no_divergence_step(self):
+        tr = simulate(path3_problem(), Gains(M=1, alpha=0.5), T=20)
+        assert tr.diverged_at is None and not tr.diverged
 
     def test_average_preserved_under_drops(self):
         rng = np.random.default_rng(1)
@@ -186,9 +218,61 @@ class TestDropRobustness:
         tr = simulate(prob, gains, T=400, drops=schedule)
         assert tr.diverged
 
+    def test_fragility_fixture_divergence_step(self):
+        graph, gains, schedule, x0 = memory_fragility_example()
+        prob = IterationProblem(laplacian(graph).entries, np.zeros(graph.n), x0)
+        tr = simulate(prob, gains, T=400, drops=schedule)
+        limit = DIVERGENCE_FACTOR * np.linalg.norm(x0)
+        assert tr.diverged_at == tr.T == 72
+        assert np.linalg.norm(tr.states[72]) > limit
+        assert np.all(np.linalg.norm(tr.states[:72], axis=1) <= limit)
+
     def test_randomized_search_reproduces_fixture(self):
         graph, gains, schedule, x0 = memory_fragility_example()
         found = find_divergent_drop_schedule(graph, gains, x0, T=400,
                                              trials=3, rng_seed=0)
         assert found is not None
         assert found.drops == schedule.drops
+
+
+@st.composite
+def graphs_with_drops(draw):
+    """A connected weighted graph (random spanning tree plus extra edges),
+    a drop schedule over steps 0..T-1, a bias in the range of its
+    Laplacian and a state vector."""
+    n = draw(st.integers(2, 12))
+    weight = st.floats(0.1, 2.0)
+    edges = {}
+    for k in range(1, n):
+        edges[(draw(st.integers(0, k - 1)), k)] = draw(weight)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if i != j:
+            edges.setdefault((min(i, j), max(i, j)), draw(weight))
+    graph = WeightedGraph(n, tuple((i, j, w) for (i, j), w in edges.items()))
+    keys = list(edges)
+    T = draw(st.integers(1, 6))
+    drops = {t: frozenset(draw(st.lists(st.sampled_from(keys), max_size=len(keys))))
+             for t in range(T)}
+    vec = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
+    return graph, DropSchedule(graph, drops), T, draw(vec), draw(vec)
+
+
+class TestDropForce:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_drops())
+    def test_matches_rebuilt_laplacian(self, case):
+        graph, schedule, T, y, x = case
+        L = laplacian(graph).entries
+        prob = IterationProblem(L, L @ y, x)
+        force = _force(prob, schedule)
+        scale = np.abs(L).sum(axis=1).max() * (np.abs(x).max() + np.abs(y).max())
+        for t in range(T):
+            ref = prob.b - schedule.laplacian_at(t) @ x
+            np.testing.assert_allclose(force(t, x), ref, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_step_without_drops_is_dense_product(self):
+        prob = path3_problem(np.array([0.3, -1.7, 2.9]))
+        schedule = DropSchedule(PATH3, {1: frozenset({(1, 2)})})
+        force = _force(prob, schedule)
+        np.testing.assert_array_equal(force(0, prob.x0), prob.b - prob.A @ prob.x0)
