@@ -96,6 +96,14 @@ def _json_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {json.dumps(v)}")
 
 
+def _json_float(v, what: str) -> float:
+    """A number read from JSON; bools, strings and other values raise
+    ValueError instead of being converted."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError(f"{what} must be a number, got {json.dumps(v)}")
+
+
 def _load_gains(path: str) -> accel.Gains:
     with open(path) as fh:
         data = json.load(fh)
@@ -103,8 +111,10 @@ def _load_gains(path: str) -> accel.Gains:
     if not isinstance(data, dict) or not isinstance(data.get("betas", []), list):
         raise shape
     try:
-        M, alpha = _json_int(data["M"], f"M in gains file {path}"), float(data["alpha"])
-        betas = tuple(float(b) for b in data.get("betas", []))
+        M = _json_int(data["M"], f"M in gains file {path}")
+        alpha = _json_float(data["alpha"], f"alpha in gains file {path}")
+        betas = tuple(_json_float(b, f"beta in gains file {path}")
+                      for b in data.get("betas", []))
     except TypeError:
         raise shape from None
     return accel.Gains(M=M, alpha=alpha, betas=betas)

@@ -32,22 +32,36 @@ class IterationProblem:
     numerical kernel of A, otherwise no fixed point exists. The kernel
     check needs a full eigendecomposition of A, so it runs only when b
     has a nonzero entry; b = 0 is orthogonal to every kernel.
+
+    The scan that checks A also keeps its diagonal and its off-diagonal
+    nonzeros as arrays (diag, i, j, a_ij), so the simulator computes A x
+    in O(n + nnz(A)) per step. That suits the graph Laplacians and
+    diagonal matrices this package works with; a dense general A costs
+    more than a BLAS matvec would.
     """
 
     A: np.ndarray
     b: np.ndarray
     x0: np.ndarray
+    nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
         x0 = np.asarray(self.x0, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(x0).all()):
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+            raise ValueError("A must be square and nonempty")
+        # NaN and inf are nonzero, so checking the nonzeros checks all of A.
+        r, c = np.nonzero(A)
+        vals = A[r, c]
+        if not (np.isfinite(vals).all() and np.isfinite(b).all() and np.isfinite(x0).all()):
             raise ValueError("A, b and x0 must be finite")
-        scale = np.abs(A).max() if A.size else 0.0
-        if np.abs(A - A.T).max() > 1e-12 * max(scale, 1.0):
+        off = r != c
+        i, j, a = r[off], c[off], vals[off]
+        # max |A - A.T| over all entries is its max over the nonzero pattern
+        scale = np.abs(vals).max(initial=0.0)
+        if np.abs(a - A[j, i]).max(initial=0.0) > 1e-12 * max(scale, 1.0):
             raise ValueError("A must be symmetric within 1e-12")
         if b.shape != (A.shape[0],) or x0.shape != (A.shape[0],):
             raise ValueError("b and x0 must match the dimension of A")
@@ -60,6 +74,7 @@ class IterationProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "nonzeros", (A.diagonal().copy(), i, j, a))
 
 
 @dataclass(frozen=True)
@@ -135,9 +150,9 @@ def consensus_metrics(x) -> tuple[float, float, float]:
     return float(x.max() - x.min()), float(np.sqrt(np.mean((x - m) ** 2))), m
 
 
-def _finish_trace(states, A, b, diverged_at, dropped):
+def _finish_trace(states, p: IterationProblem, diverged_at, dropped):
     xs = np.asarray(states)
-    residuals = np.linalg.norm(xs @ A.T - b, axis=1)
+    residuals = np.linalg.norm([_matvec(p, x) - p.b for x in xs], axis=1)
     spread = xs.max(axis=1) - xs.min(axis=1)
     mean = xs.mean(axis=1)
     rms = np.sqrt(np.mean((xs - mean[:, None]) ** 2, axis=1))
@@ -164,20 +179,27 @@ def simulate(
             )
     limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), 1e-300)
     states, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops), limit)
-    return _finish_trace(states, p.A, p.b, diverged_at,
+    return _finish_trace(states, p, diverged_at,
                          drops.drops if drops is not None else None)
+
+
+def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
+    """A @ x from A's diagonal and off-diagonal nonzeros (i, j, a_ij):
+    diag * x plus a scatter of a_ij x_j onto row i, O(n + nnz(A))."""
+    diag, i, j, a = p.nonzeros
+    return diag * x + np.bincount(i, a * x[j], len(x))
 
 
 def _force(p: IterationProblem, drops: DropSchedule | None):
     """force(t, x) = b - A_t x for simulate. A step with dropped links
-    subtracts their Laplacian from A @ x as a scatter of w (x_i - x_j)
+    subtracts their Laplacian from A x as a scatter of w (x_i - x_j)
     over the dropped edges (i, j, w); this equals laplacian_at(t) @ x
     because simulate checks that A is the Laplacian of drops.graph."""
     cuts = drops.cuts if drops is not None else {}
     n = len(p.x0)
 
     def force(t, x):
-        Ax = p.A @ x
+        Ax = _matvec(p, x)
         if t in cuts:
             i, j, w = cuts[t]
             d = w * (x[i] - x[j])

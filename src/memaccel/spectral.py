@@ -155,11 +155,13 @@ def load_edge_list(text: str) -> WeightedGraph:
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     """L[j][j] = sum of incident weights, L[j][k] = -w_jk."""
     a = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        a[i, j] -= w
-        a[j, i] -= w
-        a[i, i] += w
-        a[j, j] += w
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    a[i, j] -= w
+    a[j, i] -= w
+    # One bincount over i0, j0, i1, j1, ... adds the weights to the
+    # degrees in edge order, as a loop over the edges would.
+    np.fill_diagonal(a, np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n))
     return LaplacianMatrix(a)
 
 

@@ -147,6 +147,20 @@ class TestGuarantee:
         code, _, _ = run(capsys, "guarantee", "--gains", gains, "--set", "1:2")
         assert code == 0
 
+    @pytest.mark.parametrize("M, alpha, betas, what", [(1, True, [], "alpha"),
+                                                       (2, 1.0, [False], "beta"),
+                                                       (1, "0.5", [], "alpha")])
+    def test_non_number_gain_exit3(self, capsys, tmp_path, M, alpha, betas, what):
+        gains = write_gains(tmp_path, M, alpha, betas)
+        code, out, err = run(capsys, "guarantee", "--gains", gains, "--set", "1:2")
+        assert code == 3 and err.startswith("error:") and what in err
+        assert out == ""
+
+    def test_integer_alpha_accepted(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 1, 1, [])
+        code, _, _ = run(capsys, "guarantee", "--gains", gains, "--set", "1:2")
+        assert code == 0
+
 
 class TestSearch:
     def test_deterministic_bytes(self, capsys, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memaccel.accel import Gains, tune_memoryless, tune_theorem3
@@ -73,6 +73,33 @@ class TestIterationProblem:
         L = laplacian(PATH3).entries
         with pytest.raises(ValueError, match="finite"):
             IterationProblem(L, np.array([np.nan, 0.0, 0.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("k, value", [((0, 0), np.inf), ((0, 1), np.nan),
+                                          ((1, 0), -np.inf), ((1, 2), np.nan)])
+    def test_non_finite_entry_anywhere_rejected(self, k, value):
+        L = laplacian(PATH3).entries
+        L[k] = value
+        with pytest.raises(ValueError, match="finite"):
+            IterationProblem(L, np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("k", [(0, 1), (1, 0)])
+    def test_one_sided_entry_rejected(self, k):
+        A = np.zeros((3, 3))
+        A[k] = 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            IterationProblem(A, np.zeros(3), np.zeros(3))
+
+    def test_asymmetry_bound_scales_with_max_entry(self):
+        A = 100 * laplacian(PATH3).entries  # bound 1e-12 * 200
+        A[0, 1] += 1e-10
+        IterationProblem(A, np.zeros(3), np.zeros(3))
+        A[0, 1] += 2e-10
+        with pytest.raises(ValueError, match="symmetric"):
+            IterationProblem(A, np.zeros(3), np.zeros(3))
+
+    def test_empty_A_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            IterationProblem(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
 
     def test_inf_in_x0_rejected(self):
         L = laplacian(PATH3).entries
@@ -276,3 +303,58 @@ class TestDropForce:
         schedule = DropSchedule(PATH3, {1: frozenset({(1, 2)})})
         force = _force(prob, schedule)
         np.testing.assert_array_equal(force(0, prob.x0), prob.b - prob.A @ prob.x0)
+
+
+@st.composite
+def symmetric_problems(draw):
+    """A random symmetric A (dense, sparse with exact zeros, or diagonal;
+    possibly with a zero row and -0.0 entries, 1x1 included), a bias in
+    its range and two state vectors."""
+    n = draw(st.integers(1, 8))
+    entry = st.floats(-10.0, 10.0)
+    kind = draw(st.sampled_from(["dense", "sparse", "diagonal"]))
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            if i == j or kind == "dense" or (kind == "sparse" and draw(st.booleans())):
+                A[i, j] = A[j, i] = draw(entry)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        A[k, :] = A[:, k] = 0.0
+    if draw(st.booleans()):
+        A[A == 0] = -0.0
+    vec = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
+    return A, A @ draw(vec), draw(vec), draw(vec)
+
+
+class TestEdgeArrayProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_problems())
+    def test_force_and_residuals_match_dense_product(self, case):
+        A, b, x0, x = case
+        try:
+            prob = IterationProblem(A, b, x0)
+        except IncompatibleBiasError:
+            assume(False)
+        # Forming b - Ax rounds at the scale of |b| as well as |A| |x|.
+        tol = 1e-12 * (np.abs(A) @ np.abs(x) + np.abs(b))
+        assert np.all(np.abs(_force(prob, None)(0, x) - (b - A @ x)) <= tol)
+        tr = simulate(prob, Gains(M=2, alpha=0.05, betas=(-0.1,)), T=5)
+        xs = tr.states
+        ref = np.linalg.norm(xs @ A.T - b, axis=1)
+        tol = 1e-12 * np.linalg.norm(np.abs(xs) @ np.abs(A).T + np.abs(b), axis=1)
+        assert np.all(np.abs(tr.residuals - ref) <= tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_problems(), st.integers(0, 7), st.integers(0, 7),
+           st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 1e-3]))
+    def test_symmetry_predicate_is_the_dense_one(self, case, i, j, eps):
+        A = case[0].copy()
+        n = len(A)
+        A[i % n, j % n] += eps
+        dense_ok = np.abs(A - A.T).max() <= 1e-12 * max(np.abs(A).max(), 1.0)
+        if dense_ok:
+            IterationProblem(A, np.zeros(n), np.zeros(n))
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                IterationProblem(A, np.zeros(n), np.zeros(n))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaccel.errors import (
     AllZeroError,
@@ -73,6 +75,20 @@ class TestLaplacian:
         np.testing.assert_array_equal(
             L.entries, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_edge_loop_bitwise(self, data):
+        # Weights spanning many magnitudes make the degree sums depend on
+        # their order, so only an edge-order summation matches bit for bit.
+        n = data.draw(st.integers(1, 9))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        weight = st.one_of(st.just(0.0), st.floats(1e-8, 1e8))
+        edges = tuple((j, i, data.draw(weight)) if data.draw(st.booleans())
+                      else (i, j, data.draw(weight)) for i, j in chosen)
+        g = WeightedGraph(n, edges)
+        np.testing.assert_array_equal(laplacian(g).entries, _loop_laplacian(g))
 
 
 class TestEigenvalues:
@@ -184,6 +200,17 @@ class TestRandomGraphProperties:
             if _connected(g):
                 ones = np.ones(n) / np.sqrt(n)
                 assert abs(ones @ L @ ones) <= 1e-10 * scale
+
+
+def _loop_laplacian(g):
+    """The edge-by-edge Laplacian construction, as a reference."""
+    a = np.zeros((g.n, g.n))
+    for i, j, w in g.edges:
+        a[i, j] -= w
+        a[j, i] -= w
+        a[i, i] += w
+        a[j, j] += w
+    return a
 
 
 def _random_graph(rng, n):
