@@ -4,7 +4,10 @@ Subcommands: tune, guarantee, search, simulate, certify, spectrum.
 All numeric output is printed with 12 significant digits and runs are
 fully deterministic for a fixed --seed-rng. Exit codes: 0 success,
 2 usage or parse error, 3 domain error or a gains or drops file of
-the wrong JSON shape (message on stderr).
+the wrong JSON shape (message on stderr). Every exit-2 error is found
+before any numerical work: each subcommand parses its string arguments
+first and only then imports the modules it runs, so a malformed argument
+never loads numpy.
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -20,9 +23,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import accel, certify, dynamics, spectral
 from .errors import MemaccelError, ParseError
 
 
@@ -33,23 +33,29 @@ class _Full(float):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, _Full):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".12g")
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, complex):
-        return "[" + _fmt(v.real) + ", " + _fmt(v.imag) + "]"
-    if isinstance(v, dict):
-        return "{" + ", ".join(json.dumps(str(k)) + ": " + _fmt(x) for k, x in v.items()) + "}"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(x) for x in v) + "]"
-    raise TypeError(f"cannot serialize {type(v)}")
+    # Only a subcommand that has run prints, and each one has loaded numpy.
+    import numpy as np
+
+    def fmt(v) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, _Full):
+            return repr(float(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return format(float(v), ".12g")
+        if isinstance(v, str):
+            return json.dumps(v)
+        if isinstance(v, complex):
+            return "[" + fmt(v.real) + ", " + fmt(v.imag) + "]"
+        if isinstance(v, dict):
+            return "{" + ", ".join(json.dumps(str(k)) + ": " + fmt(x) for k, x in v.items()) + "}"
+        if isinstance(v, (list, tuple, np.ndarray)):
+            return "[" + ", ".join(fmt(x) for x in v) + "]"
+        raise TypeError(f"cannot serialize {type(v)}")
+
+    return fmt(v)
 
 
 def _emit(payload, path: str | None):
@@ -61,15 +67,19 @@ def _emit(payload, path: str | None):
         sys.stdout.write(text)
 
 
-def _parse_interval(text: str) -> spectral.SpectralInterval:
+# String-level parsing. These helpers use no numpy and no submodule, so
+# a malformed argument exits 2 before anything numerical is imported.
+
+def _parse_interval(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
         raise ParseError(0, text) from None
-    return spectral.SpectralInterval(lo, hi)
+    return lo, hi
 
 
-def _parse_set(text: str) -> spectral.SpectralSet:
+def _parse_set(text: str) -> tuple[list[tuple[float, float]], list[float]]:
+    """(intervals, points) of a spectral-set spec."""
     intervals, points = [], []
     for item in text.split(","):
         item = item.strip()
@@ -78,12 +88,47 @@ def _parse_set(text: str) -> spectral.SpectralSet:
         try:
             if ":" in item:
                 lo, hi = (float(v) for v in item.split(":"))
-                intervals.append(spectral.SpectralInterval(lo, hi))
+                # SpectralInterval's own condition: an item that fails it
+                # is a parse error of the set, as a malformed number is.
+                if not 0 < lo <= hi < float("inf"):
+                    raise ValueError
+                intervals.append((lo, hi))
             else:
                 points.append(float(item))
         except ValueError:
             raise ParseError(0, item) from None
-    return spectral.SpectralSet(intervals=tuple(intervals), points=tuple(points))
+    return intervals, points
+
+
+def _parse_x0(text: str | None) -> list[float] | None:
+    if not text:
+        return None
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParseError(0, text) from None
+
+
+def _parse_window(text: str):
+    """(re_range, im_range, resolution) of a REMIN:REMAX:IMMIN:IMMAX:RES spec."""
+    try:
+        lo_r, hi_r, lo_i, hi_i, res = text.split(":")
+        return (float(lo_r), float(hi_r)), (float(lo_i), float(hi_i)), int(res)
+    except ValueError:
+        raise ParseError(0, text) from None
+
+
+def _spectral_set(intervals, points):
+    from .spectral import SpectralInterval, SpectralSet
+
+    return SpectralSet(intervals=tuple(SpectralInterval(lo, hi) for lo, hi in intervals),
+                       points=tuple(points))
+
+
+def _given(**options) -> dict:
+    """The options given on the command line; the library's own defaults
+    apply to the rest."""
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _json_int(v, what: str) -> int:
@@ -104,7 +149,9 @@ def _json_float(v, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {json.dumps(v)}")
 
 
-def _load_gains(path: str) -> accel.Gains:
+def _load_gains(path: str):
+    from .accel import Gains
+
     with open(path) as fh:
         data = json.load(fh)
     shape = ValueError(f'gains file {path} is not JSON {{"M": k, "alpha": a, "betas": [...]}}')
@@ -117,7 +164,7 @@ def _load_gains(path: str) -> accel.Gains:
                       for b in data.get("betas", []))
     except TypeError:
         raise shape from None
-    return accel.Gains(M=M, alpha=alpha, betas=betas)
+    return Gains(M=M, alpha=alpha, betas=betas)
 
 
 def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
@@ -134,15 +181,15 @@ def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
         raise shape from None
 
 
-def _gains_dict(g: accel.Gains) -> dict:
+def _gains_dict(g) -> dict:
     return {"M": g.M, "alpha": _Full(g.alpha), "betas": [_Full(b) for b in g.betas]}
 
 
-def _report_dict(rep: accel.GuaranteeReport) -> dict:
+def _report_dict(rep) -> dict:
     return {"nu": rep.nu, "worst_lambda": rep.worst_lambda, "refined": rep.refined}
 
 
-def _write_samples_csv(rep: accel.GuaranteeReport, path: str):
+def _write_samples_csv(rep, path: str):
     with open(path, "w") as fh:
         fh.write("lambda,max_root_modulus\n")
         for lam, mod in rep.samples:
@@ -150,7 +197,11 @@ def _write_samples_csv(rep: accel.GuaranteeReport, path: str):
 
 
 def _cmd_tune(args) -> int:
-    iv = _parse_interval(args.interval)
+    lo, hi = _parse_interval(args.interval)
+    from . import accel
+    from .spectral import SpectralInterval
+
+    iv = SpectralInterval(lo, hi)
     if args.M == 1:
         alpha, mu = accel.tune_memoryless(iv)
         _emit({"M": 1, "alpha": _Full(alpha), "betas": [], "mu": mu,
@@ -165,9 +216,12 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_guarantee(args) -> int:
+    intervals, points = _parse_set(args.set)
+    from . import accel
+
     g = _load_gains(args.gains)
-    s = _parse_set(args.set)
-    rep = accel.guarantee(g, s, grid=args.grid, refine_tol=args.refine_tol)
+    s = _spectral_set(intervals, points)
+    rep = accel.guarantee(g, s, **_given(grid=args.grid, refine_tol=args.refine_tol))
     _emit(_report_dict(rep), args.output)
     if args.samples_csv:
         _write_samples_csv(rep, args.samples_csv)
@@ -175,7 +229,10 @@ def _cmd_guarantee(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    s = _parse_set(args.set)
+    intervals, points = _parse_set(args.set)
+    from . import accel
+
+    s = _spectral_set(intervals, points)
     seed = _load_gains(args.seed_gains) if args.seed_gains else None
     g, rep = accel.search_gains(s, M=args.M, seed=seed, budget=args.budget,
                                 rng_seed=args.seed_rng)
@@ -186,12 +243,20 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    x0 = _parse_x0(args.x0)
+    import numpy as np
+
+    from . import dynamics, spectral
+
     with open(args.graph) as fh:
         graph = spectral.load_edge_list(fh.read())
     g = _load_gains(args.gains)
     L = spectral.laplacian(graph)
-    prob = dynamics.IterationProblem(L.entries, np.zeros(graph.n),
-                                     _initial_state(args, graph.n))
+    if x0 is None:
+        x0 = np.random.default_rng(args.seed_rng).standard_normal(graph.n)
+    elif len(x0) != graph.n:
+        raise ParseError(0, args.x0)
+    prob = dynamics.IterationProblem(L.entries, np.zeros(graph.n), np.asarray(x0))
     schedule = None
     if args.drops:
         schedule = dynamics.DropSchedule(graph, _load_drops(args.drops))
@@ -208,25 +273,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _initial_state(args, n: int) -> np.ndarray:
-    if args.x0:
-        try:
-            vals = [float(v) for v in args.x0.split(",")]
-        except ValueError:
-            raise ParseError(0, args.x0) from None
-        if len(vals) != n:
-            raise ParseError(0, args.x0)
-        return np.asarray(vals)
-    rng = np.random.default_rng(args.seed_rng)
-    return rng.standard_normal(n)
-
-
 def _cmd_certify(args) -> int:
+    lo, hi = _parse_interval(args.interval)
+    window = _parse_window(args.window) if args.field is not None else None
+    from . import certify
+    from .spectral import SpectralInterval
+
     g = _load_gains(args.gains)
-    iv = _parse_interval(args.interval)
+    iv = SpectralInterval(lo, hi)
     c = certify.gains_to_claim_coeffs(g, iv)
     p8 = certify.prop8_check(c)
-    w = certify.claim6_witness(c, theta_samples=args.theta_samples)
+    w = certify.claim6_witness(c, **_given(theta_samples=args.theta_samples))
     payload = {
         "claim_coeffs": {"M": c.M, "nu": c.nu, "a": list(c.a)},
         "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
@@ -235,13 +292,8 @@ def _cmd_certify(args) -> int:
                     "modulus": w.modulus, "scanned": w.scanned},
     }
     _emit(payload, args.output)
-    if args.field is not None:
-        try:
-            lo_r, hi_r, lo_i, hi_i, res = args.window.split(":")
-            re_range, im_range = (float(lo_r), float(hi_r)), (float(lo_i), float(hi_i))
-            resolution = int(res)
-        except ValueError:
-            raise ParseError(0, args.window) from None
+    if window is not None:
+        re_range, im_range, resolution = window
         field = certify.partition_field(c, args.field, re_range=re_range,
                                         im_range=im_range, resolution=resolution)
         with open(args.field_out, "w") as fh:
@@ -250,10 +302,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import spectral
+
     with open(args.graph) as fh:
         graph = spectral.load_edge_list(fh.read())
     eigs = spectral.symmetric_eigenvalues(spectral.laplacian(graph))
-    iv = spectral.nonzero_spectral_interval(eigs, zero_tol=args.zero_tol)
+    iv = spectral.nonzero_spectral_interval(eigs, **_given(zero_tol=args.zero_tol))
     _emit({"eigenvalues": eigs.tolist(), "nonzero_interval": [iv.lo, iv.hi]},
           args.output)
     return 0
@@ -276,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guarantee", help="worst-case guarantee of gains over a set")
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--set", required=True, metavar="SPEC")
-    p.add_argument("--grid", type=int, default=accel.DEFAULT_GRID)
-    p.add_argument("--refine-tol", type=float, default=accel.DEFAULT_REFINE_TOL)
+    p.add_argument("--grid", type=int)
+    p.add_argument("--refine-tol", type=float)
     p.add_argument("--samples-csv", metavar="FILE")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_guarantee)
@@ -305,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="optimality certificate machinery for gains")
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--interval", required=True, metavar="LO,HI")
-    p.add_argument("--theta-samples", type=int, default=certify.DEFAULT_THETA_SAMPLES)
+    p.add_argument("--theta-samples", type=int)
     p.add_argument("--field", type=float, metavar="THETA")
     p.add_argument("--window", default="-2:2:-2:2:256",
                    metavar="REMIN:REMAX:IMMIN:IMMAX:RES")
@@ -315,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues of a graph")
     p.add_argument("--graph", required=True, metavar="EDGELIST")
-    p.add_argument("--zero-tol", type=float, default=1e-9)
+    p.add_argument("--zero-tol", type=float)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_spectrum)
     return parser

@@ -31,7 +31,10 @@ class IterationProblem:
     A must be symmetric, A, b and x0 finite, and b orthogonal to the
     numerical kernel of A, otherwise no fixed point exists. The kernel
     check needs a full eigendecomposition of A, so it runs only when b
-    has a nonzero entry; b = 0 is orthogonal to every kernel.
+    has a nonzero entry; b = 0 is orthogonal to every kernel. Its
+    tolerance is 1e-9 max(||b||, ||A||): a bias formed as b = A y carries
+    rounding of order eps ||A|| ||y|| in the kernel, which is not small
+    next to ||b|| when y is nearly in the kernel itself.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
     nonzeros as arrays (diag, i, j, a_ij), so the simulator computes A x
@@ -67,9 +70,10 @@ class IterationProblem:
             raise ValueError("b and x0 must match the dimension of A")
         if b.any():
             w, v = np.linalg.eigh(A)
-            kernel = v[:, np.abs(w) <= 1e-9 * max(np.abs(w).max(), 1.0)]
-            nb = np.linalg.norm(b)
-            if kernel.size and nb > 0 and np.linalg.norm(kernel.T @ b) > 1e-9 * nb:
+            norm_A = np.abs(w).max()
+            kernel = v[:, np.abs(w) <= 1e-9 * max(norm_A, 1.0)]
+            tol = 1e-9 * max(np.linalg.norm(b), norm_A)
+            if kernel.size and np.linalg.norm(kernel.T @ b) > tol:
                 raise IncompatibleBiasError("b has a component in the kernel of A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     AllZeroError,
     DuplicateEdgeError,
+    MemaccelError,
     NegativeWeightError,
     ParseError,
 )
@@ -173,7 +174,10 @@ def symmetric_eigenvalues(L: LaplacianMatrix | np.ndarray) -> np.ndarray:
 
 def nonzero_spectral_interval(eigs, zero_tol: float = 1e-9) -> SpectralInterval:
     """[smallest, largest] eigenvalue above zero_tol; the ones at or below
-    it are the trivial consensus modes."""
+    it are the trivial consensus modes. zero_tol must be finite and > 0:
+    at 0 or below, a rounded zero eigenvalue would count as nonzero."""
+    if not 0 < zero_tol < np.inf:
+        raise MemaccelError(f"zero_tol must be finite and > 0, got {zero_tol}")
     eigs = np.asarray(eigs, dtype=float)
     nz = eigs[eigs > zero_tol]
     if nz.size == 0:

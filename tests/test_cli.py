@@ -103,6 +103,13 @@ class TestGuarantee:
         assert lines[0] == "lambda,max_root_modulus"
         assert len(lines) >= 12
 
+    @pytest.mark.parametrize("spec", ["2:1", "0.1:inf", "0:1", "nan:1"])
+    def test_invalid_set_interval_exit2(self, capsys, tmp_path, spec):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        code, out, err = run(capsys, "guarantee", "--gains", gains, "--set", f"0.5,{spec}")
+        assert code == 2 and repr(spec) in err
+        assert out == ""
+
     def test_missing_gains_file_exit3(self, capsys, tmp_path):
         code, _, err = run(capsys, "guarantee",
                            "--gains", str(tmp_path / "nope.json"), "--set", "1:2")
@@ -265,6 +272,13 @@ class TestSimulate:
                            "--steps", "5", "--x0", "1,2,x")
         assert code == 2 and "error" in err
 
+    def test_malformed_x0_checked_before_graph_is_read(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 1, 0.5, [])
+        code, out, err = run(capsys, "simulate", "--graph", str(tmp_path / "missing.txt"),
+                             "--gains", gains, "--steps", "5", "--x0", "1,2,x")
+        assert code == 2 and err.startswith("error:")
+        assert out == ""
+
     def test_bad_edge_list_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 1\nbroken line\n")
@@ -323,6 +337,22 @@ class TestCertify:
         assert not field.exists()
 
 
+    def test_malformed_window_checked_before_certificate(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        code, out, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                             "--field", "0.5", "--window=-2:2:oops",
+                             "--field-out", str(tmp_path / "field.json"))
+        assert code == 2 and err.startswith("error:")
+        assert out == ""
+
+    def test_window_ignored_without_field(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        code, out, _ = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                           "--window=-2:2:oops")
+        assert code == 0
+        assert json.loads(out)["witness"]["found"] is True
+
+
 class TestSpectrum:
     def test_path3(self, capsys, tmp_path):
         graph = write_path3(tmp_path)
@@ -331,6 +361,15 @@ class TestSpectrum:
         assert code == 0
         assert d["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
         assert d["nonzero_interval"] == pytest.approx([1.0, 3.0], abs=1e-9)
+
+    @pytest.mark.parametrize("zero_tol", ["0", "-1", "nan", "inf"])
+    def test_bad_zero_tol_exit3(self, capsys, tmp_path, zero_tol):
+        ring = tmp_path / "ring5.txt"
+        ring.write_text("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n")
+        code, out, err = run(capsys, "spectrum", "--graph", str(ring),
+                             f"--zero-tol={zero_tol}")
+        assert code == 3 and "zero_tol must be finite and > 0" in err
+        assert out == ""
 
     def test_edgeless_graph_exit3(self, capsys, tmp_path):
         bad = tmp_path / "empty.txt"

@@ -55,6 +55,22 @@ class TestIterationProblem:
         b = L @ np.array([0.3, -0.1, 0.5])  # in the range of L
         IterationProblem(L, b, np.zeros(3))
 
+    def test_rounding_bias_of_constant_state_accepted(self):
+        # b = L @ ones is pure rounding here, [2.2e-16, 0, 0]: its kernel
+        # component is tiny next to ||L||, though not next to ||b||.
+        L = laplacian(WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.1199287737416712)))).entries
+        b = L @ np.ones(3)
+        assert b.any()
+        IterationProblem(L, b, np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("bias", [1e-6, 1.0])
+    def test_constant_bias_on_connected_laplacian_rejected(self, scale, bias):
+        graph = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.1199287737416712)))
+        L = scale * laplacian(graph).entries
+        with pytest.raises(IncompatibleBiasError):
+            IterationProblem(L, bias * scale * np.ones(3), np.zeros(3))
+
     def test_zero_bias_skips_eigendecomposition(self, monkeypatch):
         def no_eigh(*args, **kwargs):
             raise AssertionError("eigh called for b = 0")

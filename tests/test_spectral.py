@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from memaccel.errors import (
     AllZeroError,
     DuplicateEdgeError,
+    MemaccelError,
     NegativeWeightError,
     ParseError,
 )
@@ -19,6 +20,8 @@ from memaccel.spectral import (
     nonzero_spectral_interval,
     symmetric_eigenvalues,
 )
+
+RING5 = "0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n"
 
 
 def char_poly_coeffs(A):
@@ -138,6 +141,14 @@ class TestNonzeroInterval:
     def test_all_zero(self):
         with pytest.raises(AllZeroError):
             nonzero_spectral_interval([0.0, 0.0])
+
+    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_zero_tol_rejected(self, zero_tol):
+        # The 5-node ring's spectrum as eigvalsh returns it: the consensus
+        # mode is rounded to 8.3e-17, which a zero_tol <= 0 would keep.
+        eigs = symmetric_eigenvalues(laplacian(load_edge_list(RING5)))
+        with pytest.raises(MemaccelError, match="zero_tol must be finite and > 0"):
+            nonzero_spectral_interval(eigs, zero_tol=zero_tol)
 
     def test_containment(self):
         rng = np.random.default_rng(3)
