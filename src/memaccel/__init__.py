@@ -3,23 +3,21 @@ symmetric linear iterations.
 
 The names below load on first access (PEP 562), so ``import memaccel``
 and the CLI's argument parsing import neither numpy nor any submodule.
+The closed-form layer (``tuning``) needs no numpy either, so
+``from memaccel import tune_theorem3`` loads none.
 """
 
 import importlib
 
 _EXPORTS = {
     "accel": (
-        "Gains",
         "GuaranteeReport",
-        "TuningResult",
         "char_poly",
         "guarantee",
         "max_root_moduli",
         "mode_roots",
         "modal_angle",
         "search_gains",
-        "tune_memoryless",
-        "tune_theorem3",
     ),
     "certify": (
         "ClaimCoeffs",
@@ -49,14 +47,14 @@ _EXPORTS = {
     "polyroots": ("ComplexRootSet", "RealPolynomial", "max_modulus", "roots"),
     "spectral": (
         "LaplacianMatrix",
-        "SpectralInterval",
-        "SpectralSet",
         "WeightedGraph",
         "laplacian",
         "load_edge_list",
         "nonzero_spectral_interval",
         "symmetric_eigenvalues",
     ),
+    "tuning": ("Gains", "SpectralInterval", "SpectralSet", "TuningResult",
+               "tune_memoryless", "tune_theorem3"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"errors"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

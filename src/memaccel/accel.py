@@ -1,10 +1,10 @@
 """Core analytics for the memory-accelerated iteration.
 
 Builds the per-mode characteristic polynomial, evaluates the worst-case
-convergence-speed guarantee over spectral sets, computes the closed-form
-optimal tunings (memoryless and single-memory), maps eigenvalues to root
+convergence-speed guarantee over spectral sets, maps eigenvalues to root
 angles under the optimal tuning, and runs derivative-free gain search for
-richer spectral knowledge.
+richer spectral knowledge. The closed-form tunings and the gain and
+spectral-set types live in :mod:`memaccel.tuning` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .errors import AlphaZeroError, OutOfIntervalError
+from .errors import OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
-from .spectral import SpectralInterval, SpectralSet
+from .tuning import (Gains, SpectralInterval, SpectralSet, TuningResult,
+                     check_guarantee_args, tune_memoryless, tune_theorem3)
 
 DEFAULT_GRID = 2001
 DEFAULT_REFINE_TOL = 1e-10
@@ -26,45 +27,6 @@ SEARCH_RESTARTS = 5
 SEARCH_POLISH_ROUNDS = 8
 SEARCH_GRID = 161
 SEARCH_REFINE_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class Gains:
-    """Free parameters of the accelerated iteration.
-
-    M is the memory order: M=1 is the memoryless scheme, M-1 memory slots
-    otherwise. ``betas`` holds beta_1 .. beta_{M-1}.
-    """
-
-    M: int
-    alpha: float
-    betas: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"memory order M must be >= 1, got {self.M}")
-        if len(self.betas) != self.M - 1:
-            raise ValueError(
-                f"need {self.M - 1} beta gains for M={self.M}, got {len(self.betas)}"
-            )
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if not np.isfinite((self.alpha, *self.betas)).all():
-            raise ValueError(f"gains must be finite: alpha={self.alpha}, betas={self.betas}")
-        if self.alpha == 0:
-            raise AlphaZeroError("alpha = 0 makes every state stationary")
-
-
-@dataclass(frozen=True)
-class TuningResult:
-    """Closed-form single-memory tuning for a spectral interval."""
-
-    gains: Gains
-    mu: float
-    nu_star: float
-    alpha_star: float
-    beta1_star: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,7 +84,8 @@ def _refine_maxima(g: Gains, brackets: np.ndarray, refine_tol: float):
         step = (hi - lo) / (npts - 1)
         lo = np.maximum(lo, grid[np.arange(len(lo)), best] - step)
         hi = np.minimum(hi, grid[np.arange(len(hi)), best] + step)
-    mid = 0.5 * (lo + hi)
+    # Halving first: lo + hi overflows near the largest float.
+    mid = 0.5 * lo + 0.5 * hi
     return mid, max_root_moduli(g, mid)
 
 
@@ -136,14 +99,7 @@ def guarantee(
     modulus, approximated by a uniform grid per interval plus bracket
     refinement around every local maximum. Isolated points are evaluated
     exactly. Values above 1 (divergent tunings) are reported as-is."""
-    if isinstance(s, SpectralInterval):
-        s = SpectralSet.from_interval(s)
-    if s.empty:
-        raise ValueError("empty spectral set")
-    if grid < 2:
-        raise ValueError("need at least 2 grid samples per interval")
-    if not 0 < refine_tol < np.inf:
-        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+    s = check_guarantee_args(s, grid, refine_tol)
 
     samples: list[tuple[float, float]] = []
     refined_any = False
@@ -170,35 +126,6 @@ def guarantee(
     nu = max(v for _, v in samples)
     worst = min(lam for lam, v in samples if v == nu)
     return GuaranteeReport(nu=nu, worst_lambda=worst, samples=tuple(samples), refined=refined_any)
-
-
-def tune_memoryless(iv: SpectralInterval) -> tuple[float, float]:
-    """Optimal memoryless gain: alpha balancing the interval endpoints,
-    with worst contraction factor mu."""
-    alpha = 2.0 / (iv.hi + iv.lo)
-    mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
-    return alpha, mu
-
-
-def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
-    """Optimal single-memory tuning for the interval; extra memory slots
-    beyond the first get zero gain. A degenerate interval (lo == hi)
-    returns the deadbeat limit, flagged."""
-    if M < 2:
-        raise ValueError(f"single-memory tuning needs M >= 2, got {M}")
-    mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
-    if mu == 0.0:
-        gains = Gains(M=M, alpha=1.0 / iv.lo, betas=(0.0,) * (M - 1))
-        return TuningResult(gains, mu=0.0, nu_star=0.0, alpha_star=gains.alpha,
-                            beta1_star=0.0, degenerate=True)
-    # Stable form of 1/mu - sqrt(1/mu^2 - 1); the direct expression
-    # cancels catastrophically for small mu.
-    nu_star = mu / (1.0 + np.sqrt(1.0 - mu**2))
-    beta1 = -nu_star**2
-    alpha = 2.0 * (1.0 - beta1) / (iv.hi + iv.lo)
-    gains = Gains(M=M, alpha=alpha, betas=(beta1,) + (0.0,) * (M - 2))
-    return TuningResult(gains, mu=float(mu), nu_star=float(nu_star),
-                        alpha_star=float(alpha), beta1_star=float(beta1))
 
 
 def modal_angle(lam: float, iv: SpectralInterval) -> float:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .accel import Gains, tune_theorem3
 from .errors import AlphaZeroError, BetaTildeMinusOneError
 from .polyroots import RealPolynomial
-from .spectral import SpectralInterval
+from .tuning import Gains, SpectralInterval, tune_theorem3
 
 WITNESS_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-9

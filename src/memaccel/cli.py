@@ -7,7 +7,11 @@ fully deterministic for a fixed --seed-rng. Exit codes: 0 success,
 the wrong JSON shape (message on stderr). Every exit-2 error is found
 before any numerical work: each subcommand parses its string arguments
 first and only then imports the modules it runs, so a malformed argument
-never loads numpy.
+never loads numpy. ``tune`` runs on the numpy-free ``memaccel.tuning``
+alone, and ``guarantee`` and ``search`` build their gains and spectral
+set with it (``guarantee`` also checks ``--grid`` and ``--refine-tol``)
+before they import ``accel``. So ``tune`` and the exit-3 argument errors
+of ``tune`` and ``guarantee`` load no numpy either.
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -33,17 +37,21 @@ class _Full(float):
 
 
 def _fmt(v) -> str:
-    # Only a subcommand that has run prints, and each one has loaded numpy.
-    import numpy as np
+    # A numpy value can reach here only from a subcommand that loaded
+    # numpy; tune and the argument errors never do.
+    np = sys.modules.get("numpy")
+    ints = (int, np.integer) if np else int
+    floats = (float, np.floating) if np else float
+    seqs = (list, tuple, np.ndarray) if np else (list, tuple)
 
     def fmt(v) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, _Full):
             return repr(float(v))
-        if isinstance(v, (int, np.integer)):
+        if isinstance(v, ints):
             return str(int(v))
-        if isinstance(v, (float, np.floating)):
+        if isinstance(v, floats):
             return format(float(v), ".12g")
         if isinstance(v, str):
             return json.dumps(v)
@@ -51,7 +59,7 @@ def _fmt(v) -> str:
             return "[" + fmt(v.real) + ", " + fmt(v.imag) + "]"
         if isinstance(v, dict):
             return "{" + ", ".join(json.dumps(str(k)) + ": " + fmt(x) for k, x in v.items()) + "}"
-        if isinstance(v, (list, tuple, np.ndarray)):
+        if isinstance(v, seqs):
             return "[" + ", ".join(fmt(x) for x in v) + "]"
         raise TypeError(f"cannot serialize {type(v)}")
 
@@ -119,7 +127,7 @@ def _parse_window(text: str):
 
 
 def _spectral_set(intervals, points):
-    from .spectral import SpectralInterval, SpectralSet
+    from .tuning import SpectralInterval, SpectralSet
 
     return SpectralSet(intervals=tuple(SpectralInterval(lo, hi) for lo, hi in intervals),
                        points=tuple(points))
@@ -150,7 +158,7 @@ def _json_float(v, what: str) -> float:
 
 
 def _load_gains(path: str):
-    from .accel import Gains
+    from .tuning import Gains
 
     with open(path) as fh:
         data = json.load(fh)
@@ -198,16 +206,15 @@ def _write_samples_csv(rep, path: str):
 
 def _cmd_tune(args) -> int:
     lo, hi = _parse_interval(args.interval)
-    from . import accel
-    from .spectral import SpectralInterval
+    from . import tuning
 
-    iv = SpectralInterval(lo, hi)
+    iv = tuning.SpectralInterval(lo, hi)
     if args.M == 1:
-        alpha, mu = accel.tune_memoryless(iv)
+        alpha, mu = tuning.tune_memoryless(iv)
         _emit({"M": 1, "alpha": _Full(alpha), "betas": [], "mu": mu,
                "nu_star": mu, "degenerate": mu == 0.0}, args.output)
         return 0
-    t = accel.tune_theorem3(iv, M=args.M)
+    t = tuning.tune_theorem3(iv, M=args.M)
     _emit({"M": args.M, "alpha": _Full(t.alpha_star),
            "betas": [_Full(b) for b in t.gains.betas],
            "mu": t.mu, "nu_star": t.nu_star, "degenerate": t.degenerate},
@@ -217,11 +224,14 @@ def _cmd_tune(args) -> int:
 
 def _cmd_guarantee(args) -> int:
     intervals, points = _parse_set(args.set)
-    from . import accel
+    from .tuning import check_guarantee_args
 
     g = _load_gains(args.gains)
-    s = _spectral_set(intervals, points)
-    rep = accel.guarantee(g, s, **_given(grid=args.grid, refine_tol=args.refine_tol))
+    options = _given(grid=args.grid, refine_tol=args.refine_tol)
+    s = check_guarantee_args(_spectral_set(intervals, points), **options)
+    from . import accel
+
+    rep = accel.guarantee(g, s, **options)
     _emit(_report_dict(rep), args.output)
     if args.samples_csv:
         _write_samples_csv(rep, args.samples_csv)
@@ -230,10 +240,10 @@ def _cmd_guarantee(args) -> int:
 
 def _cmd_search(args) -> int:
     intervals, points = _parse_set(args.set)
-    from . import accel
-
     s = _spectral_set(intervals, points)
     seed = _load_gains(args.seed_gains) if args.seed_gains else None
+    from . import accel
+
     g, rep = accel.search_gains(s, M=args.M, seed=seed, budget=args.budget,
                                 rng_seed=args.seed_rng)
     _emit({"gains": _gains_dict(g), "report": _report_dict(rep)}, args.output)
@@ -277,7 +287,7 @@ def _cmd_certify(args) -> int:
     lo, hi = _parse_interval(args.interval)
     window = _parse_window(args.window) if args.field is not None else None
     from . import certify
-    from .spectral import SpectralInterval
+    from .tuning import SpectralInterval
 
     g = _load_gains(args.gains)
     iv = SpectralInterval(lo, hi)

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import Gains, tune_theorem3
 from .errors import (
     DropOnNonLaplacianError,
     IncompatibleBiasError,
     NoDecayError,
 )
-from .spectral import SpectralInterval, WeightedGraph, laplacian
+from .spectral import WeightedGraph, laplacian
+from .tuning import Gains, SpectralInterval, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
 

@@ -2,12 +2,13 @@
 
 The edge-list text format accepted by :func:`load_edge_list` is the only
 file format this module owns: one ``i j w`` triple per line, 0-based node
-indices, ``#`` starts a comment line.
+indices, ``#`` starts a comment line. SpectralInterval and SpectralSet
+live in :mod:`memaccel.tuning` and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import (
     NegativeWeightError,
     ParseError,
 )
+from .tuning import SpectralInterval, SpectralSet
 
 
 @dataclass(frozen=True)
@@ -59,76 +61,6 @@ class LaplacianMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralInterval:
-    """Closed interval [lo, hi] of admissible nonzero eigenvalues."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0 < self.lo <= self.hi < np.inf):
-            raise ValueError(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, lam: float) -> bool:
-        return self.lo <= lam <= self.hi
-
-
-@dataclass(frozen=True)
-class SpectralSet:
-    """Union of closed intervals and isolated points in (0, inf).
-
-    Canonical form: intervals sorted and merged, degenerate intervals
-    demoted to points, points inside intervals dropped.
-    """
-
-    intervals: tuple[SpectralInterval, ...] = ()
-    points: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        ivs = sorted(self.intervals, key=lambda iv: (iv.lo, iv.hi))
-        merged: list[list[float]] = []
-        pts = [float(p) for p in self.points]
-        for iv in ivs:
-            if iv.lo == iv.hi:
-                pts.append(iv.lo)
-                continue
-            if merged and iv.lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], iv.hi)
-            else:
-                merged.append([iv.lo, iv.hi])
-        for p in pts:
-            if not 0 < p < np.inf:
-                raise ValueError(f"spectral point {p} not strictly positive and finite")
-        keep = tuple(
-            sorted(p for p in set(pts) if not any(lo <= p <= hi for lo, hi in merged))
-        )
-        object.__setattr__(
-            self, "intervals", tuple(SpectralInterval(lo, hi) for lo, hi in merged)
-        )
-        object.__setattr__(self, "points", keep)
-
-    @property
-    def empty(self) -> bool:
-        return not self.intervals and not self.points
-
-    def hull(self) -> SpectralInterval:
-        """Smallest interval containing the whole set."""
-        if self.empty:
-            raise ValueError("empty spectral set has no hull")
-        los = [iv.lo for iv in self.intervals] + list(self.points)
-        his = [iv.hi for iv in self.intervals] + list(self.points)
-        return SpectralInterval(min(los), max(his))
-
-    @classmethod
-    def from_interval(cls, iv: SpectralInterval) -> "SpectralSet":
-        return cls(intervals=(iv,))
 
 
 def load_edge_list(text: str) -> WeightedGraph:

@@ -1,0 +1,178 @@
+"""Scalar layer: spectral sets, gains and the closed-form optimal tunings.
+
+Everything here is a square root away from the answer, so this module
+imports no numpy; the CLI's ``tune`` and its argument errors run on it
+alone.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from .errors import AlphaZeroError, MemaccelError
+
+
+@dataclass(frozen=True)
+class SpectralInterval:
+    """Closed interval [lo, hi] of admissible nonzero eigenvalues."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not (0 < self.lo <= self.hi < math.inf):
+            raise ValueError(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    def contains(self, lam: float) -> bool:
+        return self.lo <= lam <= self.hi
+
+
+@dataclass(frozen=True)
+class SpectralSet:
+    """Union of closed intervals and isolated points in (0, inf).
+
+    Canonical form: intervals sorted and merged, degenerate intervals
+    demoted to points, points inside intervals dropped.
+    """
+
+    intervals: tuple[SpectralInterval, ...] = ()
+    points: tuple[float, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        ivs = sorted(self.intervals, key=lambda iv: (iv.lo, iv.hi))
+        merged: list[list[float]] = []
+        pts = [float(p) for p in self.points]
+        for iv in ivs:
+            if iv.lo == iv.hi:
+                pts.append(iv.lo)
+                continue
+            if merged and iv.lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], iv.hi)
+            else:
+                merged.append([iv.lo, iv.hi])
+        for p in pts:
+            if not 0 < p < math.inf:
+                raise ValueError(f"spectral point {p} not strictly positive and finite")
+        keep = tuple(
+            sorted(p for p in set(pts) if not any(lo <= p <= hi for lo, hi in merged))
+        )
+        object.__setattr__(
+            self, "intervals", tuple(SpectralInterval(lo, hi) for lo, hi in merged)
+        )
+        object.__setattr__(self, "points", keep)
+
+    @property
+    def empty(self) -> bool:
+        return not self.intervals and not self.points
+
+    def hull(self) -> SpectralInterval:
+        """Smallest interval containing the whole set."""
+        if self.empty:
+            raise ValueError("empty spectral set has no hull")
+        los = [iv.lo for iv in self.intervals] + list(self.points)
+        his = [iv.hi for iv in self.intervals] + list(self.points)
+        return SpectralInterval(min(los), max(his))
+
+    @classmethod
+    def from_interval(cls, iv: SpectralInterval) -> "SpectralSet":
+        return cls(intervals=(iv,))
+
+
+@dataclass(frozen=True)
+class Gains:
+    """Free parameters of the accelerated iteration.
+
+    M is the memory order: M=1 is the memoryless scheme, M-1 memory slots
+    otherwise. ``betas`` holds beta_1 .. beta_{M-1}.
+    """
+
+    M: int
+    alpha: float
+    betas: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.M < 1:
+            raise ValueError(f"memory order M must be >= 1, got {self.M}")
+        if len(self.betas) != self.M - 1:
+            raise ValueError(
+                f"need {self.M - 1} beta gains for M={self.M}, got {len(self.betas)}"
+            )
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        if not all(math.isfinite(v) for v in (self.alpha, *self.betas)):
+            raise ValueError(f"gains must be finite: alpha={self.alpha}, betas={self.betas}")
+        if self.alpha == 0:
+            raise AlphaZeroError("alpha = 0 makes every state stationary")
+
+
+@dataclass(frozen=True)
+class TuningResult:
+    """Closed-form single-memory tuning for a spectral interval."""
+
+    gains: Gains
+    mu: float
+    nu_star: float
+    alpha_star: float
+    beta1_star: float
+    degenerate: bool = False
+
+
+def check_guarantee_args(s: SpectralSet | SpectralInterval, grid: int | None = None,
+                         refine_tol: float | None = None) -> SpectralSet:
+    """The set ``accel.guarantee`` evaluates, once its arguments pass: s
+    is not empty, grid >= 2 and refine_tol is finite and > 0. None stands
+    for guarantee's own default, which passes."""
+    if isinstance(s, SpectralInterval):
+        s = SpectralSet.from_interval(s)
+    if s.empty:
+        raise ValueError("empty spectral set")
+    if grid is not None and grid < 2:
+        raise ValueError("need at least 2 grid samples per interval")
+    if refine_tol is not None and not 0 < refine_tol < math.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+    return s
+
+
+def _check_sum(iv: SpectralInterval):
+    # Both tunings divide by lo + hi; where it overflows, mu would read 0
+    # and the tuning would claim a deadbeat rate the interval cannot have.
+    if not math.isfinite(iv.hi + iv.lo):
+        raise MemaccelError(f"lo + hi overflows for [{iv.lo}, {iv.hi}]")
+
+
+def tune_memoryless(iv: SpectralInterval) -> tuple[float, float]:
+    """Optimal memoryless gain: alpha balancing the interval endpoints,
+    with worst contraction factor mu."""
+    _check_sum(iv)
+    alpha = 2.0 / (iv.hi + iv.lo)
+    if not math.isfinite(alpha):
+        raise MemaccelError(f"alpha = 2 / (lo + hi) overflows for [{iv.lo}, {iv.hi}]")
+    mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
+    return alpha, mu
+
+
+def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
+    """Optimal single-memory tuning for the interval; extra memory slots
+    beyond the first get zero gain. A degenerate interval (lo == hi)
+    returns the deadbeat limit, flagged."""
+    if M < 2:
+        raise ValueError(f"single-memory tuning needs M >= 2, got {M}")
+    _check_sum(iv)
+    mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
+    if mu == 0.0:
+        gains = Gains(M=M, alpha=1.0 / iv.lo, betas=(0.0,) * (M - 1))
+        return TuningResult(gains, mu=0.0, nu_star=0.0, alpha_star=gains.alpha,
+                            beta1_star=0.0, degenerate=True)
+    # Stable form of 1/mu - sqrt(1/mu^2 - 1); the direct expression
+    # cancels catastrophically for small mu.
+    nu_star = mu / (1.0 + math.sqrt(1.0 - mu**2))
+    beta1 = -nu_star**2
+    alpha = 2.0 * (1.0 - beta1) / (iv.hi + iv.lo)
+    gains = Gains(M=M, alpha=alpha, betas=(beta1,) + (0.0,) * (M - 2))
+    return TuningResult(gains, mu=float(mu), nu_star=float(nu_star),
+                        alpha_star=float(alpha), beta1_star=float(beta1))

@@ -139,6 +139,16 @@ class TestGuarantee:
             guarantee(Gains(M=2, alpha=1.0, betas=(-0.3,)), SpectralInterval(0.5, 2.5),
                       refine_tol=tol)
 
+    def test_refinement_near_largest_float(self):
+        # The bracket midpoint 0.5 * (lo + hi) overflowed here, and the
+        # root solver then raised on an inf coefficient.
+        iv = SpectralInterval(1e308, 1.7e308)
+        rep = guarantee(Gains(M=2, alpha=1e-308, betas=(-0.1,)), iv, grid=9)
+        # alpha * lam - 1.1 stays in [-0.1, 0.6], so both roots are complex
+        # with modulus sqrt(-beta1) everywhere on the interval.
+        assert rep.nu == pytest.approx(np.sqrt(0.1), rel=1e-12)
+        assert all(iv.contains(lam) for lam, _ in rep.samples)
+
 
 class TestTuneMemoryless:
     def test_reference(self):

@@ -70,6 +70,26 @@ class TestTune:
         assert code == 3 and "error" in err
         assert out == ""
 
+    @pytest.mark.parametrize("M", ["1", "2"])
+    def test_overflowing_endpoint_sum_exit3(self, capsys, M):
+        # lo + hi overflows: the tuning printed nu_star 0 (and alpha 0.0
+        # for M = 1) though the optimal rate is about 0.13.
+        code, out, err = run(capsys, "tune", "--interval", "1e308,1.7e308", "--M", M)
+        assert code == 3 and "overflows" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("M", ["1", "2"])
+    def test_subnormal_interval_exit3_without_warning(self, M):
+        # 2 / (lo + hi) is inf; numpy's scalar division also warned here.
+        proc = subprocess.run(
+            [sys.executable, "-m", "memaccel.cli", "tune", "--interval", "1e-320,2e-320",
+             "--M", M],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(memaccel.__file__).resolve().parents[1])})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr
+
 
 class TestRoundTrip:
     def test_tune_then_guarantee(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ The footprint tests run each command in a fresh interpreter and read
 ``sys.modules`` afterwards.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -43,9 +44,16 @@ EXPORTS = {
         "symmetric_eigenvalues",
     },
 }
-SUBMODULES = ("accel", "certify", "dynamics", "errors", "polyroots", "spectral")
+SUBMODULES = ("accel", "certify", "dynamics", "errors", "polyroots", "spectral", "tuning")
 WATCHED = ("numpy", "memaccel.accel", "memaccel.certify", "memaccel.dynamics",
-           "memaccel.polyroots", "memaccel.spectral")
+           "memaccel.polyroots", "memaccel.spectral", "memaccel.tuning")
+# The numpy-free scalar layer, and the modules that re-export its names.
+TUNING = {
+    "Gains": ("memaccel.accel",), "TuningResult": ("memaccel.accel",),
+    "tune_memoryless": ("memaccel.accel",), "tune_theorem3": ("memaccel.accel",),
+    "SpectralInterval": ("memaccel.spectral", "memaccel.accel"),
+    "SpectralSet": ("memaccel.spectral", "memaccel.accel"),
+}
 
 
 class TestLazySurface:
@@ -74,6 +82,16 @@ class TestLazySurface:
         assert set(memaccel.__all__) <= set(listed)
         assert set(SUBMODULES) <= set(listed)
         assert "__version__" in listed
+
+    @pytest.mark.parametrize("name", sorted(TUNING))
+    def test_scalar_layer_has_one_home(self, name):
+        import memaccel.tuning
+
+        obj = getattr(memaccel.tuning, name)
+        assert getattr(obj, "__module__", None) == "memaccel.tuning"
+        assert getattr(memaccel, name) is obj
+        for module in TUNING[name]:
+            assert getattr(importlib.import_module(module), name) is obj
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
@@ -109,9 +127,19 @@ def test_import_memaccel_loads_no_numpy(tmp_path):
     assert _fresh(code, tmp_path).strip() == "['memaccel']"
 
 
+@pytest.mark.parametrize("statement", [
+    "import memaccel.tuning",
+    "from memaccel import Gains, SpectralSet, tune_memoryless, tune_theorem3",
+])
+def test_scalar_layer_loads_no_numpy(tmp_path, statement):
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'memaccel'))))"
+    assert _fresh(code, tmp_path).strip() == "['memaccel', 'memaccel.errors', 'memaccel.tuning']"
+
+
 @pytest.fixture
 def files(tmp_path):
     (tmp_path / "gains.json").write_text('{"M": 2, "alpha": 3.0, "betas": [-0.5]}')
+    (tmp_path / "alpha0.json").write_text('{"M": 2, "alpha": 0.0, "betas": [-0.5]}')
     (tmp_path / "graph.txt").write_text("0 1 1\n1 2 1\n")
     return tmp_path
 
@@ -131,18 +159,35 @@ def test_exit2_paths_load_no_numpy(files, argv):
     assert _run_cli(argv, files) == (2, [])
 
 
+@pytest.mark.parametrize("argv", [
+    ["tune", "--interval", "2,0.1"],
+    ["tune", "--interval", "0.1,inf"],
+    ["tune", "--interval", "0.1,2", "--M", "0"],
+    ["tune", "--interval", "1e308,1.7e308", "--M", "1"],
+    ["guarantee", "--gains", "alpha0.json", "--set", "0.1:2"],
+    ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--refine-tol", "-1"],
+    ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--grid", "1"],
+    ["guarantee", "--gains", "gains.json", "--set", ","],
+], ids=["inverted", "inf", "M0", "overflow", "alpha0", "refine-tol", "grid", "empty-set"])
+def test_exit3_argument_errors_load_no_numpy(files, argv):
+    assert _run_cli(argv, files) == (3, ["memaccel.tuning"])
+
+
 @pytest.mark.parametrize("argv, loaded", [
-    (["tune", "--interval", "0.1,2"], ["accel", "polyroots", "spectral"]),
+    (["tune", "--interval", "0.1,2"], ["tuning"]),
+    (["tune", "--interval", "0.1,2", "--M", "1"], ["tuning"]),
+    (["tune", "--interval", "0.1,2", "--M", "4"], ["tuning"]),
     (["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--grid", "9"],
-     ["accel", "polyroots", "spectral"]),
+     ["numpy", "accel", "polyroots", "tuning"]),
     (["search", "--set", "0.1:2", "--M", "2", "--budget", "10"],
-     ["accel", "polyroots", "spectral"]),
-    (["spectrum", "--graph", "graph.txt"], ["spectral"]),
+     ["numpy", "accel", "polyroots", "tuning"]),
+    (["spectrum", "--graph", "graph.txt"], ["numpy", "spectral", "tuning"]),
     (["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "3"],
-     ["accel", "dynamics", "polyroots", "spectral"]),
+     ["numpy", "dynamics", "spectral", "tuning"]),
     (["certify", "--gains", "gains.json", "--interval", "0.1,2"],
-     ["accel", "certify", "polyroots", "spectral"]),
-], ids=["tune", "guarantee", "search", "spectrum", "simulate", "certify"])
+     ["numpy", "certify", "polyroots", "tuning"]),
+], ids=["tune", "tune-M1", "tune-M4", "guarantee", "search", "spectrum", "simulate",
+        "certify"])
 def test_subcommand_imports_only_what_it_runs(files, argv, loaded):
-    expected = ["numpy"] + [m for m in WATCHED if m.split(".")[-1] in loaded]
+    expected = [m for m in WATCHED if m.split(".")[-1] in loaded]
     assert _run_cli(argv, files) == (0, expected)

@@ -1,0 +1,137 @@
+"""The numpy-free scalar layer: bit identity with the numpy formulas it
+replaced, and the overflow guards of the closed-form tunings."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memaccel.errors import MemaccelError
+from memaccel.tuning import (
+    Gains,
+    SpectralInterval,
+    SpectralSet,
+    check_guarantee_args,
+    tune_memoryless,
+    tune_theorem3,
+)
+
+
+def reference_theorem3(lo, hi, M):
+    """The Theorem-3 tuning as the package computed it with numpy:
+    (alpha, betas, mu, nu_star, degenerate)."""
+    mu = (hi - lo) / (hi + lo)
+    if mu == 0.0:
+        return 1.0 / lo, (0.0,) * (M - 1), 0.0, 0.0, True
+    nu_star = mu / (1.0 + np.sqrt(1.0 - mu**2))
+    beta1 = -nu_star**2
+    alpha = 2.0 * (1.0 - beta1) / (hi + lo)
+    return float(alpha), (float(beta1),) + (0.0,) * (M - 2), float(mu), float(nu_star), False
+
+
+def reference_memoryless(lo, hi):
+    return 2.0 / (hi + lo), (hi - lo) / (hi + lo)
+
+
+# lo in [1e-12, 1e12] and hi / lo in [1, 1e8], lo == hi included.
+intervals = st.tuples(
+    st.floats(1e-12, 1e12),
+    st.one_of(st.just(1.0), st.floats(1.0, 1e8)),
+).map(lambda t: (t[0], t[0] * t[1]))
+
+
+class TestBitIdentity:
+    @settings(max_examples=500, deadline=None)
+    @given(intervals, st.integers(2, 5))
+    def test_theorem3_matches_numpy_formula(self, iv, M):
+        lo, hi = iv
+        t = tune_theorem3(SpectralInterval(lo, hi), M=M)
+        got = (t.alpha_star, t.gains.betas, t.mu, t.nu_star, t.degenerate)
+        assert got == reference_theorem3(lo, hi, M)
+        assert t.gains.alpha == t.alpha_star
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals)
+    def test_memoryless_matches_formula(self, iv):
+        lo, hi = iv
+        assert tune_memoryless(SpectralInterval(lo, hi)) == reference_memoryless(lo, hi)
+
+    def test_degenerate_interval(self):
+        t = tune_theorem3(SpectralInterval(3.0, 3.0))
+        assert t.degenerate and t.alpha_star == 1.0 / 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True).filter(lambda a: a != 0),
+           st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3))
+    def test_gains_reject_what_isfinite_rejects(self, alpha, betas):
+        finite = bool(np.isfinite((alpha, *betas)).all())
+        if finite:
+            g = Gains(M=len(betas) + 1, alpha=alpha, betas=tuple(betas))
+            assert (g.alpha, g.betas) == (alpha, tuple(betas))
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                Gains(M=len(betas) + 1, alpha=alpha, betas=tuple(betas))
+
+    @pytest.mark.parametrize("alpha", [np.float64("nan"), np.float32("inf"), np.float64(2.5)])
+    def test_gains_with_numpy_scalars(self, alpha):
+        if np.isfinite(alpha):
+            assert type(Gains(M=1, alpha=alpha).alpha) is float
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                Gains(M=1, alpha=alpha)
+
+
+class TestOverflow:
+    # lo + hi overflows: mu would read 0 and nu_star 0 for an interval
+    # whose true optimal rate is about 0.13.
+    HUGE = SpectralInterval(1e308, 1.7e308)
+
+    def test_memoryless_raises(self):
+        with pytest.raises(MemaccelError, match="overflows"):
+            tune_memoryless(self.HUGE)
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_theorem3_raises(self, M):
+        with pytest.raises(MemaccelError, match="overflows"):
+            tune_theorem3(self.HUGE, M=M)
+
+    def test_largest_sum_that_fits_still_tunes(self):
+        lo = 1e307
+        hi = math.nextafter(math.inf, 0) - lo
+        t = tune_theorem3(SpectralInterval(lo, hi))
+        assert t.nu_star == reference_theorem3(lo, hi, 2)[3] > 0
+
+    def test_memoryless_alpha_overflow_raises(self):
+        # 2 / (lo + hi) is inf for subnormal endpoints.
+        with pytest.raises(MemaccelError, match="overflows"):
+            tune_memoryless(SpectralInterval(1e-320, 2e-320))
+
+    def test_theorem3_subnormal_interval_rejected_by_gains(self):
+        with pytest.raises(ValueError, match="finite"):
+            tune_theorem3(SpectralInterval(1e-320, 2e-320))
+
+
+class TestCheckGuaranteeArgs:
+    def test_interval_becomes_set(self):
+        iv = SpectralInterval(1.0, 2.0)
+        assert check_guarantee_args(iv) == SpectralSet.from_interval(iv)
+
+    def test_empty_set(self):
+        with pytest.raises(ValueError, match="empty spectral set"):
+            check_guarantee_args(SpectralSet())
+
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_grid_below_two(self, grid):
+        with pytest.raises(ValueError, match="at least 2 grid samples"):
+            check_guarantee_args(SpectralSet(points=(1.0,)), grid=grid)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_refine_tol(self, tol):
+        with pytest.raises(ValueError, match="refine_tol must be finite and > 0"):
+            check_guarantee_args(SpectralSet(points=(1.0,)), refine_tol=tol)
+
+    def test_defaults_pass(self):
+        s = SpectralSet(points=(1.0,))
+        assert check_guarantee_args(s, grid=2, refine_tol=1e-300) is s
