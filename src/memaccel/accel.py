@@ -31,31 +31,29 @@ SEARCH_REFINE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class GuaranteeReport:
-    """Worst-case guarantee nu with the worst eigenvalue and the sampled
-    modulus curve (lambda, max root modulus) that produced it."""
+    """Worst-case guarantee over a spectral set: nu is a certified upper
+    bound of the largest root modulus, nu_lo <= nu the modulus attained at
+    worst_lambda, and nu - nu_lo <= refine_tol; samples holds the sampled
+    curve (lambda, max root modulus) and the attained point."""
 
     nu: float
+    nu_lo: float
     worst_lambda: float
     samples: tuple[tuple[float, float], ...]
-    refined: bool
 
 
-def _char_coeffs(g: Gains, lambdas) -> np.ndarray:
-    """(K, M+1) low-to-high coefficients of :func:`char_poly` at each lambda."""
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    M = g.M
-    coeffs = np.zeros((lambdas.size, M + 1))
-    coeffs[:, M] = 1.0
-    coeffs[:, M - 1] = -(1.0 - g.alpha * lambdas) + sum(g.betas)
-    for m in range(M - 1):
-        coeffs[:, m] = -g.betas[M - m - 2]
-    return coeffs
+def _char_q(g: Gains) -> np.ndarray:
+    """Low-to-high coefficients of :func:`char_poly` at lambda = 0; the
+    z^{M-1} coefficient grows by alpha*lambda."""
+    return np.array([*(-b for b in g.betas[::-1]), sum(g.betas) - 1.0, 1.0])
 
 
 def char_poly(g: Gains, lam: float) -> RealPolynomial:
     """Monic degree-M characteristic polynomial of the mode at eigenvalue
     lam: z^M - (1 - alpha*lam) z^{M-1} + sum_m beta_{M-m-1} (z^{M-1} - z^m)."""
-    return RealPolynomial(tuple(_char_coeffs(g, lam)[0]))
+    q = _char_q(g)
+    q[g.M - 1] += g.alpha * lam
+    return RealPolynomial(tuple(q))
 
 
 def mode_roots(g: Gains, lam: float) -> ComplexRootSet:
@@ -66,27 +64,7 @@ def mode_roots(g: Gains, lam: float) -> ComplexRootSet:
 def max_root_moduli(g: Gains, lambdas) -> np.ndarray:
     """Max root modulus of the characteristic polynomial at each lambda,
     computed in one batched companion-eigenvalue call."""
-    eigs = polyroots.companion_eigvals(_char_coeffs(g, lambdas))
-    return np.abs(eigs).max(axis=1)
-
-
-def _refine_maxima(g: Gains, brackets: np.ndarray, refine_tol: float):
-    """Shrink each (lo, hi) bracket around its max of the modulus curve
-    until the bracket is narrower than refine_tol; vectorized over
-    brackets with 9 samples per level. Returns (lambdas, moduli)."""
-    lo = brackets[:, 0].copy()
-    hi = brackets[:, 1].copy()
-    npts = 9
-    while np.any(hi - lo > refine_tol):
-        grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, npts)
-        vals = max_root_moduli(g, grid.ravel()).reshape(grid.shape)
-        best = vals.argmax(axis=1)
-        step = (hi - lo) / (npts - 1)
-        lo = np.maximum(lo, grid[np.arange(len(lo)), best] - step)
-        hi = np.minimum(hi, grid[np.arange(len(hi)), best] + step)
-    # Halving first: lo + hi overflows near the largest float.
-    mid = 0.5 * lo + 0.5 * hi
-    return mid, max_root_moduli(g, mid)
+    return polyroots.affine_max_roots(_char_q(g), g.M - 1, g.alpha, lambdas)[0]
 
 
 def guarantee(
@@ -95,37 +73,56 @@ def guarantee(
     grid: int = DEFAULT_GRID,
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> GuaranteeReport:
-    """Worst-case guarantee nu = sup over lambda in s of the max root
-    modulus, approximated by a uniform grid per interval plus bracket
-    refinement around every local maximum. Isolated points are evaluated
-    exactly. Values above 1 (divergent tunings) are reported as-is."""
+    """Worst-case guarantee: sup over lambda in s of the max root modulus,
+    bracketed to within refine_tol. ``grid`` samples per interval give the
+    curve and a first attained nu_lo; isolated points are exact. Then
+    :func:`polyroots.affine_crossing` tests radii just above nu_lo, which
+    certifies a flat or sampled maximum at once, and after a hit halves
+    the bracket once before trying again. nu, the certified bound, is
+    never below the supremum. Values above 1 are reported as-is."""
     s = check_guarantee_args(s, grid, refine_tol)
+    q, k = _char_q(g), g.M - 1
 
-    samples: list[tuple[float, float]] = []
-    refined_any = False
-    for iv in s.intervals:
-        lams = np.linspace(iv.lo, iv.hi, grid)
-        vals = max_root_moduli(g, lams)
-        samples.extend(zip(lams.tolist(), vals.tolist()))
-        # Local maxima of the sampled curve, endpoints included.
-        left = np.r_[-np.inf, vals[:-1]]
-        right = np.r_[vals[1:], -np.inf]
-        cand = np.flatnonzero((vals >= left) & (vals >= right))
-        if cand.size:
-            los = lams[np.maximum(cand - 1, 0)]
-            his = lams[np.minimum(cand + 1, grid - 1)]
-            rl, rv = _refine_maxima(g, np.column_stack([los, his]), refine_tol)
-            samples.extend(zip(rl.tolist(), rv.tolist()))
-            refined_any = True
     # Isolated points go through the root solver directly so a degenerate
     # set {lam} agrees exactly with max_modulus(mode_roots(g, lam)).
-    for pt in s.points:
-        samples.append((pt, polyroots.max_modulus(mode_roots(g, pt))))
+    samples = [(pt, polyroots.max_modulus(mode_roots(g, pt))) for pt in s.points]
+    for iv in s.intervals:
+        lams = np.linspace(iv.lo, iv.hi, grid)
+        samples.extend(zip(lams.tolist(), max_root_moduli(g, lams).tolist()))
+    nu_lo = max(v for _, v in samples)
+    worst = min(lam for lam, v in samples if v == nu_lo)
 
-    samples.sort()
-    nu = max(v for _, v in samples)
-    worst = min(lam for lam, v in samples if v == nu)
-    return GuaranteeReport(nu=nu, worst_lambda=worst, samples=tuple(samples), refined=refined_any)
+    # Cauchy bound 1 + max|coefficient| of the monic polynomial; the moving
+    # coefficient is largest at an end of an interval.
+    ends = [q[k] + g.alpha * v for iv in s.intervals for v in (iv.lo, iv.hi)]
+    nu = max(nu_lo, 1.0 + float(np.abs([*q[:-1], *ends]).max())) if ends else nu_lo
+    sampled = nu_lo
+
+    def exceeded(r):
+        # Whether a root exceeds r; the best lambda evaluated raises nu_lo
+        # when it beats it.
+        nonlocal nu_lo, worst
+        tests = [polyroots.affine_crossing(q, k, g.alpha, iv.lo, iv.hi, r)
+                 for iv in s.intervals]
+        lam, root, _ = max(tests, key=lambda t: abs(t[1]))
+        if abs(root) > nu_lo:
+            nu_lo, worst = abs(root), lam
+        return abs(root) > r
+
+    while nu - nu_lo > refine_tol:
+        r = nu_lo + min(1e-13 * nu_lo, refine_tol)
+        if not exceeded(r):
+            nu = r
+            break
+        # Halving first: nu_lo + nu overflows near the largest float.
+        r = 0.5 * nu_lo + 0.5 * nu
+        if not nu_lo < r < nu:
+            break
+        if not exceeded(r):
+            nu = r
+    if nu_lo > sampled:
+        samples.append((worst, nu_lo))
+    return GuaranteeReport(nu=nu, nu_lo=nu_lo, worst_lambda=worst, samples=tuple(sorted(samples)))
 
 
 def modal_angle(lam: float, iv: SpectralInterval) -> float:
@@ -222,18 +219,20 @@ def search_gains(
 
     Three stages of the in-house Nelder-Mead (:func:`_nelder_mead`,
     coefficients 1, 2, 1/2, 1/2 as in Lagarias et al. 1998): a run from
-    the seed (default: single-memory optimal tuning of the convex hull of
-    s), SEARCH_RESTARTS wide jittered restarts to escape the seed's
+    the seed (default: the optimal tuning of the hull of s, memoryless
+    at M = 1), SEARCH_RESTARTS wide jittered restarts to escape the seed's
     basin, then SEARCH_POLISH_ROUNDS small-jitter polish rounds around
     the incumbent best. ``budget`` caps the guarantee evaluations, each
-    on a SEARCH_GRID grid refined to SEARCH_REFINE_TOL. Returns the seed
+    on a SEARCH_GRID grid bracketed to SEARCH_REFINE_TOL. Returns the seed
     itself when no improvement is found. Deterministic for a fixed
     rng_seed."""
     if isinstance(s, SpectralInterval):
         s = SpectralSet.from_interval(s)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if seed is None:
+    if seed is None and M == 1:
+        seed = Gains(M=1, alpha=tune_memoryless(s.hull())[0])
+    elif seed is None:
         seed = tune_theorem3(s.hull(), M=M).gains
     if seed.M != M:
         raise ValueError(f"seed has M={seed.M}, expected {M}")

@@ -3,14 +3,15 @@
 Maps arbitrary gains to the normalized coefficient vector whose zero
 vector characterizes the optimal tuning, builds the scaled test
 polynomial, detects the special cases with immediate unstable roots,
-scans angles for a certificate root of modulus >= 1, and emits the
-complex-plane fields (magnitude partition, phase match) for inspection.
+decides exactly whether some angle gives a certificate root of modulus
+>= 1, and emits the complex-plane fields (magnitude partition, phase
+match) for inspection.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .tuning import Gains, SpectralInterval, tune_theorem3
 
 WITNESS_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-9
-DEFAULT_THETA_SAMPLES = 4096
 ANGLE_TOL = 0.02
 TIE_TOL = 1e-12
 
@@ -127,33 +127,23 @@ def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     return ClaimCoeffs(M=M, nu=nu, a=a)
 
 
-def _p_tilde_stack(c: ClaimCoeffs, thetas) -> np.ndarray:
-    """(K, M+1) low-to-high coefficients of the test polynomial
+def _p_tilde_q(c: ClaimCoeffs) -> np.ndarray:
+    """Low-to-high coefficients of the test polynomial
     P1 - P2 = (y^2 - 2 cos(theta) y + 1) y^{M-2} + (y - 1/nu) sum_k a_k y^k
-    at each theta; only the y^{M-1} coefficient varies with theta."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    coeffs = np.tile(-_p2_coeffs(c), (thetas.size, 1))
-    coeffs[:, c.M] += 1.0
-    coeffs[:, c.M - 2] += 1.0
-    coeffs[:, c.M - 1] -= 2.0 * np.cos(thetas)
-    return coeffs
+    at cos(theta) = 0; the y^{M-1} coefficient moves by -2 cos(theta)."""
+    q = -_p2_coeffs(c)
+    q[c.M] += 1.0
+    q[c.M - 2] += 1.0
+    return q
 
 
 def p_tilde(c: ClaimCoeffs, theta: float) -> RealPolynomial:
     """The degree-M test polynomial at angle theta."""
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return RealPolynomial(tuple(_p_tilde_stack(c, theta)[0]))
-
-
-def _batched_max_roots(c: ClaimCoeffs, thetas: np.ndarray):
-    """(max modulus, argmax root) of the test polynomial for each theta,
-    in one batched companion-eigenvalue call."""
-    eigs = polyroots.companion_eigvals(_p_tilde_stack(c, thetas))
-    mods = np.abs(eigs)
-    best = mods.argmax(axis=1)
-    k = np.arange(len(eigs))
-    return mods[k, best], eigs[k, best]
+    q = _p_tilde_q(c)
+    q[c.M - 1] -= 2.0 * np.cos(theta)
+    return RealPolynomial(tuple(q))
 
 
 def prop8_check(c: ClaimCoeffs) -> Prop8Result:
@@ -162,7 +152,10 @@ def prop8_check(c: ClaimCoeffs) -> Prop8Result:
     The zero vector (optimal tuning) is 'none' by convention."""
     if c.a[-1] < -1.0:
         return Prop8Result(kind="leading_below_minus_one")
-    pert = RealPolynomial(c.a)
+    # Coefficients below rounding of the largest are noise; at the top they
+    # add roots near infinity, off the circle, that the solver cannot reach.
+    a = np.abs(c.a)
+    pert = RealPolynomial(tuple(np.where(a > np.finfo(float).eps * a.max(), c.a, 0.0)))
     if pert.is_zero or pert.degree == 0:
         return Prop8Result(kind="none")
     for r in polyroots.roots(pert).roots:
@@ -171,64 +164,25 @@ def prop8_check(c: ClaimCoeffs) -> Prop8Result:
     return Prop8Result(kind="none")
 
 
-def claim6_witness(
-    c: ClaimCoeffs,
-    theta_samples: int = DEFAULT_THETA_SAMPLES,
-) -> WitnessReport:
+def claim6_witness(c: ClaimCoeffs) -> WitnessReport:
     """Find theta in [0, pi] whose test polynomial has a root of modulus
-    >= 1 - WITNESS_TOL.
+    >= 1 - WITNESS_TOL; found=False means no such theta exists.
 
-    Special cases short-circuit the scan: a unit-circle root of the
-    perturbation gives the angle directly, and a leading coefficient
-    below -1 makes theta = 0 a witness. Otherwise the scan is
-    coarse-to-fine over theta with a final bracket polish; a not-found
-    result means the search resolution was escaped and is reported
-    as found=False, never silently dropped."""
-    if theta_samples < 2:
-        raise ValueError("need at least 2 theta samples")
-
+    A unit-circle root of the perturbation gives the angle directly.
+    Otherwise one exact crossing test (:func:`polyroots.affine_crossing`)
+    over cos(theta) in [-1, 1], where only the y^{M-1} coefficient moves,
+    decides the question and returns the angle with the largest root it
+    evaluated. ``scanned`` counts the angles whose roots were computed."""
+    q, k = _p_tilde_q(c), c.M - 1
     special = prop8_check(c)
     if special.kind == "unit_circle_root":
-        theta = abs(np.angle(special.root))
-        mod, root = _batched_max_roots(c, np.array([theta]))
-        return WitnessReport(found=True, theta=float(theta), root=complex(root[0]),
-                             modulus=float(mod[0]), scanned=1)
-
-    scanned = 0
-    # Coarse-to-fine: most inadmissible vectors reveal a witness on a
-    # small grid, so escalate resolution only when needed.
-    levels = [n for n in (64, 512, theta_samples) if n >= 2]
-    best_theta, best_mod, best_root = 0.0, -np.inf, 0j
-    for n in levels:
-        thetas = np.linspace(0.0, np.pi, n)
-        mods, roots_ = _batched_max_roots(c, thetas)
-        scanned += n
-        hit = np.flatnonzero(mods >= 1.0 - WITNESS_TOL)
-        if hit.size:
-            i = int(hit[0])
-            return WitnessReport(found=True, theta=float(thetas[i]),
-                                 root=complex(roots_[i]), modulus=float(mods[i]),
-                                 scanned=scanned)
-        i = int(mods.argmax())
-        if mods[i] > best_mod:
-            best_theta, best_mod, best_root = float(thetas[i]), float(mods[i]), complex(roots_[i])
-            step = np.pi / (n - 1)
-            lo, hi = max(0.0, best_theta - step), min(np.pi, best_theta + step)
-    # Bracket polish around the best sample.
-    for _ in range(60):
-        if hi - lo < 1e-14:
-            break
-        thetas = np.linspace(lo, hi, 9)
-        mods, roots_ = _batched_max_roots(c, thetas)
-        scanned += 9
-        i = int(mods.argmax())
-        if mods[i] > best_mod:
-            best_theta, best_mod, best_root = float(thetas[i]), float(mods[i]), complex(roots_[i])
-        step = (hi - lo) / 8
-        lo, hi = max(lo, thetas[i] - step), min(hi, thetas[i] + step)
-    return WitnessReport(found=bool(best_mod >= 1.0 - WITNESS_TOL),
-                         theta=best_theta, root=best_root,
-                         modulus=best_mod, scanned=scanned)
+        cos_t, scanned = np.cos(np.angle(special.root)), 1
+        root = complex(polyroots.affine_max_roots(q, k, -2.0, cos_t)[1][0])
+    else:
+        cos_t, root, scanned = polyroots.affine_crossing(q, k, -2.0, -1.0, 1.0,
+                                                         1.0 - WITNESS_TOL)
+    return WitnessReport(found=abs(root) >= 1.0 - WITNESS_TOL, theta=float(np.arccos(cos_t)),
+                         root=root, modulus=abs(root), scanned=scanned)
 
 
 def p1_eval(c: ClaimCoeffs, y, theta: float):
@@ -267,9 +221,13 @@ def partition_field(
 ) -> PartitionField:
     """Sample sign(|P1| - |P2|) and the phase-match locus on a window of
     the complex plane, with root overlays. Tie cells (difference below
-    TIE_TOL) are marked 0."""
+    TIE_TOL) are marked 0. A non-finite theta or window bound raises
+    ValueError."""
     if resolution < 32:
         raise ValueError("resolution must be at least 32")
+    if not np.isfinite([theta, *re_range, *im_range]).all():
+        raise ValueError(f"theta and window bounds must be finite, got theta={theta}, "
+                         f"re_range={re_range}, im_range={im_range}")
     re = np.linspace(re_range[0], re_range[1], resolution)
     im = np.linspace(im_range[0], im_range[1], resolution)
     y = re[None, :] + 1j * im[:, None]
@@ -313,19 +271,9 @@ def large_radius_phase_check(
 
 
 def _p2_coeffs(c: ClaimCoeffs) -> np.ndarray:
-    coeffs = np.zeros(c.M + 1)
-    inv_nu = 1.0 / c.nu
-    for k, ak in enumerate(c.a):
-        coeffs[k + 1] -= ak
-        coeffs[k] += inv_nu * ak
-    return coeffs
+    """Low-to-high coefficients of P2 = -(y - 1/nu) sum_k a_k y^k."""
+    return np.convolve(c.a, [1.0 / c.nu, -1.0])
 
 
 def witness_to_json(w: WitnessReport) -> str:
-    return json.dumps({
-        "found": w.found,
-        "theta": w.theta,
-        "root": [w.root.real, w.root.imag],
-        "modulus": w.modulus,
-        "scanned": w.scanned,
-    })
+    return json.dumps({**asdict(w), "root": [w.root.real, w.root.imag]})

@@ -2,16 +2,17 @@
 
 Subcommands: tune, guarantee, search, simulate, certify, spectrum.
 All numeric output is printed with 12 significant digits and runs are
-fully deterministic for a fixed --seed-rng. Exit codes: 0 success,
-2 usage or parse error, 3 domain error or a gains or drops file of
-the wrong JSON shape (message on stderr). Every exit-2 error is found
-before any numerical work: each subcommand parses its string arguments
-first and only then imports the modules it runs, so a malformed argument
-never loads numpy. ``tune`` runs on the numpy-free ``memaccel.tuning``
-alone, and ``guarantee`` and ``search`` build their gains and spectral
-set with it (``guarantee`` also checks ``--grid`` and ``--refine-tol``)
-before they import ``accel``. So ``tune`` and the exit-3 argument errors
-of ``tune`` and ``guarantee`` load no numpy either.
+fully deterministic for a fixed --seed-rng. A guarantee report gives
+the certified bound nu and the attained nu_lo <= nu at worst_lambda.
+Exit codes: 0 success, 2 usage or parse error (a malformed number, a
+set item outside (0, inf), a non-finite --field or --window bound),
+3 domain error or a gains or drops file of the wrong JSON shape. Every
+exit-2 error is found before any numerical work: each subcommand
+parses its strings first and only then imports the modules it runs.
+``tune`` runs on the numpy-free ``memaccel.tuning`` alone; ``guarantee``
+and ``search`` build their gains and set with it (``guarantee`` checks
+``--grid`` and ``--refine-tol`` too) before they import ``accel``, so
+their exit-3 argument errors load no numpy either.
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -24,7 +25,9 @@ File formats:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 from .errors import MemaccelError, ParseError
@@ -86,26 +89,26 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_set(text: str) -> tuple[list[tuple[float, float]], list[float]]:
-    """(intervals, points) of a spectral-set spec."""
-    intervals, points = [], []
+def _parse_set(text: str) -> list[tuple[float, float]]:
+    """(lo, hi) of each item of a spectral-set spec; a point v is (v, v),
+    which SpectralSet keeps as an isolated point."""
+    items = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            if ":" in item:
-                lo, hi = (float(v) for v in item.split(":"))
-                # SpectralInterval's own condition: an item that fails it
-                # is a parse error of the set, as a malformed number is.
-                if not 0 < lo <= hi < float("inf"):
-                    raise ValueError
-                intervals.append((lo, hi))
-            else:
-                points.append(float(item))
+            bounds = [float(v) for v in item.split(":")]
+            lo, hi = bounds if ":" in item else bounds * 2
+            # SpectralInterval's own condition, which SpectralSet applies
+            # to points too: an item that fails it is a parse error, as a
+            # malformed number is.
+            if not 0 < lo <= hi < float("inf"):
+                raise ValueError
         except ValueError:
             raise ParseError(0, item) from None
-    return intervals, points
+        items.append((lo, hi))
+    return items
 
 
 def _parse_x0(text: str | None) -> list[float] | None:
@@ -118,19 +121,22 @@ def _parse_x0(text: str | None) -> list[float] | None:
 
 
 def _parse_window(text: str):
-    """(re_range, im_range, resolution) of a REMIN:REMAX:IMMIN:IMMAX:RES spec."""
+    """(re_range, im_range, resolution) of a REMIN:REMAX:IMMIN:IMMAX:RES
+    spec with finite bounds."""
     try:
-        lo_r, hi_r, lo_i, hi_i, res = text.split(":")
-        return (float(lo_r), float(hi_r)), (float(lo_i), float(hi_i)), int(res)
+        *bounds, res = text.split(":")
+        lo_r, hi_r, lo_i, hi_i = (float(v) for v in bounds)
+        if not all(map(math.isfinite, (lo_r, hi_r, lo_i, hi_i))):
+            raise ValueError
+        return (lo_r, hi_r), (lo_i, hi_i), int(res)
     except ValueError:
         raise ParseError(0, text) from None
 
 
-def _spectral_set(intervals, points):
+def _spectral_set(items):
     from .tuning import SpectralInterval, SpectralSet
 
-    return SpectralSet(intervals=tuple(SpectralInterval(lo, hi) for lo, hi in intervals),
-                       points=tuple(points))
+    return SpectralSet(intervals=tuple(SpectralInterval(lo, hi) for lo, hi in items))
 
 
 def _given(**options) -> dict:
@@ -194,7 +200,7 @@ def _gains_dict(g) -> dict:
 
 
 def _report_dict(rep) -> dict:
-    return {"nu": rep.nu, "worst_lambda": rep.worst_lambda, "refined": rep.refined}
+    return {"nu": rep.nu, "worst_lambda": rep.worst_lambda, "nu_lo": rep.nu_lo}
 
 
 def _write_samples_csv(rep, path: str):
@@ -223,12 +229,12 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_guarantee(args) -> int:
-    intervals, points = _parse_set(args.set)
+    items = _parse_set(args.set)
     from .tuning import check_guarantee_args
 
     g = _load_gains(args.gains)
     options = _given(grid=args.grid, refine_tol=args.refine_tol)
-    s = check_guarantee_args(_spectral_set(intervals, points), **options)
+    s = check_guarantee_args(_spectral_set(items), **options)
     from . import accel
 
     rep = accel.guarantee(g, s, **options)
@@ -239,8 +245,7 @@ def _cmd_guarantee(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    intervals, points = _parse_set(args.set)
-    s = _spectral_set(intervals, points)
+    s = _spectral_set(_parse_set(args.set))
     seed = _load_gains(args.seed_gains) if args.seed_gains else None
     from . import accel
 
@@ -285,6 +290,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     lo, hi = _parse_interval(args.interval)
+    if args.field is not None and not math.isfinite(args.field):
+        raise ParseError(0, str(args.field))
     window = _parse_window(args.window) if args.field is not None else None
     from . import certify
     from .tuning import SpectralInterval
@@ -293,13 +300,12 @@ def _cmd_certify(args) -> int:
     iv = SpectralInterval(lo, hi)
     c = certify.gains_to_claim_coeffs(g, iv)
     p8 = certify.prop8_check(c)
-    w = certify.claim6_witness(c, **_given(theta_samples=args.theta_samples))
+    w = certify.claim6_witness(c)
     payload = {
         "claim_coeffs": {"M": c.M, "nu": c.nu, "a": list(c.a)},
         "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
         else {"kind": p8.kind},
-        "witness": {"found": w.found, "theta": w.theta, "root": w.root,
-                    "modulus": w.modulus, "scanned": w.scanned},
+        "witness": dataclasses.asdict(w),
     }
     _emit(payload, args.output)
     if window is not None:
@@ -369,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="optimality certificate machinery for gains")
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--interval", required=True, metavar="LO,HI")
-    p.add_argument("--theta-samples", type=int)
     p.add_argument("--field", type=float, metavar="THETA")
     p.add_argument("--window", default="-2:2:-2:2:256",
                    metavar="REMIN:REMAX:IMMIN:IMMAX:RES")

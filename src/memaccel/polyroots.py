@@ -2,8 +2,10 @@
 
 Coefficients are stored low-to-high: ``coeffs[i]`` multiplies ``z**i``.
 :func:`companion_eigvals` is the package's one companion-matrix solve,
-batched over a stack of polynomials; the guarantee and the certificate
-scans call it directly. :func:`roots` starts from its eigenvalues and
+batched over a stack of polynomials. :func:`affine_max_roots` and
+:func:`affine_crossing` serve the guarantee and the certificate, whose
+polynomials q(z) + slope*s*z^k move affinely in one coefficient.
+:func:`roots` starts from its eigenvalues and
 applies Aberth-Ehrlich simultaneous correction to any root that misses
 the residual contract ``|p(root)| <= ROOT_RESIDUAL_TOL * (1 + max|c_i|)``
 (widened by :func:`residual_tolerance` outside the unit disk). A
@@ -95,6 +97,52 @@ def companion_eigvals(coeffs) -> np.ndarray:
     comp[:, idx + 1, idx] = 1.0
     comp[:, :, d - 1] = -coeffs[:, :d] / coeffs[:, d:]
     return np.linalg.eigvals(comp)
+
+
+def affine_max_roots(q, k: int, slope: float, s):
+    """(moduli, roots): the largest-modulus root of q(z) + slope*s*z^k at
+    each s, in one batched companion-eigenvalue call. q is low-to-high
+    with a nonzero leading coefficient above z^k."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    coeffs = np.tile(np.asarray(q, dtype=float), (s.size, 1))
+    coeffs[:, k] += slope * s
+    eigs = companion_eigvals(coeffs)
+    top = eigs[np.arange(s.size), np.abs(eigs).argmax(axis=1)]
+    return np.abs(top), top
+
+
+def affine_crossing(q, k: int, slope: float, lo: float, hi: float, r: float):
+    """Whether some s in [lo, hi] gives q(z) + slope*s*z^k, of degree k+1,
+    a root above r > 0: (s, root, n), the evaluated s with the largest
+    root, that root and the count of s evaluated; yes iff abs(root) > r.
+    A root meets |z| = r only where s = -q(rw) / (slope (rw)^k) is real,
+    |w| = 1: at w = +-1 and the roots of P_r(w) = sum_j q_j r^(j-k)
+    (w^(K+j-k) - w^(K-j+k)), K = max(k, 1), projected onto the circle.
+    Between neighbouring such s, max|root| - r keeps its sign, so ends,
+    candidates and midpoints decide (edge theorem; Bartlett, Hollot &
+    Huang 1988). P_r vanishes only for q = z^(k-1) times a quadratic with
+    a stretch of roots on |z| = r, which w = +-1 bound."""
+    q = np.asarray(q, dtype=float)
+    K = max(k, 1)
+    j = np.arange(q.size)
+    c = q * r ** (j - k)
+    p = np.bincount(np.r_[K + j - k, K - j + k], np.r_[c, -c], minlength=2 * K + 1)
+    w = np.array([1.0 + 0j, -1.0])
+    # A coefficient below rounding of the largest is noise; at the ends it
+    # adds only a root near 0 or infinity, off the circle, and dividing by
+    # it would overflow.
+    p = np.trim_zeros(np.where(np.abs(p) > np.finfo(float).eps * np.abs(p).max(), p, 0.0))
+    if p.size > 1:
+        w = np.r_[w, companion_eigvals(p[None, :])[0]]
+    w = w[w != 0]  # a root that rounds to 0 has no angle to project
+    z = r * w / np.abs(w)
+    cand = -(np.polyval(q[::-1], z) / z**k).real / slope
+    cand = cand[(cand > lo) & (cand < hi)]
+    s = np.sort(np.r_[lo, cand, hi])
+    s = np.r_[s, 0.5 * s[:-1] + 0.5 * s[1:]]
+    moduli, top = affine_max_roots(q, k, slope, s)
+    i = int(moduli.argmax())
+    return float(s[i]), complex(top[i]), s.size
 
 
 def residual_tolerance(coeffs, z):

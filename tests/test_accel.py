@@ -1,8 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaccel import accel
 from memaccel.accel import (
+    DEFAULT_REFINE_TOL,
     SEARCH_GRID,
     SEARCH_REFINE_TOL,
     Gains,
@@ -122,12 +126,24 @@ class TestGuarantee:
         assert rep.nu == max_modulus(mode_roots(g, 0.7))
         assert rep.worst_lambda == 0.7
 
-    def test_nu_is_max_of_samples_at_worst_lambda(self):
+    def test_nu_lo_is_max_of_samples_at_worst_lambda(self):
         g = Gains(M=2, alpha=1.0, betas=(-0.3,))
         rep = guarantee(g, SpectralInterval(0.5, 2.5), grid=101)
-        assert rep.nu == max(v for _, v in rep.samples)
+        assert rep.nu_lo == max(v for _, v in rep.samples)
         recorded = dict(rep.samples)
-        assert recorded[rep.worst_lambda] == rep.nu
+        assert recorded[rep.worst_lambda] == rep.nu_lo
+        assert rep.nu_lo <= rep.nu <= rep.nu_lo + DEFAULT_REFINE_TOL
+
+    def test_narrow_peak_between_grid_samples(self):
+        # A 65-point grid with its local-maximum refinement reported 1.2115772360
+        # here; the curve peaks near lambda = 0.086301 at 1.2115869282.
+        g = Gains(5, 7.421961710503621, (-0.7779864877157927, -0.3638831504177591,
+                                        -0.17379537342665108, 0.6831472941756749))
+        iv = SpectralInterval(0.0022662137989445576, 0.22996057247561533)
+        rep = guarantee(g, iv, grid=65, refine_tol=1e-2)
+        dense = max_root_moduli(g, np.linspace(0.0862, 0.0864, 20001)).max()
+        assert rep.nu >= dense - 1e-12
+        assert rep.nu_lo <= rep.nu <= rep.nu_lo + 1e-2
 
     def test_divergent_tuning_reported_as_is(self):
         rep = guarantee(Gains(M=1, alpha=-1.0), SpectralInterval(1.0, 2.0))
@@ -148,6 +164,87 @@ class TestGuarantee:
         # with modulus sqrt(-beta1) everywhere on the interval.
         assert rep.nu == pytest.approx(np.sqrt(0.1), rel=1e-12)
         assert all(iv.contains(lam) for lam, _ in rep.samples)
+
+
+@st.composite
+def gains_and_sets(draw):
+    M = draw(st.integers(1, 5))
+    alpha = draw(st.floats(0.05, 8.0) | st.floats(-2.0, -0.05))
+    betas = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(M - 1))
+    intervals = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.floats(1e-3, 2.0))
+        intervals.append(SpectralInterval(lo, lo * draw(st.floats(1.0, 50.0))))
+    points = tuple(draw(st.lists(st.floats(1e-3, 2.0), max_size=2)))
+    return Gains(M, alpha, betas), SpectralSet(intervals=tuple(intervals), points=points)
+
+
+class TestCertifiedGuarantee:
+    """nu is a certified upper bound and nu_lo an attained value, at most
+    refine_tol below it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gains_and_sets(), st.sampled_from([9, 65, 2001]),
+           st.sampled_from([1e-2, 1e-7, 1e-10]))
+    def test_bracket_holds_the_supremum(self, gs, grid, tol):
+        g, s = gs
+        rep = guarantee(g, s, grid=grid, refine_tol=tol)
+        dense = max((max_root_moduli(g, np.linspace(iv.lo, iv.hi, 3001)).max()
+                     for iv in s.intervals), default=0.0)
+        assert rep.nu >= dense - 1e-12
+        assert rep.nu_lo <= rep.nu <= rep.nu_lo + tol * (1 + 1e-12)
+        assert (any(iv.contains(rep.worst_lambda) for iv in s.intervals)
+                or rep.worst_lambda in s.points)
+        attained = (max_modulus(mode_roots(g, rep.worst_lambda))
+                    if rep.worst_lambda in s.points
+                    else max_root_moduli(g, rep.worst_lambda)[0])
+        # One eigenvalue solve can round differently from another.
+        assert attained == pytest.approx(rep.nu_lo, rel=1e-12)
+
+    @staticmethod
+    def _mp_max_modulus(coeffs):
+        return max(abs(z) for z in mpmath.polyroots(coeffs[::-1], maxsteps=200,
+                                                    extraprec=200))
+
+    @pytest.mark.parametrize("g, iv", [
+        (Gains(5, 7.421961710503621, (-0.7779864877157927, -0.3638831504177591,
+                                      -0.17379537342665108, 0.6831472941756749)),
+         SpectralInterval(0.0022662137989445576, 0.22996057247561533)),
+        (Gains(3, 1.3, (-0.4, 0.1)), SpectralInterval(0.1, 2.0)),
+        (Gains(4, 3.6908, (-0.9083, 0.006662, 0.06785)), SpectralInterval(0.0122, 0.9878)),
+    ])
+    def test_bracket_at_50_digits(self, g, iv):
+        """Redo the crossing test at nu in 50-digit arithmetic: no lambda
+        where a root meets |z| = nu, nor any lambda between two such
+        points, has a root above nu; and worst_lambda attains nu_lo."""
+        rep = guarantee(g, iv)
+        with mpmath.workdps(50):
+            q = [mpmath.mpf(v) for v in accel._char_q(g)]
+            k, r = g.M - 1, mpmath.mpf(rep.nu)
+            alpha = mpmath.mpf(g.alpha)
+
+            def rho(lam):
+                c = list(q)
+                c[k] += alpha * lam
+                return self._mp_max_modulus(c)
+
+            # Im q(r w) w^{-k} = 0 on |w| = 1, as a polynomial in w.
+            p = [mpmath.mpf(0)] * (2 * k + 1)
+            for j, qj in enumerate(q):
+                p[j] += qj * r**j
+                p[2 * k - j] -= qj * r**j
+            lams = [mpmath.mpf(iv.lo), mpmath.mpf(iv.hi)]
+            for w in mpmath.polyroots(p[::-1], maxsteps=200, extraprec=200):
+                if abs(abs(w) - 1) < mpmath.mpf(10) ** -30:
+                    z = r * w
+                    lam = -mpmath.re(mpmath.polyval(q[::-1], z) / z**k) / alpha
+                    if iv.lo < lam < iv.hi:
+                        lams.append(lam)
+            lams.sort()
+            tests = lams + [(a + b) / 2 for a, b in zip(lams, lams[1:])]
+            assert max(rho(lam) for lam in tests) <= r
+            assert abs(rho(mpmath.mpf(rep.worst_lambda)) - rep.nu_lo) <= 1e-13
+        assert rep.nu - rep.nu_lo <= 1e-10
 
 
 class TestTuneMemoryless:
@@ -238,6 +335,14 @@ class TestSearchGains:
         s = SpectralSet(intervals=(SpectralInterval(0.0122, 0.0182),), points=(0.9878,))
         g, rep = search_gains(s, M=4, rng_seed=0)
         assert rep.nu <= 0.757
+
+    def test_memoryless_seeded_with_memoryless_tuning(self):
+        s = SpectralSet(intervals=(SpectralInterval(0.1, 2.0),))
+        g, rep = search_gains(s, M=1, budget=40)
+        alpha, mu = tune_memoryless(s.hull())
+        assert g.M == 1 and g.betas == ()
+        assert rep.nu <= guarantee(Gains(1, alpha), s).nu
+        assert rep.nu == pytest.approx(mu, abs=1e-9)
 
     def test_deterministic(self):
         s = SpectralSet(points=(0.5, 1.5))

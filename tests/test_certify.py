@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaccel.accel import Gains, tune_theorem3
 from memaccel.certify import (
+    WITNESS_TOL,
     ClaimCoeffs,
     claim6_witness,
     gains_to_claim_coeffs,
@@ -197,6 +200,19 @@ class TestWitness:
                 p.coeffs, abs(w.root)
             ) * 1e3
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.05, 0.99), st.data())
+    def test_every_admissible_vector_has_a_witness(self, M, nu, data):
+        a = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=M, max_size=M)
+                      .filter(lambda v: v[-1] != -1.0))
+        c = ClaimCoeffs(M=M, nu=nu, a=tuple(a))
+        w = claim6_witness(c)
+        assert w.found
+        assert w.modulus >= 1.0 - WITNESS_TOL
+        assert 0.0 <= w.theta <= np.pi
+        p = p_tilde(c, w.theta)
+        assert abs(eval_poly(p, w.root)) <= residual_tolerance(p.coeffs, abs(w.root)) * 1e3
+
     def test_json_roundtrip(self):
         import json
         c = ClaimCoeffs(M=2, nu=0.8, a=(0.1, 0.2))
@@ -229,6 +245,17 @@ class TestPartitionField:
         c = ClaimCoeffs(M=2, nu=0.6, a=(0.0, 0.0))
         with pytest.raises(ValueError):
             partition_field(c, theta=0.5, resolution=8)
+
+    @pytest.mark.parametrize("theta, re_range, im_range", [
+        (np.nan, (-2.0, 2.0), (-2.0, 2.0)),
+        (np.inf, (-2.0, 2.0), (-2.0, 2.0)),
+        (0.5, (-2.0, np.inf), (-2.0, 2.0)),
+        (0.5, (-2.0, 2.0), (np.nan, 2.0)),
+    ])
+    def test_non_finite_input_rejected(self, theta, re_range, im_range):
+        c = ClaimCoeffs(M=2, nu=0.6, a=(0.1, 0.2))
+        with pytest.raises(ValueError, match="finite"):
+            partition_field(c, theta, re_range=re_range, im_range=im_range, resolution=32)
 
     def test_json_payload(self):
         import json

@@ -130,6 +130,20 @@ class TestGuarantee:
         assert code == 2 and repr(spec) in err
         assert out == ""
 
+    @pytest.mark.parametrize("point", ["-1", "0", "inf", "nan"])
+    def test_invalid_set_point_exit2(self, capsys, tmp_path, point):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        code, out, err = run(capsys, "guarantee", "--gains", gains, "--set", f"1:2,{point}")
+        assert code == 2 and repr(point) in err
+        assert out == ""
+
+    def test_certified_bracket_keys(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 3, 1.3, [-0.4, 0.1])
+        code, out, _ = run(capsys, "guarantee", "--gains", gains, "--set", "0.1:2")
+        d = json.loads(out)
+        assert code == 0 and set(d) == {"nu", "worst_lambda", "nu_lo"}
+        assert d["nu_lo"] <= d["nu"] <= d["nu_lo"] + 1e-10
+
     def test_missing_gains_file_exit3(self, capsys, tmp_path):
         code, _, err = run(capsys, "guarantee",
                            "--gains", str(tmp_path / "nope.json"), "--set", "1:2")
@@ -205,6 +219,16 @@ class TestSearch:
         assert set(d) == {"gains", "report"}
         assert d["gains"]["M"] == 2
         assert d["report"]["nu"] <= 0.5 + 1e-6
+
+
+    def test_memoryless_without_seed_file(self, capsys):
+        code, out, err = run(capsys, "search", "--set", "0.1:2", "--M", "1",
+                             "--budget", "30")
+        d = json.loads(out)
+        assert code == 0 and err == ""
+        assert d["gains"]["M"] == 1 and d["gains"]["betas"] == []
+        # The optimal memoryless factor of [0.1, 2] is 1.9 / 2.1.
+        assert d["report"]["nu"] == pytest.approx(1.9 / 2.1, abs=1e-9)
 
 
 class TestSimulate:
@@ -364,6 +388,26 @@ class TestCertify:
                              "--field-out", str(tmp_path / "field.json"))
         assert code == 2 and err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("theta, window", [
+        ("nan", "-2:2:-2:2:32"), ("inf", "-2:2:-2:2:32"), ("-inf", "-2:2:-2:2:32"),
+        ("0.5", "-2:inf:-2:2:32"), ("0.5", "-2:2:nan:2:32"),
+    ])
+    def test_non_finite_field_exit2_before_output(self, capsys, tmp_path, theta, window):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        field = tmp_path / "field.json"
+        code, out, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                             f"--field={theta}", f"--window={window}",
+                             "--field-out", str(field))
+        assert code == 2 and err.startswith("error:")
+        assert out == "" and not field.exists()
+
+    def test_theta_samples_flag_removed(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--gains", gains, "--interval", REF, "--theta-samples", "64"])
+        assert exc.value.code == 2
+        assert "--theta-samples" in capsys.readouterr().err
 
     def test_window_ignored_without_field(self, capsys, tmp_path):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])

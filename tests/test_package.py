@@ -154,7 +154,14 @@ def files(tmp_path):
      "--x0", "1,2,x"],
     ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "0.5",
      "--window=-2:2:oops"],
-], ids=["interval", "set-item", "set-order", "search-set", "missing-flag", "x0", "window"])
+    ["guarantee", "--gains", "gains.json", "--set", "0.1:2,-1"],
+    ["guarantee", "--gains", "gains.json", "--set", "1:2,0"],
+    ["guarantee", "--gains", "gains.json", "--set", "1:2,inf"],
+    ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "nan"],
+    ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "0.5",
+     "--window=-2:inf:-2:2:32"],
+], ids=["interval", "set-item", "set-order", "search-set", "missing-flag", "x0", "window",
+        "set-point-negative", "set-point-zero", "set-point-inf", "field-nan", "window-inf"])
 def test_exit2_paths_load_no_numpy(files, argv):
     assert _run_cli(argv, files) == (2, [])
 

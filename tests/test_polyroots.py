@@ -2,11 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaccel import polyroots
 from memaccel.polyroots import (
     ComplexRootSet,
     RealPolynomial,
+    affine_crossing,
+    affine_max_roots,
     companion_eigvals,
     eval_poly,
     max_modulus,
@@ -170,6 +174,59 @@ class TestProperties:
             got = roots(RealPolynomial((c, b, a))).roots
             for z, w in zip(got, expect):
                 assert abs(z - w) <= 1e-10 * max(1.0, abs(w))
+
+
+class TestAffineFamily:
+    """q(z) + slope*s*z^k: the largest root modulus over an interval of s."""
+
+    def test_max_roots_match_roots(self):
+        q, k, slope = np.array([0.3, -0.2, 0.5, 1.0]), 1, -1.5
+        s = np.array([-1.0, 0.0, 0.4, 2.0])
+        moduli, top = affine_max_roots(q, k, slope, s)
+        for si, m, z in zip(s, moduli, top):
+            c = q.copy()
+            c[k] += slope * si
+            assert m == pytest.approx(max_modulus(roots(RealPolynomial(tuple(c)))), rel=1e-12)
+            assert abs(z) == m
+
+    @pytest.mark.parametrize("slope", [0.7, -0.7])
+    def test_linear_family_is_exact(self, slope):
+        # z - 1 + slope*s has its one root at 1 - slope*s.
+        lo, hi = 0.5, 3.0
+        sup = max(abs(1 - slope * lo), abs(1 - slope * hi))
+        s, root, n = affine_crossing([-1.0, 1.0], 0, slope, lo, hi, sup * (1 - 1e-9))
+        assert abs(root) > sup * (1 - 1e-9) and lo <= s <= hi and n >= 3
+        _, root, _ = affine_crossing([-1.0, 1.0], 0, slope, lo, hi, sup * (1 + 1e-9))
+        assert abs(root) <= sup * (1 + 1e-9)
+
+    def test_identically_zero_crossing_polynomial(self):
+        # z^2 + (s - 1) z + 1/4: P_r vanishes at r = 1/2. The roots are a
+        # conjugate pair of modulus 1/2 for s in [0, 2] and real outside,
+        # where one of them leaves the circle |z| = 1/2.
+        q = [0.25, -1.0, 1.0]
+        s, root, _ = affine_crossing(q, 1, 1.0, -1.0, 3.0, 0.5)
+        assert abs(root) > 0.5 and not 0.0 <= s <= 2.0
+        assert abs(root**2 + (s - 1) * root + 0.25) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_decides_like_dense_sampling(self, k, data):
+        """A hit is a real root above r; a miss leaves every dense sample
+        at or below r; a radius under the dense maximum is always hit."""
+        coef = st.floats(-3.0, 3.0)
+        q = np.array(data.draw(st.lists(coef, min_size=k + 1, max_size=k + 1)) + [1.0])
+        slope = data.draw(coef.filter(lambda v: abs(v) > 1e-3))
+        lo = data.draw(st.floats(-3.0, 2.9))
+        hi = data.draw(st.floats(lo + 1e-3, 3.0))
+        dense = affine_max_roots(q, k, slope, np.linspace(lo, hi, 4001))[0].max()
+        for r in (dense * (1 - 1e-7), dense * data.draw(st.floats(0.5, 1.5))):
+            s, root, _ = affine_crossing(q, k, slope, lo, hi, r)
+            assert lo <= s <= hi
+            c = q.copy()
+            c[k] += slope * s
+            assert abs(np.polyval(c[::-1], root)) <= residual_tolerance(c, abs(root)) * 1e3
+            if abs(root) <= r:
+                assert dense <= r * (1 + 1e-12)
 
 
 def _assert_conjugate_pairs(rts, tol=1e-9):
