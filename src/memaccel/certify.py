@@ -152,11 +152,8 @@ def prop8_check(c: ClaimCoeffs) -> Prop8Result:
     The zero vector (optimal tuning) is 'none' by convention."""
     if c.a[-1] < -1.0:
         return Prop8Result(kind="leading_below_minus_one")
-    # Coefficients below rounding of the largest are noise; at the top they
-    # add roots near infinity, off the circle, that the solver cannot reach.
-    a = np.abs(c.a)
-    pert = RealPolynomial(tuple(np.where(a > np.finfo(float).eps * a.max(), c.a, 0.0)))
-    if pert.is_zero or pert.degree == 0:
+    pert = _perturbation(c)
+    if pert.degree == 0:
         return Prop8Result(kind="none")
     for r in polyroots.roots(pert).roots:
         if abs(abs(r) - 1.0) <= UNIT_CIRCLE_TOL:
@@ -194,10 +191,7 @@ def p1_eval(c: ClaimCoeffs, y, theta: float):
 def p2_eval(c: ClaimCoeffs, y):
     """-(y - 1/nu) * perturbation polynomial."""
     y = np.asarray(y, dtype=complex)
-    pert = np.zeros_like(y)
-    for ak in reversed(c.a):
-        pert = pert * y + ak
-    return -(y - 1.0 / c.nu) * pert
+    return -(y - 1.0 / c.nu) * np.polyval(c.a[::-1], y)
 
 
 def p1_roots(c: ClaimCoeffs, theta: float) -> tuple[complex, ...]:
@@ -205,11 +199,15 @@ def p1_roots(c: ClaimCoeffs, theta: float) -> tuple[complex, ...]:
 
 
 def p2_roots(c: ClaimCoeffs) -> tuple[complex, ...]:
-    out = [complex(1.0 / c.nu)]
-    pert = RealPolynomial(c.a)
-    if not pert.is_zero and pert.degree >= 1:
-        out.extend(polyroots.roots(pert).roots)
-    return tuple(out)
+    """1/nu and the roots of the perturbation prop8_check inspects."""
+    pert = _perturbation(c)
+    return (complex(1.0 / c.nu),) + (polyroots.roots(pert).roots if pert.degree else ())
+
+
+def _perturbation(c: ClaimCoeffs) -> RealPolynomial:
+    """sum_k a_k y^k with the coefficients below rounding of the largest
+    dropped (:func:`polyroots.trim_noise`)."""
+    return RealPolynomial(tuple(polyroots.trim_noise(c.a)))
 
 
 def partition_field(

@@ -12,7 +12,10 @@ parses its strings first and only then imports the modules it runs.
 ``tune`` runs on the numpy-free ``memaccel.tuning`` alone; ``guarantee``
 and ``search`` build their gains and set with it (``guarantee`` checks
 ``--grid`` and ``--refine-tol`` too) before they import ``accel``, so
-their exit-3 argument errors load no numpy either.
+their exit-3 argument errors load no numpy either. ``spectrum`` prints
+a graph's kernel eigenvalues, one per connected component, as exact 0;
+a graph with a non-finite edge weight, or whose spectral gap is below
+eigvalsh's resolution, exits 3.
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -323,7 +326,7 @@ def _cmd_spectrum(args) -> int:
     with open(args.graph) as fh:
         graph = spectral.load_edge_list(fh.read())
     eigs = spectral.symmetric_eigenvalues(spectral.laplacian(graph))
-    iv = spectral.nonzero_spectral_interval(eigs, **_given(zero_tol=args.zero_tol))
+    iv = spectral.nonzero_spectral_interval(eigs)
     _emit({"eigenvalues": eigs.tolist(), "nonzero_interval": [iv.lo, iv.hi]},
           args.output)
     return 0
@@ -384,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues of a graph")
     p.add_argument("--graph", required=True, metavar="EDGELIST")
-    p.add_argument("--zero-tol", type=float)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_spectrum)
     return parser

@@ -18,8 +18,8 @@ from .errors import (
     IncompatibleBiasError,
     NoDecayError,
 )
-from .spectral import WeightedGraph, laplacian
-from .tuning import Gains, SpectralInterval, tune_theorem3
+from .spectral import WeightedGraph, laplacian, nonzero_spectral_interval, symmetric_eigenvalues
+from .tuning import Gains, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -313,10 +313,7 @@ def memory_fragility_example() -> tuple[WeightedGraph, Gains, DropSchedule, np.n
     the run diverge. Returns (graph, gains, schedule, x0).
     """
     graph = _fragility_graph()
-    L = laplacian(graph).entries
-    eigs = np.linalg.eigvalsh(L)
-    nz = eigs[eigs > 1e-9]
-    g = tune_theorem3(SpectralInterval(float(nz.min()), float(nz.max()))).gains
+    g = tune_theorem3(nonzero_spectral_interval(symmetric_eigenvalues(laplacian(graph)))).gains
     x0 = _fragility_x0(graph.n)
     # Frozen seeded reconstruction of the first trial of
     # find_divergent_drop_schedule; regenerating keeps the fixture small.

@@ -40,7 +40,8 @@ class NegativeWeightError(MemaccelError):
 
 
 class AllZeroError(MemaccelError):
-    """No eigenvalue above the zero tolerance; spectral interval undefined."""
+    """No positive eigenvalue, as for a graph without a positive-weight
+    edge; spectral interval undefined."""
 
 
 class OutOfIntervalError(MemaccelError):

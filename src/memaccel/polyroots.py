@@ -67,13 +67,19 @@ class ComplexRootSet:
 
 def eval_poly(p: RealPolynomial, z):
     """Evaluate p at z (scalar or array, real or complex) by Horner."""
-    z = np.asarray(z)
-    acc = np.zeros_like(z, dtype=complex) if np.iscomplexobj(z) else np.zeros_like(z, dtype=float)
-    for c in reversed(p.coeffs):
-        acc = acc * z + c
-    if acc.ndim == 0:
+    acc = np.polyval(p.coeffs[::-1], np.asarray(z))
+    if np.ndim(acc) == 0:
         return complex(acc) if np.iscomplexobj(acc) else float(acc)
     return acc
+
+
+def trim_noise(coeffs) -> np.ndarray:
+    """coeffs with every coefficient at or below rounding of the largest,
+    eps * max|c_i|, set to 0. Such a coefficient is noise; at the top it
+    adds a root near infinity that no solver reaches, and dividing by it
+    overflows."""
+    c = np.asarray(coeffs, dtype=float)
+    return np.where(np.abs(c) > np.finfo(float).eps * np.abs(c).max(initial=0.0), c, 0.0)
 
 
 def _eval_and_derivative(coeffs, z):
@@ -128,10 +134,8 @@ def affine_crossing(q, k: int, slope: float, lo: float, hi: float, r: float):
     c = q * r ** (j - k)
     p = np.bincount(np.r_[K + j - k, K - j + k], np.r_[c, -c], minlength=2 * K + 1)
     w = np.array([1.0 + 0j, -1.0])
-    # A coefficient below rounding of the largest is noise; at the ends it
-    # adds only a root near 0 or infinity, off the circle, and dividing by
-    # it would overflow.
-    p = np.trim_zeros(np.where(np.abs(p) > np.finfo(float).eps * np.abs(p).max(), p, 0.0))
+    # Noise at the low end adds only a root near 0, off the circle too.
+    p = np.trim_zeros(trim_noise(p))
     if p.size > 1:
         w = np.r_[w, companion_eigvals(p[None, :])[0]]
     w = w[w != 0]  # a root that rounds to 0 has no angle to project
@@ -152,10 +156,7 @@ def residual_tolerance(coeffs, z):
     evaluation noise alone exceeds the base bound."""
     coeffs = np.abs(np.asarray(coeffs, dtype=float))
     base = 1.0 + coeffs.max()
-    az = np.abs(z)
-    scale = np.zeros_like(az)
-    for c in coeffs[::-1]:
-        scale = scale * az + c
+    scale = np.polyval(coeffs[::-1], np.abs(z))
     return ROOT_RESIDUAL_TOL * np.maximum(base, scale)
 
 
@@ -166,15 +167,19 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
     """All complex roots of p, with multiplicity.
 
     Raises DegreeZeroError for constant polynomials and NoConvergenceError
-    if the residual contract cannot be met within the polish budget; a
-    non-finite residual counts as a miss, and a root the polish drives to
-    a non-finite value ends it at once.
+    if the monic form c / c[-1] is not finite (a leading coefficient
+    below rounding of the others: see :func:`trim_noise`) or the residual
+    contract cannot be met within the polish budget; a non-finite
+    residual counts as a miss, and a root the polish drives to a
+    non-finite value ends it at once.
     """
     if p.degree < 1:
         raise DegreeZeroError("constant polynomial has no roots")
     # Normalize to monic to condition the iteration.
     c = np.asarray(p.coeffs, dtype=float)
     monic = c / c[-1]
+    if not np.isfinite(monic).all():
+        raise NoConvergenceError(f"monic form of {p.coeffs} is not finite")
 
     # Companion-matrix eigenvalues as deterministic starting points.
     z = companion_eigvals(monic[None, :])[0].astype(complex)

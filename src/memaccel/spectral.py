@@ -8,6 +8,7 @@ live in :mod:`memaccel.tuning` and are re-exported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ class WeightedGraph:
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
+            if not math.isfinite(w):
+                raise MemaccelError(f"edge ({i}, {j}) has non-finite weight {w}")
             if w < 0:
                 raise NegativeWeightError(i, j, w)
             key = (min(i, j), max(i, j))
@@ -46,9 +49,12 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Dense symmetric Laplacian; rows sum to zero by construction."""
+    """Dense symmetric Laplacian; rows sum to zero by construction.
+    ``components`` is the number of connected components of its graph,
+    which is the dimension of its kernel."""
 
     entries: np.ndarray
+    components: int
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -56,6 +62,8 @@ class LaplacianMatrix:
             raise ValueError("Laplacian must be square")
         if not np.array_equal(a, a.T):
             raise ValueError("Laplacian must be exactly symmetric")
+        if not min(a.shape[0], 1) <= self.components <= a.shape[0]:
+            raise ValueError(f"{self.components} components for n={a.shape[0]} nodes")
         object.__setattr__(self, "entries", a)
 
     @property
@@ -86,7 +94,10 @@ def load_edge_list(text: str) -> WeightedGraph:
 
 
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    """L[j][j] = sum of incident weights, L[j][k] = -w_jk."""
+    """L[j][j] = sum of incident weights, L[j][k] = -w_jk. Its kernel has
+    one dimension per connected component of the positive-weight edges
+    (Fiedler 1973), counted by union-find: zero eigenvalues are counted,
+    not guessed."""
     a = np.zeros((g.n, g.n))
     e = np.array(g.edges, dtype=float).reshape(-1, 3)
     i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
@@ -95,23 +106,52 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     # One bincount over i0, j0, i1, j1, ... adds the weights to the
     # degrees in edge order, as a loop over the edges would.
     np.fill_diagonal(a, np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n))
-    return LaplacianMatrix(a)
+    return LaplacianMatrix(a, _components(g.n, i[w > 0], j[w > 0]))
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> int:
+    """Connected components of n nodes joined by the edges (i, j), by
+    union-find with path halving: the number of roots left."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(i.tolist(), j.tolist()):
+        parent[find(a)] = find(b)
+    return sum(parent[x] == x for x in range(n))
 
 
 def symmetric_eigenvalues(L: LaplacianMatrix | np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a symmetric matrix."""
-    a = L.entries if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
-    return np.linalg.eigvalsh(a)
+    """Eigenvalues of a symmetric matrix, eigvalsh's ascending ones. For a
+    LaplacianMatrix the leading L.components of them, its kernel, are
+    exact zeros."""
+    if not isinstance(L, LaplacianMatrix):
+        return np.linalg.eigvalsh(np.asarray(L, dtype=float))
+    eigs = np.linalg.eigvalsh(L.entries)
+    eigs[:L.components] = 0.0
+    return eigs
 
 
-def nonzero_spectral_interval(eigs, zero_tol: float = 1e-9) -> SpectralInterval:
-    """[smallest, largest] eigenvalue above zero_tol; the ones at or below
-    it are the trivial consensus modes. zero_tol must be finite and > 0:
-    at 0 or below, a rounded zero eigenvalue would count as nonzero."""
-    if not 0 < zero_tol < np.inf:
-        raise MemaccelError(f"zero_tol must be finite and > 0, got {zero_tol}")
+def nonzero_spectral_interval(eigs) -> SpectralInterval:
+    """[smallest, largest] positive eigenvalue of a Laplacian spectrum
+    whose kernel is exact zeros, as symmetric_eigenvalues gives it.
+
+    A negative or non-finite eigenvalue raises MemaccelError, and so does
+    a positive one at or below len(eigs) * eps * max(eigs): eigvalsh
+    cannot tell such a gap from a rounded zero, or the spectrum's kernel
+    was not zeroed. Dropping or keeping it could under-report nu."""
     eigs = np.asarray(eigs, dtype=float)
-    nz = eigs[eigs > zero_tol]
+    if not (np.isfinite(eigs) & (eigs >= 0)).all():
+        raise MemaccelError(f"eigenvalues must be finite and >= 0, got min {eigs.min()!r}")
+    nz = eigs[eigs > 0]
     if nz.size == 0:
-        raise AllZeroError(f"no eigenvalue above zero_tol={zero_tol}")
+        raise AllZeroError("no positive eigenvalue")
+    resolution = eigs.size * np.finfo(float).eps * nz.max()
+    if nz.min() <= resolution:
+        raise MemaccelError(f"eigenvalue {nz.min()!r} is at or below eigvalsh's resolution "
+                            f"{resolution!r}: an unresolved gap or an unzeroed kernel")
     return SpectralInterval(float(nz.min()), float(nz.max()))

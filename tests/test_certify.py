@@ -20,7 +20,7 @@ from memaccel.certify import (
     witness_to_json,
 )
 from memaccel.errors import BetaTildeMinusOneError
-from memaccel.polyroots import eval_poly, residual_tolerance
+from memaccel.polyroots import RealPolynomial, eval_poly, residual_tolerance, trim_noise
 from memaccel.polyroots import roots as proots
 from memaccel.spectral import SpectralInterval
 
@@ -256,6 +256,17 @@ class TestPartitionField:
         c = ClaimCoeffs(M=2, nu=0.6, a=(0.1, 0.2))
         with pytest.raises(ValueError, match="finite"):
             partition_field(c, theta, re_range=re_range, im_range=im_range, resolution=32)
+
+    @pytest.mark.parametrize("M, a", [(2, (1.0, 2.2e-309)), (4, (1.0, 0.0, 1.0, 9.4e-291))])
+    def test_top_coefficient_below_rounding(self, M, a):
+        # A leading a_k below rounding of the others is noise: P2's roots
+        # are those of the trimmed perturbation prop8_check inspects.
+        c = ClaimCoeffs(M=M, nu=0.5, a=a)
+        f = partition_field(c, theta=0.5, resolution=32)
+        pert = RealPolynomial(tuple(trim_noise(a)))
+        assert f.roots_p2 == p2_roots(c) == (2.0,) + (proots(pert).roots if pert.degree else ())
+        special = prop8_check(c)
+        assert special.root is None or special.root in f.roots_p2
 
     def test_json_payload(self):
         import json

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import memaccel
-from memaccel.cli import main
+from memaccel.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -426,14 +428,44 @@ class TestSpectrum:
         assert d["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
         assert d["nonzero_interval"] == pytest.approx([1.0, 3.0], abs=1e-9)
 
-    @pytest.mark.parametrize("zero_tol", ["0", "-1", "nan", "inf"])
-    def test_bad_zero_tol_exit3(self, capsys, tmp_path, zero_tol):
-        ring = tmp_path / "ring5.txt"
-        ring.write_text("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n")
-        code, out, err = run(capsys, "spectrum", "--graph", str(ring),
-                             f"--zero-tol={zero_tol}")
-        assert code == 3 and "zero_tol must be finite and > 0" in err
-        assert out == ""
+    def test_zero_tol_flag_removed(self, capsys, tmp_path):
+        # The kernel is counted from the graph's components; no threshold.
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--graph", write_path3(tmp_path), "--zero-tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "--zero-tol" in capsys.readouterr().err
+
+    def test_weak_bridge(self, capsys, tmp_path):
+        # Two unit triangles and a 1e-10 bridge: lambda_2 = 6.67e-11, which
+        # a 1e-9 zero threshold read as 0, reporting [3, 3.00000000013].
+        graph = tmp_path / "bridge.txt"
+        graph.write_text("0 1 1\n1 2 1\n0 2 1\n3 4 1\n4 5 1\n3 5 1\n2 3 1e-10\n")
+        code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
+        d = json.loads(out)
+        assert code == 0
+        assert d["eigenvalues"][0] == 0
+        assert d["nonzero_interval"][0] == pytest.approx(6.66666666637e-11, rel=1e-4)
+        assert d["nonzero_interval"][1] == pytest.approx(3.0, rel=1e-9)
+
+    def test_disconnected_kernel_exact(self, capsys, tmp_path):
+        graph = tmp_path / "two.txt"
+        graph.write_text("0 1 1\n2 3 2\n")
+        code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
+        d = json.loads(out)
+        assert code == 0
+        assert d["eigenvalues"][:2] == [0, 0]
+        assert d["nonzero_interval"] == pytest.approx([2.0, 4.0], rel=1e-12)
+
+    @pytest.mark.parametrize("w", ["nan", "inf"])
+    def test_non_finite_weight_exit3(self, capsys, tmp_path, w):
+        graph = tmp_path / "bad.txt"
+        graph.write_text(f"0 1 {w}\n")
+        gains = write_gains(tmp_path, 1, 0.5, [])
+        for argv in (["spectrum", "--graph", str(graph)],
+                     ["simulate", "--graph", str(graph), "--gains", gains, "--steps", "3"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and "edge (0, 1) has non-finite weight" in err
+            assert out == ""
 
     def test_edgeless_graph_exit3(self, capsys, tmp_path):
         bad = tmp_path / "empty.txt"
@@ -448,3 +480,13 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_readme_names_only_existing_flags():
+    # A flag the README names outside its Install block must be an option
+    # of some subcommand, so a removed flag cannot stay documented.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = re.sub(r"## Install\n.*?(?=\n## )", "", readme, flags=re.S)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for o in p._option_string_actions}
+    assert set(re.findall(r"--[A-Za-z][\w-]*", readme)) - options == set()

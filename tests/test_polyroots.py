@@ -16,6 +16,7 @@ from memaccel.polyroots import (
     max_modulus,
     residual_tolerance,
     roots,
+    trim_noise,
 )
 from memaccel.errors import DegreeZeroError, EmptyRootSetError, NoConvergenceError
 
@@ -74,6 +75,12 @@ class TestRoots:
         with pytest.raises(DegreeZeroError):
             roots(RealPolynomial((3.0,)))
 
+    def test_subnormal_leading_coefficient_rejected(self):
+        # 1 / 2.2e-309 overflows: the monic form is not finite, which is a
+        # domain error, not numpy's LinAlgError from the companion matrix.
+        with pytest.raises(NoConvergenceError, match="not finite"):
+            roots(RealPolynomial((1.0, 2.2e-309)))
+
     def test_deterministic_order(self):
         p = RealPolynomial(tuple(np.random.default_rng(7).uniform(-5, 5, 9)))
         a = roots(p).roots
@@ -130,6 +137,14 @@ class TestPolish:
             with pytest.raises(NoConvergenceError, match="non-finite"):
                 roots(p)
         assert len(calls) == 2  # the contract test and one Aberth step
+
+
+class TestTrimNoise:
+    def test_drops_coefficients_below_rounding_of_the_largest(self):
+        eps = np.finfo(float).eps
+        np.testing.assert_array_equal(trim_noise([1.0, -eps, 2.0 * eps, 9.4e-291, -3.0]),
+                                      [1.0, 0.0, 0.0, 0.0, -3.0])
+        np.testing.assert_array_equal(trim_noise([0.0, 0.0]), [0.0, 0.0])
 
 
 class TestMaxModulus:

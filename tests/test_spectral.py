@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memaccel.accel import guarantee
 from memaccel.errors import (
     AllZeroError,
     DuplicateEdgeError,
@@ -20,8 +22,12 @@ from memaccel.spectral import (
     nonzero_spectral_interval,
     symmetric_eigenvalues,
 )
+from memaccel.tuning import tune_theorem3
 
 RING5 = "0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n"
+# Two unit triangles joined by a bridge of weight 1e-10: lambda_2 is
+# 6.67e-11, far below any guessed zero threshold but well resolved.
+WEAK_BRIDGE = "0 1 1\n1 2 1\n0 2 1\n3 4 1\n4 5 1\n3 5 1\n2 3 1e-10\n"
 
 
 def char_poly_coeffs(A):
@@ -60,6 +66,11 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError) as exc:
             load_edge_list("0 1 1\nnot an edge")
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, w):
+        with pytest.raises(MemaccelError, match=r"edge \(1, 2\) has non-finite weight"):
+            load_edge_list(f"0 1 1\n1 2 {w}")
 
 
 class TestLaplacian:
@@ -142,19 +153,59 @@ class TestNonzeroInterval:
         with pytest.raises(AllZeroError):
             nonzero_spectral_interval([0.0, 0.0])
 
-    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
-    def test_bad_zero_tol_rejected(self, zero_tol):
+    def test_unzeroed_kernel_rejected(self):
         # The 5-node ring's spectrum as eigvalsh returns it: the consensus
-        # mode is rounded to 8.3e-17, which a zero_tol <= 0 would keep.
-        eigs = symmetric_eigenvalues(laplacian(load_edge_list(RING5)))
-        with pytest.raises(MemaccelError, match="zero_tol must be finite and > 0"):
-            nonzero_spectral_interval(eigs, zero_tol=zero_tol)
+        # mode is rounded to 8.3e-17, which is not a spectral gap.
+        eigs = np.linalg.eigvalsh(laplacian(load_edge_list(RING5)).entries)
+        assert 0 < eigs[0] < 1e-15
+        with pytest.raises(MemaccelError, match="resolution"):
+            nonzero_spectral_interval(eigs)
+        iv = nonzero_spectral_interval(symmetric_eigenvalues(laplacian(load_edge_list(RING5))))
+        assert (iv.lo, iv.hi) == (eigs[1], eigs[-1])
+
+    @pytest.mark.parametrize("bad", [-1e-17, np.nan, np.inf])
+    def test_negative_or_non_finite_rejected(self, bad):
+        with pytest.raises(MemaccelError, match="finite and >= 0"):
+            nonzero_spectral_interval([0.0, bad, 1.0, 3.0])
 
     def test_containment(self):
         rng = np.random.default_rng(3)
         eigs = np.sort(np.concatenate([[0.0], rng.uniform(0.1, 5.0, 6)]))
         iv = nonzero_spectral_interval(eigs)
         assert all(iv.contains(e) for e in eigs if e > 1e-9)
+
+
+class TestWeakBridge:
+    """A spectral gap far below 1e-9 is a gap, not a zero."""
+
+    def test_interval_matches_mpmath(self):
+        g = load_edge_list(WEAK_BRIDGE)
+        L = laplacian(g)
+        assert L.components == 1
+        iv = nonzero_spectral_interval(symmetric_eigenvalues(L))
+        exact = _mp_eigenvalues(g)
+        assert exact[0] == pytest.approx(0.0, abs=1e-40)
+        assert exact[1] == pytest.approx(6.66666666637e-11, rel=1e-11)
+        assert iv.lo == pytest.approx(exact[1], rel=1e-4)
+        assert iv.hi == pytest.approx(exact[-1], rel=1e-12)
+
+    def test_tuning_keeps_its_promise(self):
+        # The tuning of the reported interval must reach its nu* on the
+        # true nonzero spectrum; one of 3 would claim 1.1e-11 and get
+        # 0.99999999998.
+        g = load_edge_list(WEAK_BRIDGE)
+        t = tune_theorem3(nonzero_spectral_interval(symmetric_eigenvalues(laplacian(g))))
+        exact = SpectralSet(points=tuple(float(v) for v in _mp_eigenvalues(g)[1:]))
+        assert guarantee(t.gains, exact).nu <= t.nu_star + 1e-6
+        assert t.nu_star > 0.999
+
+    def test_unresolved_gap_rejected(self):
+        # At 1e-17 the gap is below eigvalsh's rounding of the kernel, so
+        # no interval is reported rather than a wrong one.
+        L = laplacian(load_edge_list(WEAK_BRIDGE.replace("1e-10", "1e-17")))
+        assert L.components == 1
+        with pytest.raises(MemaccelError, match="resolution|>= 0"):
+            nonzero_spectral_interval(symmetric_eigenvalues(L))
 
 
 class TestSpectralInterval:
@@ -208,9 +259,35 @@ class TestRandomGraphProperties:
             assert np.all(np.diag(L) >= 0)
             eigs = symmetric_eigenvalues(L)
             assert eigs[0] >= -1e-10
-            if _connected(g):
+            if _bfs_components(g) == 1:
                 ones = np.ones(n) / np.sqrt(n)
                 assert abs(ones @ L @ ones) <= 1e-10 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_from_components(self, data):
+        # Weights log-uniform over 13 decades, zero weights and
+        # disconnected graphs included.
+        n = data.draw(st.integers(2, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        weight = st.one_of(st.just(0.0), st.floats(-10, 3).map(lambda e: 10.0 ** e))
+        g = WeightedGraph(n, tuple((i, j, data.draw(weight)) for i, j in chosen))
+        L = laplacian(g)
+        c = _bfs_components(g)
+        assert L.components == c
+        eigs, raw = symmetric_eigenvalues(L), np.linalg.eigvalsh(L.entries)
+        assert np.array_equal(eigs[:c], np.zeros(c))
+        assert np.array_equal(eigs[c:], raw[c:])
+        if c == n:
+            with pytest.raises(AllZeroError):
+                nonzero_spectral_interval(eigs)
+        elif raw[c] <= n * np.finfo(float).eps * raw[-1]:
+            with pytest.raises(MemaccelError):
+                nonzero_spectral_interval(eigs)
+        else:
+            iv = nonzero_spectral_interval(eigs)
+            assert (iv.lo, iv.hi) == (raw[c], raw[-1])
 
 
 def _loop_laplacian(g):
@@ -233,16 +310,36 @@ def _random_graph(rng, n):
     return WeightedGraph(n, tuple(edges))
 
 
-def _connected(g):
+def _bfs_components(g):
+    """Connected components of g's positive-weight edges, by search."""
     adj = {i: set() for i in range(g.n)}
     for i, j, w in g.edges:
         if w > 0:
             adj[i].add(j)
             adj[j].add(i)
-    seen, stack = {0}, [0]
-    while stack:
-        for k in adj[stack.pop()]:
-            if k not in seen:
-                seen.add(k)
-                stack.append(k)
-    return len(seen) == g.n
+    seen, count = set(), 0
+    for start in range(g.n):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for k in adj[stack.pop()]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+    return count
+
+
+def _mp_eigenvalues(g):
+    """Ascending eigenvalues of g's Laplacian, built and solved at 50
+    digits, so its rows sum to zero exactly."""
+    with mpmath.workdps(50):
+        a = mpmath.zeros(g.n)
+        for i, j, w in g.edges:
+            a[i, j] -= w
+            a[j, i] -= w
+            a[i, i] += w
+            a[j, j] += w
+        return sorted(mpmath.eigsy(a, eigvals_only=True))
