@@ -153,6 +153,14 @@ class TestNonzeroInterval:
         with pytest.raises(AllZeroError):
             nonzero_spectral_interval([0.0, 0.0])
 
+    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_zero_tol_rejected(self, zero_tol):
+        # The kernel is counted from the graph's components, so no zero
+        # threshold can be passed any more, bad or otherwise.
+        eigs = symmetric_eigenvalues(laplacian(load_edge_list(RING5)))
+        with pytest.raises(TypeError, match="zero_tol"):
+            nonzero_spectral_interval(eigs, zero_tol=zero_tol)
+
     def test_unzeroed_kernel_rejected(self):
         # The 5-node ring's spectrum as eigvalsh returns it: the consensus
         # mode is rounded to 8.3e-17, which is not a spectral gap.
