@@ -11,12 +11,13 @@ match) for inspection.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import polyroots
-from .errors import AlphaZeroError, BetaTildeMinusOneError
+from .errors import AlphaZeroError, BetaTildeMinusOneError, MemaccelError
 from .polyroots import RealPolynomial
 from .tuning import Gains, SpectralInterval, tune_theorem3
 
@@ -43,9 +44,13 @@ class ClaimCoeffs:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if len(self.a) != self.M:
             raise ValueError(f"need {self.M} coefficients, got {len(self.a)}")
-        if self.a[-1] == -1.0:
+        a = tuple(float(v) for v in self.a)
+        for k, v in enumerate(a):
+            if not math.isfinite(v):
+                raise MemaccelError(f"coefficient a_{k} = {v} is not finite")
+        if a[-1] == -1.0:
             raise ValueError("leading coefficient a_{M-1} = -1 is inadmissible")
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        object.__setattr__(self, "a", a)
 
     @property
     def is_zero(self) -> bool:

@@ -18,7 +18,15 @@ from .errors import (
     IncompatibleBiasError,
     NoDecayError,
 )
-from .spectral import WeightedGraph, laplacian, nonzero_spectral_interval, symmetric_eigenvalues
+from .spectral import (
+    WeightedGraph,
+    _degrees,
+    _edge_arrays,
+    _nonzeros,
+    laplacian,
+    nonzero_spectral_interval,
+    symmetric_eigenvalues,
+)
 from .tuning import Gains, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
@@ -56,8 +64,7 @@ class IterationProblem:
         if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
             raise ValueError("A must be square and nonempty")
         # NaN and inf are nonzero, so checking the nonzeros checks all of A.
-        r, c = np.nonzero(A)
-        vals = A[r, c]
+        r, c, vals = _nonzeros(A)
         if not (np.isfinite(vals).all() and np.isfinite(b).all() and np.isfinite(x0).all()):
             raise ValueError("A, b and x0 must be finite")
         off = r != c
@@ -154,9 +161,16 @@ def consensus_metrics(x) -> tuple[float, float, float]:
     return float(x.max() - x.min()), float(np.sqrt(np.mean((x - m) ** 2))), m
 
 
-def _finish_trace(states, p: IterationProblem, diverged_at, dropped):
+def _finish_trace(states, forces, p: IterationProblem, diverged_at, drops):
+    """The trace of a run of simulate. forces[t] = b - A_t x(t) is the
+    recursion's own force on x(t); where A_t = A its norm is the residual
+    ||A x(t) - b||, so A x is formed again only for the states of steps
+    that dropped links and for the last state."""
     xs = np.asarray(states)
-    residuals = np.linalg.norm([_matvec(p, x) - p.b for x in xs], axis=1)
+    cuts, dropped = (drops.cuts, drops.drops) if drops is not None else ({}, None)
+    residuals = np.linalg.norm(
+        [p.b - _matvec(p, xs[t]) if t in cuts else f for t, f in enumerate(forces)]
+        + [p.b - _matvec(p, xs[-1])], axis=1)
     spread = xs.max(axis=1) - xs.min(axis=1)
     mean = xs.mean(axis=1)
     rms = np.sqrt(np.mean((xs - mean[:, None]) ** 2, axis=1))
@@ -176,15 +190,32 @@ def simulate(
     1e6 * ||x0||."""
     if T < 1:
         raise ValueError("need T >= 1")
-    if drops is not None:
-        if not np.array_equal(p.A, laplacian(drops.graph).entries):
-            raise DropOnNonLaplacianError(
-                "drop schedule requires A to be the Laplacian of its graph"
-            )
+    if drops is not None and not _is_laplacian_of(p, drops.graph):
+        raise DropOnNonLaplacianError(
+            "drop schedule requires A to be the Laplacian of its graph"
+        )
     limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), 1e-300)
-    states, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops), limit)
-    return _finish_trace(states, p, diverged_at,
-                         drops.drops if drops is not None else None)
+    states, forces, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops), limit)
+    return _finish_trace(states, forces, p, diverged_at, drops)
+
+
+def _is_laplacian_of(p: IterationProblem, graph: WeightedGraph) -> bool:
+    """Whether A equals laplacian(graph).entries, checked on A's nonzeros
+    in O(n + nnz(A) log nnz(A)): the diagonal is the graph's degree vector,
+    and the off-diagonal nonzeros are exactly -w on both sides of each
+    positive-weight edge (i, j, w), in np.nonzero's row-major order."""
+    diag, i, j, a = p.nonzeros
+    if len(diag) != graph.n:
+        return False
+    u, v, w = _edge_arrays(graph)
+    if not np.array_equal(diag, _degrees(graph.n, u, v, w)):
+        return False
+    pos = w > 0
+    rows = np.concatenate([u[pos], v[pos]])
+    cols = np.concatenate([v[pos], u[pos]])
+    order = np.argsort(rows * graph.n + cols)
+    return (np.array_equal(i, rows[order]) and np.array_equal(j, cols[order])
+            and np.array_equal(a, -np.tile(w[pos], 2)[order]))
 
 
 def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
@@ -220,7 +251,7 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
     so diagonal systems match it coordinate-wise, bit for bit."""
     if T < 1:
         raise ValueError("need T >= 1")
-    states, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
+    states, _, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
     return np.asarray(states)
 
 
@@ -228,20 +259,24 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
     """States x(0..) of x(t+1) = x(t) + alpha force(t, x(t))
     + sum_m beta_m (x(t-m) - x(t)) with constant history x(s) = x0 for
     s <= 0. Stops after T steps, or early once ||x|| exceeds limit.
-    Returns (states, the step t whose x(t) exceeded limit or None)."""
+    Returns (states, the forces force(t, x(t)) of the steps taken, one
+    fewer than the states, and the step t whose x(t) exceeded limit or
+    None)."""
     x = x0
     history = [x] * max(g.M - 1, 1)  # x(t-1), x(t-2), ...
-    states = [x]
+    states, forces = [x], []
     for t in range(T):
-        nxt = x + g.alpha * force(t, x)
+        f = force(t, x)
+        forces.append(f)
+        nxt = x + g.alpha * f
         for m, beta in enumerate(g.betas, start=1):
             nxt = nxt + beta * (history[m - 1] - x)
         history = [x] + history[:-1]
         x = nxt
         states.append(x)
         if np.linalg.norm(x) > limit:
-            return states, t + 1
-    return states, None
+            return states, forces, t + 1
+    return states, forces, None
 
 
 def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:

@@ -60,7 +60,10 @@ class LaplacianMatrix:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("Laplacian must be square")
-        if not np.array_equal(a, a.T):
+        # Equal to array_equal(a, a.T): an entry whose mirror is zero is
+        # in the pattern, and NaN is nonzero and equal to nothing.
+        r, c, v = _nonzeros(a)
+        if not np.array_equal(v, a[c, r]):
             raise ValueError("Laplacian must be exactly symmetric")
         if not min(a.shape[0], 1) <= self.components <= a.shape[0]:
             raise ValueError(f"{self.components} components for n={a.shape[0]} nodes")
@@ -99,14 +102,34 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     (Fiedler 1973), counted by union-find: zero eigenvalues are counted,
     not guessed."""
     a = np.zeros((g.n, g.n))
-    e = np.array(g.edges, dtype=float).reshape(-1, 3)
-    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    i, j, w = _edge_arrays(g)
     a[i, j] -= w
     a[j, i] -= w
-    # One bincount over i0, j0, i1, j1, ... adds the weights to the
-    # degrees in edge order, as a loop over the edges would.
-    np.fill_diagonal(a, np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n))
+    np.fill_diagonal(a, _degrees(g.n, i, j, w))
     return LaplacianMatrix(a, _components(g.n, i[w > 0], j[w > 0]))
+
+
+def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of g as arrays (i, j, w), in edge order."""
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    return e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+
+
+def _degrees(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted degree of each of n nodes, the Laplacian's diagonal. One
+    bincount over i0, j0, i1, j1, ... adds the weights in edge order, as a
+    loop over the edges would."""
+    return np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), n)
+
+
+def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, value) of the nonzero entries of a 2-D array, in the
+    row-major order of np.nonzero, from one stride-1 scan of C-ordered
+    data. NaN and inf count as nonzero, +0.0 and -0.0 as zero."""
+    a = np.ascontiguousarray(a)
+    flat = np.flatnonzero(a.ravel() != 0)
+    r, c = np.divmod(flat, a.shape[1])
+    return r, c, a.ravel()[flat]
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> int:

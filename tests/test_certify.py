@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from memaccel.certify import (
     prop8_check,
     witness_to_json,
 )
-from memaccel.errors import BetaTildeMinusOneError
+from memaccel.errors import BetaTildeMinusOneError, MemaccelError
 from memaccel.polyroots import RealPolynomial, eval_poly, residual_tolerance, trim_noise
 from memaccel.polyroots import roots as proots
 from memaccel.spectral import SpectralInterval
@@ -46,6 +48,18 @@ class TestClaimCoeffs:
             ClaimCoeffs(M=2, nu=0.5, a=(0.0,))
         with pytest.raises(ValueError):
             ClaimCoeffs(M=2, nu=0.5, a=(0.3, -1.0))
+
+    # prop8_check's noise trimming read the NaN as zero and returned
+    # "none"; claim6_witness on inf warned and raised numpy's LinAlgError.
+    @pytest.mark.parametrize("call, a, name", [
+        (prop8_check, (float("nan"), 1.0), "a_0 = nan"),
+        (claim6_witness, (1.0, float("inf")), "a_1 = inf"),
+    ])
+    def test_non_finite_coefficient_rejected(self, call, a, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MemaccelError, match=name):
+                call(ClaimCoeffs(M=2, nu=0.5, a=a))
 
     def test_is_zero(self):
         assert ClaimCoeffs(M=3, nu=0.5, a=(0.0, 0.0, 0.0)).is_zero

@@ -322,6 +322,67 @@ class TestDropForce:
 
 
 @st.composite
+def laplacian_candidates(draw):
+    """A graph, zero and subnormal weights included, and a matrix that is
+    its Laplacian, that Laplacian with -0.0 for its zeros, or a near miss:
+    one symmetric pair or diagonal entry moved, one weight changed (to
+    zero included) or one node added."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-3, 1e3))
+    edges = [(j, i, draw(weight)) if draw(st.booleans()) else (i, j, draw(weight))
+             for i, j in chosen]
+    graph = WeightedGraph(n, tuple(edges))
+    A = laplacian(graph).entries.copy()
+    kind = draw(st.sampled_from(["same", "signed zeros", "entry", "weight", "grown"]))
+    if kind == "signed zeros":
+        A[A == 0] = -0.0
+    elif kind == "entry":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        A[i, j] = A[j, i] = A[i, j] + draw(st.sampled_from([-1.0, 1e-300, 0.5]))
+    elif kind == "weight" and edges:
+        k = draw(st.integers(0, len(edges) - 1))
+        edges[k] = (*edges[k][:2], draw(weight))
+        A = laplacian(WeightedGraph(n, tuple(edges))).entries
+    elif kind == "grown":
+        A = np.pad(A, (0, 1))
+    return graph, A
+
+
+class TestDropCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(laplacian_candidates())
+    def test_raised_exactly_when_A_is_not_the_laplacian(self, case):
+        graph, A = case
+        n = len(A)
+        prob = IterationProblem(A, np.zeros(n), np.ones(n))
+        run = lambda: simulate(prob, Gains(M=1, alpha=1e-4), T=2, drops=DropSchedule(graph))
+        if np.array_equal(A, laplacian(graph).entries):
+            run()
+        else:
+            with pytest.raises(DropOnNonLaplacianError):
+                run()
+
+
+class TestResidualsUnderDrops:
+    def test_residual_is_for_the_full_matrix(self):
+        # A drop step's force b - A_t x is not its residual: every
+        # residual, the diverged last state's included, uses the full A.
+        graph, g, schedule, x0 = memory_fragility_example()
+        L = laplacian(graph).entries
+        b = L @ np.random.default_rng(3).standard_normal(graph.n)
+        tr = simulate(IterationProblem(L, b, x0), g, 400, drops=schedule)
+        assert tr.diverged
+        xs = tr.states
+        ref = np.linalg.norm(xs @ L.T - b, axis=1)
+        tol = 1e-12 * np.linalg.norm(np.abs(xs) @ np.abs(L).T + np.abs(b), axis=1)
+        np.testing.assert_array_less(np.abs(tr.residuals - ref), tol)
+        cut = [np.linalg.norm(b - schedule.laplacian_at(t) @ x) for t, x in enumerate(xs[:-1])]
+        assert np.sum(np.abs(cut - ref[:-1]) > tol[:-1]) > 10
+
+
+@st.composite
 def symmetric_problems(draw):
     """A random symmetric A (dense, sparse with exact zeros, or diagonal;
     possibly with a zero row and -0.0 entries, 1x1 included), a bias in

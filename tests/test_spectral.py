@@ -14,9 +14,11 @@ from memaccel.errors import (
 )
 from memaccel.polyroots import RealPolynomial, roots
 from memaccel.spectral import (
+    LaplacianMatrix,
     SpectralInterval,
     SpectralSet,
     WeightedGraph,
+    _nonzeros,
     laplacian,
     load_edge_list,
     nonzero_spectral_interval,
@@ -103,6 +105,69 @@ class TestLaplacian:
                       else (i, j, data.draw(weight)) for i, j in chosen)
         g = WeightedGraph(n, edges)
         np.testing.assert_array_equal(laplacian(g).entries, _loop_laplacian(g))
+
+
+@st.composite
+def special_matrices(draw, square=False):
+    """A small float matrix whose entries include NaN, +-inf and +-0.0,
+    as a C-ordered array, a Fortran-ordered copy, a transposed view or
+    a column-strided view."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+                      st.floats(-10.0, 10.0))
+    a = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=float).reshape(rows, cols)
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "strided":
+        wide = np.zeros((rows, 2 * cols))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a
+
+
+class TestNonzeroScan:
+    @settings(max_examples=300, deadline=None)
+    @given(special_matrices())
+    def test_matches_np_nonzero(self, a):
+        r, c, v = _nonzeros(a)
+        ref_r, ref_c = np.nonzero(a)
+        for got, ref in ((r, ref_r), (c, ref_c), (v, a[ref_r, ref_c])):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+
+class TestLaplacianMatrix:
+    def test_one_sided_entry_rejected(self):
+        a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
+        a[0, 2] = -1.0
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LaplacianMatrix(a, 1)
+
+    def test_nan_rejected(self):
+        a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
+        a[1, 1] = np.nan
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LaplacianMatrix(a, 1)
+
+    def test_signed_zero_pair_accepted(self):
+        a = np.array([[1.0, -1.0, -0.0], [-1.0, 1.0, 0.0], [0.0, -0.0, 0.0]])
+        assert LaplacianMatrix(a, 2).n == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(special_matrices(square=True), st.booleans())
+    def test_symmetry_predicate_is_array_equal(self, a, symmetrize):
+        if symmetrize:
+            a = np.triu(a) + np.triu(a, 1).T
+        if np.array_equal(a, a.T):
+            LaplacianMatrix(a, min(len(a), 1))
+        else:
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                LaplacianMatrix(a, min(len(a), 1))
 
 
 class TestEigenvalues:
