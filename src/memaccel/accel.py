@@ -74,8 +74,9 @@ def guarantee(
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> GuaranteeReport:
     """Worst-case guarantee: sup over lambda in s of the max root modulus,
-    bracketed to within refine_tol. ``grid`` samples per interval give the
-    curve and a first attained nu_lo; isolated points are exact. Then
+    bracketed to within refine_tol. The isolated points and ``grid``
+    samples per interval, in one :func:`max_root_moduli` call, give the
+    curve and a first attained nu_lo. Then over the intervals
     :func:`polyroots.affine_crossing` tests radii just above nu_lo, which
     certifies a flat or sampled maximum at once, and after a hit halves
     the bracket once before trying again. nu, the certified bound, is
@@ -83,12 +84,8 @@ def guarantee(
     s = check_guarantee_args(s, grid, refine_tol)
     q, k = _char_q(g), g.M - 1
 
-    # Isolated points go through the root solver directly so a degenerate
-    # set {lam} agrees exactly with max_modulus(mode_roots(g, lam)).
-    samples = [(pt, polyroots.max_modulus(mode_roots(g, pt))) for pt in s.points]
-    for iv in s.intervals:
-        lams = np.linspace(iv.lo, iv.hi, grid)
-        samples.extend(zip(lams.tolist(), max_root_moduli(g, lams).tolist()))
+    lams = np.concatenate([s.points, *(np.linspace(iv.lo, iv.hi, grid) for iv in s.intervals)])
+    samples = list(zip(lams.tolist(), max_root_moduli(g, lams).tolist()))
     nu_lo = max(v for _, v in samples)
     worst = min(lam for lam, v in samples if v == nu_lo)
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import polyroots
-from .errors import AlphaZeroError, BetaTildeMinusOneError, MemaccelError
+from .errors import BetaTildeMinusOneError, MemaccelError
 from .polyroots import RealPolynomial
 from .tuning import Gains, SpectralInterval, tune_theorem3
 
@@ -111,16 +111,14 @@ def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     tuning of the interval; the optimal tuning itself maps to zero."""
     if g.M < 2:
         raise ValueError("need M >= 2")
-    if g.alpha == 0:
-        raise AlphaZeroError("alpha = 0 inadmissible")
     t = tune_theorem3(iv, M=g.M)
     ratio = t.alpha_star / g.alpha
     M = g.M
     betas = g.betas  # beta_1 .. beta_{M-1}
     bt = np.zeros(M)
-    # Cumulative sums of beta_{M-1}, beta_{M-2}, ... from the top index.
-    for k in range(M - 2):
-        bt[k] = ratio * sum(betas[M - m - 2] for m in range(k + 1))
+    # Cumulative sums of beta_{M-1}, beta_{M-2}, ... from the top index,
+    # added in sequence.
+    bt[:M - 2] = ratio * np.cumsum(betas[::-1])[:M - 2]
     bt[M - 2] = ratio * sum(betas) - t.beta1_star
     bt[M - 1] = ratio - 1.0
     if abs(bt[M - 1] + 1.0) < 1e-12:
@@ -170,19 +168,15 @@ def claim6_witness(c: ClaimCoeffs) -> WitnessReport:
     """Find theta in [0, pi] whose test polynomial has a root of modulus
     >= 1 - WITNESS_TOL; found=False means no such theta exists.
 
-    A unit-circle root of the perturbation gives the angle directly.
-    Otherwise one exact crossing test (:func:`polyroots.affine_crossing`)
-    over cos(theta) in [-1, 1], where only the y^{M-1} coefficient moves,
+    One exact crossing test (:func:`polyroots.affine_crossing`) over
+    cos(theta) in [-1, 1], where only the y^{M-1} coefficient moves,
     decides the question and returns the angle with the largest root it
-    evaluated. ``scanned`` counts the angles whose roots were computed."""
-    q, k = _p_tilde_q(c), c.M - 1
-    special = prop8_check(c)
-    if special.kind == "unit_circle_root":
-        cos_t, scanned = np.cos(np.angle(special.root)), 1
-        root = complex(polyroots.affine_max_roots(q, k, -2.0, cos_t)[1][0])
-    else:
-        cos_t, root, scanned = polyroots.affine_crossing(q, k, -2.0, -1.0, 1.0,
-                                                         1.0 - WITNESS_TOL)
+    evaluated. A unit-circle root of the perturbation (Prop. 8) needs no
+    shortcut: the test polynomial has that root at its angle, so the
+    crossing test finds a witness there or at a larger root.
+    ``scanned`` counts the angles whose roots were computed."""
+    cos_t, root, scanned = polyroots.affine_crossing(_p_tilde_q(c), c.M - 1, -2.0, -1.0, 1.0,
+                                                     1.0 - WITNESS_TOL)
     return WitnessReport(found=abs(root) >= 1.0 - WITNESS_TOL, theta=float(np.arccos(cos_t)),
                          root=root, modulus=abs(root), scanned=scanned)
 

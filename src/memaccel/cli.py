@@ -15,7 +15,11 @@ and ``search`` build their gains and set with it (``guarantee`` checks
 their exit-3 argument errors load no numpy either. ``spectrum`` prints
 a graph's kernel eigenvalues, one per connected component, as exact 0;
 a graph with a non-finite edge weight, or whose spectral gap is below
-eigvalsh's resolution, exits 3.
+eigvalsh's resolution, exits 3. A numeric option left out takes the
+library's own default, which the parser does not restate: ``search``
+without ``--budget`` spends ``search_gains``' default budget, and
+``certify --field`` without ``--window`` samples ``partition_field``'s
+default window.
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -123,15 +127,18 @@ def _parse_x0(text: str | None) -> list[float] | None:
         raise ParseError(0, text) from None
 
 
-def _parse_window(text: str):
-    """(re_range, im_range, resolution) of a REMIN:REMAX:IMMIN:IMMAX:RES
-    spec with finite bounds."""
+def _parse_window(text: str | None) -> dict:
+    """partition_field's re_range, im_range and resolution keywords from a
+    REMIN:REMAX:IMMIN:IMMAX:RES spec with finite bounds; none without a
+    spec, so the library's own window applies."""
+    if text is None:
+        return {}
     try:
         *bounds, res = text.split(":")
         lo_r, hi_r, lo_i, hi_i = (float(v) for v in bounds)
         if not all(map(math.isfinite, (lo_r, hi_r, lo_i, hi_i))):
             raise ValueError
-        return (lo_r, hi_r), (lo_i, hi_i), int(res)
+        return {"re_range": (lo_r, hi_r), "im_range": (lo_i, hi_i), "resolution": int(res)}
     except ValueError:
         raise ParseError(0, text) from None
 
@@ -252,8 +259,8 @@ def _cmd_search(args) -> int:
     seed = _load_gains(args.seed_gains) if args.seed_gains else None
     from . import accel
 
-    g, rep = accel.search_gains(s, M=args.M, seed=seed, budget=args.budget,
-                                rng_seed=args.seed_rng)
+    g, rep = accel.search_gains(s, M=args.M, seed=seed, rng_seed=args.seed_rng,
+                                **_given(budget=args.budget))
     _emit({"gains": _gains_dict(g), "report": _report_dict(rep)}, args.output)
     if args.samples_csv:
         _write_samples_csv(rep, args.samples_csv)
@@ -312,9 +319,7 @@ def _cmd_certify(args) -> int:
     }
     _emit(payload, args.output)
     if window is not None:
-        re_range, im_range, resolution = window
-        field = certify.partition_field(c, args.field, re_range=re_range,
-                                        im_range=im_range, resolution=resolution)
+        field = certify.partition_field(c, args.field, **window)
         with open(args.field_out, "w") as fh:
             fh.write(field.to_json() + "\n")
     return 0
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="derivative-free gain search over a set")
     p.add_argument("--set", required=True, metavar="SPEC")
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--budget", type=int, default=3000)
+    p.add_argument("--budget", type=int)
     p.add_argument("--seed-rng", type=int, default=0)
     p.add_argument("--seed-gains", metavar="FILE")
     p.add_argument("--samples-csv", metavar="FILE")
@@ -379,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--interval", required=True, metavar="LO,HI")
     p.add_argument("--field", type=float, metavar="THETA")
-    p.add_argument("--window", default="-2:2:-2:2:256",
-                   metavar="REMIN:REMAX:IMMIN:IMMAX:RES")
+    p.add_argument("--window", metavar="REMIN:REMAX:IMMIN:IMMAX:RES")
     p.add_argument("--field-out", default="field.json", metavar="FILE")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_certify)

@@ -102,24 +102,14 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     (Fiedler 1973), counted by union-find: zero eigenvalues are counted,
     not guessed."""
     a = np.zeros((g.n, g.n))
-    i, j, w = _edge_arrays(g)
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
     a[i, j] -= w
     a[j, i] -= w
-    np.fill_diagonal(a, _degrees(g.n, i, j, w))
+    # The weighted degrees: one bincount over i0, j0, i1, j1, ... adds the
+    # weights in edge order, as a loop over the edges would.
+    np.fill_diagonal(a, np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n))
     return LaplacianMatrix(a, _components(g.n, i[w > 0], j[w > 0]))
-
-
-def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of g as arrays (i, j, w), in edge order."""
-    e = np.array(g.edges, dtype=float).reshape(-1, 3)
-    return e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
-
-
-def _degrees(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted degree of each of n nodes, the Laplacian's diagonal. One
-    bincount over i0, j0, i1, j1, ... adds the weights in edge order, as a
-    loop over the edges would."""
-    return np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), n)
 
 
 def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

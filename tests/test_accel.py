@@ -124,6 +124,7 @@ class TestGuarantee:
         s = SpectralSet(points=(0.7,))
         rep = guarantee(g, s)
         assert rep.nu == max_modulus(mode_roots(g, 0.7))
+        assert rep.nu == max_root_moduli(g, [0.7])[0]
         assert rep.worst_lambda == 0.7
 
     def test_nu_lo_is_max_of_samples_at_worst_lambda(self):
@@ -245,6 +246,21 @@ class TestCertifiedGuarantee:
             assert max(rho(lam) for lam in tests) <= r
             assert abs(rho(mpmath.mpf(rep.worst_lambda)) - rep.nu_lo) <= 1e-13
         assert rep.nu - rep.nu_lo <= 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect 1: floating eigvals "
+                       "decides a crossing at a double root only to about sqrt(eps)")
+    def test_closed_form_tuning_not_under_reported(self):
+        # The closed-form tuning has a double root at lambda = hi = 1; nu
+        # reads 0.8181818278085041, below the supremum.
+        iv = SpectralInterval(0.01, 1.0)
+        g = tune_theorem3(iv).gains
+        with mpmath.workdps(50):
+            alpha, betas = mpmath.mpf(g.alpha), [mpmath.mpf(b) for b in g.betas]
+            # The mode at lambda = 1, exact in the float gains.
+            q = [-b for b in betas[::-1]] + [sum(betas) - 1 + alpha, mpmath.mpf(1)]
+            sup = self._mp_max_modulus(q)
+            assert abs(sup - mpmath.mpf("0.81818182967641316969")) < mpmath.mpf(10) ** -19
+            assert guarantee(g, iv).nu >= sup
 
 
 class TestTuneMemoryless:

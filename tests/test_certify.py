@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memaccel.accel import Gains, tune_theorem3
@@ -36,6 +36,22 @@ def random_claim(rng, M=None, scale=0.5):
     if a[-1] == -1.0:
         a[-1] = 0.0
     return ClaimCoeffs(M=M, nu=nu, a=tuple(a))
+
+
+@st.composite
+def unit_circle_perturbations(draw):
+    """ClaimCoeffs whose perturbation sum_k a_k y^k has an exact root on
+    the unit circle: y^2 - 2 cos(phi) y + 1, y - 1 or y + 1 times a random
+    cofactor."""
+    factor = draw(st.sampled_from(["pair", "minus", "plus"]))
+    if factor == "pair":
+        f = [1.0, -2.0 * np.cos(draw(st.floats(0.0, np.pi))), 1.0]
+    else:
+        f = [-1.0 if factor == "minus" else 1.0, 1.0]
+    cofactor = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    a = np.convolve(f, cofactor)
+    assume(a[-1] != -1.0)
+    return ClaimCoeffs(M=len(a), nu=draw(st.floats(0.05, 0.95)), a=tuple(a))
 
 
 class TestClaimCoeffs:
@@ -108,6 +124,33 @@ class TestGainsToClaimCoeffs:
                 assert abs(val) <= 1e-7 * max(
                     1.0, abs(eval_poly(pz, z)) / (abs(scale) * c.nu ** (M - 1))
                 ) + 1e-7
+
+    @staticmethod
+    def _nested_sum_coeffs(g, iv):
+        """gains_to_claim_coeffs' a with each cumulative beta sum taken
+        afresh by a nested loop, the reference for its one cumsum."""
+        t = tune_theorem3(iv, M=g.M)
+        ratio, M, betas = t.alpha_star / g.alpha, g.M, g.betas
+        bt = np.zeros(M)
+        for k in range(M - 2):
+            bt[k] = ratio * sum(betas[M - m - 2] for m in range(k + 1))
+        bt[M - 2] = ratio * sum(betas) - t.beta1_star
+        bt[M - 1] = ratio - 1.0
+        return tuple(bt[m] * t.nu_star ** (m - M + 1) for m in range(M))
+
+    @pytest.mark.parametrize("M", range(2, 7))
+    def test_cumsum_bit_identical_to_nested_sum(self, M):
+        # Betas over nine decades, so that adding them in another order
+        # rounds differently.
+        rng = np.random.default_rng(M)
+        for _ in range(100):
+            iv = SpectralInterval(float(rng.uniform(1e-3, 0.5)), float(rng.uniform(0.6, 10.0)))
+            t = tune_theorem3(iv, M=M)
+            betas = (np.array(t.gains.betas)
+                     + rng.choice([-1.0, 1.0], M - 1) * 10.0 ** rng.uniform(-9, 0, M - 1))
+            g = Gains(M=M, alpha=t.gains.alpha * float(rng.uniform(0.5, 1.5)),
+                      betas=tuple(betas.tolist()))
+            assert gains_to_claim_coeffs(g, iv).a == self._nested_sum_coeffs(g, iv)
 
     def test_beta_tilde_minus_one_rejected(self):
         t = tune_theorem3(REF_IV, M=2)
@@ -186,11 +229,22 @@ class TestWitness:
         assert w.found
         assert w.modulus == pytest.approx(1.0, abs=1e-8)
 
-    def test_unit_circle_shortcut(self):
+    def test_unit_circle_root_witnessed(self):
+        # The perturbation y^2 - 1 has roots +-1 on the unit circle; the
+        # crossing test finds the larger root 1.618 at theta = 0.
         c = ClaimCoeffs(M=3, nu=0.5, a=(-1.0, 0.0, 1.0))
         w = claim6_witness(c)
-        assert w.found and w.scanned == 1
+        assert w.found
         assert w.modulus >= 1.0 - 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_circle_perturbations())
+    def test_unit_circle_root_always_witnessed(self, c):
+        # Prop. 8: at the angle of a unit-circle root of the perturbation
+        # that root is a root of the test polynomial, of modulus 1.
+        w = claim6_witness(c)
+        assert w.found
+        assert w.modulus >= 1.0 - WITNESS_TOL
 
     def test_leading_below_minus_one_case(self):
         c = ClaimCoeffs(M=2, nu=0.5, a=(0.0, -2.0))

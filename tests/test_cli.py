@@ -233,6 +233,46 @@ class TestSearch:
         assert d["report"]["nu"] == pytest.approx(1.9 / 2.1, abs=1e-9)
 
 
+class TestLibraryDefaults:
+    """An option left out reaches the library as no keyword at all, so the
+    library's own default applies; a given one is passed through."""
+
+    def test_search_budget(self, capsys, monkeypatch):
+        from memaccel import accel
+
+        seen, real = [], accel.search_gains
+
+        def search_gains(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **{**kwargs, "budget": 5})
+
+        monkeypatch.setattr(accel, "search_gains", search_gains)
+        assert run(capsys, "search", "--set", "0.5:1.5", "--M", "2")[0] == 0
+        assert run(capsys, "search", "--set", "0.5:1.5", "--M", "2", "--budget", "7")[0] == 0
+        assert "budget" not in seen[0]
+        assert seen[1]["budget"] == 7
+
+    def test_certify_window(self, capsys, tmp_path, monkeypatch):
+        from memaccel import certify
+
+        seen, real = [], certify.partition_field
+
+        def partition_field(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "partition_field", partition_field)
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        field = str(tmp_path / "field.json")
+        base = ("certify", "--gains", gains, "--interval", REF, "--field", "0.5",
+                "--field-out", field)
+        assert run(capsys, *base)[0] == 0
+        assert json.loads(Path(field).read_text())["re_range"] == [-2.0, 2.0, 256]
+        assert run(capsys, *base, "--window=-1:1:-3:3:32")[0] == 0
+        assert set(seen[0]) & {"re_range", "im_range", "resolution"} == set()
+        assert seen[1] == {"re_range": (-1.0, 1.0), "im_range": (-3.0, 3.0), "resolution": 32}
+
+
 class TestSimulate:
     def test_csv_to_stdout(self, capsys, tmp_path):
         graph = write_path3(tmp_path)

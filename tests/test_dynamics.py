@@ -122,6 +122,17 @@ class TestIterationProblem:
         with pytest.raises(ValueError, match="finite"):
             IterationProblem(L, np.zeros(3), np.array([np.inf, 0.0, 1.0]))
 
+    @pytest.mark.xfail(strict=True, raises=IncompatibleBiasError,
+                       reason="ROADMAP Known defect 2: the 1e-9 ||A|| kernel threshold "
+                              "takes lambda_2 = 6.7e-11's eigenvector for a kernel vector")
+    def test_weak_bridge_bias_summing_to_zero_accepted(self):
+        # Two unit triangles joined by a 1e-10 bridge: connected, so b
+        # that sums to zero is orthogonal to the kernel, span(ones).
+        edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                 (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 1e-10))
+        L = laplacian(WeightedGraph(6, edges)).entries
+        IterationProblem(L, np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), np.zeros(6))
+
 
 class TestSimulate:
     def test_single_step_scalar(self):
@@ -363,6 +374,21 @@ class TestDropCheck:
         else:
             with pytest.raises(DropOnNonLaplacianError):
                 run()
+
+
+class TestResidualsFromForces:
+    def test_residuals_are_the_stacked_force_norms_bit_for_bit(self):
+        # Each step keeps only its force's norm; it must be the norm
+        # np.linalg.norm(axis=1) gives the stacked forces, rounding included.
+        graph = WeightedGraph(40, tuple((i, (i + d) % 40, 1.0 + 0.1 * d)
+                                        for d in (1, 7) for i in range(40)))
+        L = laplacian(graph).entries
+        rng = np.random.default_rng(4)
+        prob = IterationProblem(L, L @ rng.standard_normal(40), rng.standard_normal(40))
+        tr = simulate(prob, Gains(M=2, alpha=0.05, betas=(-0.1,)), T=30)
+        force = _force(prob, None)
+        stack = [force(t, x) for t, x in enumerate(tr.states)]
+        assert np.array_equal(tr.residuals, np.linalg.norm(stack, axis=1))
 
 
 class TestResidualsUnderDrops:
