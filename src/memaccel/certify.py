@@ -108,10 +108,15 @@ class PartitionField:
 
 def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     """Normalized coefficient vector of the gains relative to the optimal
-    tuning of the interval; the optimal tuning itself maps to zero."""
+    tuning of the interval; the optimal tuning itself maps to zero. A
+    degenerate interval (lo == hi) has nu* = 0, by which nothing can be
+    normalized, so it raises MemaccelError."""
     if g.M < 2:
         raise ValueError("need M >= 2")
     t = tune_theorem3(iv, M=g.M)
+    if t.degenerate:
+        raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point: "
+                            "nu* = 0 admits no normalized coefficients")
     ratio = t.alpha_star / g.alpha
     M = g.M
     betas = g.betas  # beta_1 .. beta_{M-1}

@@ -47,33 +47,23 @@ class _Full(float):
 
 
 def _fmt(v) -> str:
-    # A numpy value can reach here only from a subcommand that loaded
-    # numpy; tune and the argument errors never do.
-    np = sys.modules.get("numpy")
-    ints = (int, np.integer) if np else int
-    floats = (float, np.floating) if np else float
-    seqs = (list, tuple, np.ndarray) if np else (list, tuple)
-
-    def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, _Full):
-            return repr(float(v))
-        if isinstance(v, ints):
-            return str(int(v))
-        if isinstance(v, floats):
-            return format(float(v), ".12g")
-        if isinstance(v, str):
-            return json.dumps(v)
-        if isinstance(v, complex):
-            return "[" + fmt(v.real) + ", " + fmt(v.imag) + "]"
-        if isinstance(v, dict):
-            return "{" + ", ".join(json.dumps(str(k)) + ": " + fmt(x) for k, x in v.items()) + "}"
-        if isinstance(v, seqs):
-            return "[" + ", ".join(fmt(x) for x in v) + "]"
-        raise TypeError(f"cannot serialize {type(v)}")
-
-    return fmt(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, _Full):
+        return repr(float(v))
+    if isinstance(v, int):
+        return str(int(v))
+    if isinstance(v, float):
+        return format(float(v), ".12g")
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, complex):
+        return "[" + _fmt(v.real) + ", " + _fmt(v.imag) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(json.dumps(str(k)) + ": " + _fmt(x) for k, x in v.items()) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_fmt(x) for x in v) + "]"
+    raise TypeError(f"cannot serialize {type(v)}")
 
 
 def _emit(payload, path: str | None):
@@ -404,7 +394,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (MemaccelError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (MemaccelError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .spectral import (
     WeightedGraph,
+    _is_index,
     _nonzeros,
     laplacian,
     nonzero_spectral_interval,
@@ -91,8 +92,10 @@ class DropSchedule:
     """Per-step sets of undirected edges whose weight is zeroed.
 
     Tied to the graph whose Laplacian the simulation runs on; every
-    referenced edge must exist there. Each step's dropped edges are also
-    kept as arrays (i, j, w), sorted by edge, for the simulator.
+    referenced edge must exist there. A step must be an integer >= 0: a
+    float, a bool or a negative step raises ValueError instead of being
+    truncated or never applied. Each step's dropped edges are also kept
+    as arrays (i, j, w), sorted by edge, for the simulator.
     """
 
     graph: WeightedGraph
@@ -104,6 +107,8 @@ class DropSchedule:
         weight = {(min(i, j), max(i, j)): w for i, j, w in self.graph.edges}
         canon, cuts = {}, {}
         for t, edges in self.drops.items():
+            if not (_is_index(t) and t >= 0):
+                raise ValueError(f"drop step {t!r} is not an integer >= 0")
             es = frozenset((min(i, j), max(i, j)) for i, j in edges)
             for e in es:
                 if e not in weight:
@@ -118,8 +123,6 @@ class DropSchedule:
 
     def laplacian_at(self, t: int) -> np.ndarray:
         dropped = self.drops.get(t, frozenset())
-        if not dropped:
-            return laplacian(self.graph).entries
         kept = tuple(
             (i, j, w)
             for i, j, w in self.graph.edges
@@ -137,7 +140,6 @@ class SimTrace:
     spread: np.ndarray          # (T+1,) of max - min
     rms: np.ndarray             # (T+1,) of rms deviation from the mean
     mean: np.ndarray            # (T+1,)
-    dropped_links: dict[int, frozenset[tuple[int, int]]] | None = None
     diverged_at: int | None = None  # first step t with ||x(t)|| over the limit
 
     @property
@@ -149,31 +151,16 @@ class SimTrace:
         return self.diverged_at is not None
 
 
-def consensus_metrics(x) -> tuple[float, float, float]:
-    """(spread, rms deviation from mean, mean) of a state vector; the
-    spread max - min is the classic switching-network Lyapunov function."""
-    x = np.asarray(x, dtype=float)
+def consensus_metrics(x):
+    """(spread, rms deviation from mean, mean) of a state vector, or of
+    each state of a stack along its last axis; the spread max - min is
+    the classic switching-network Lyapunov function."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size < 1:
         raise ValueError("need at least one component")
-    m = float(x.mean())
-    return float(x.max() - x.min()), float(np.sqrt(np.mean((x - m) ** 2))), m
-
-
-def _finish_trace(states, norms, p: IterationProblem, diverged_at, drops):
-    """The trace of a run of simulate. norms[t] = ||b - A_t x(t)|| is the
-    norm of the recursion's own force on x(t); where A_t = A it is the
-    residual ||A x(t) - b||, so A x is formed again only for the states of
-    steps that dropped links and for the last state."""
-    xs = np.asarray(states)
-    cuts, dropped = (drops.cuts, drops.drops) if drops is not None else ({}, None)
-    residuals = np.array(
-        [_norm(p.b - _matvec(p, xs[t])) if t in cuts else f for t, f in enumerate(norms)]
-        + [_norm(p.b - _matvec(p, xs[-1]))])
-    spread = xs.max(axis=1) - xs.min(axis=1)
-    mean = xs.mean(axis=1)
-    rms = np.sqrt(np.mean((xs - mean[:, None]) ** 2, axis=1))
-    return SimTrace(states=xs, residuals=residuals, spread=spread, rms=rms,
-                    mean=mean, dropped_links=dropped, diverged_at=diverged_at)
+    m = x.mean(axis=-1)
+    rms = np.sqrt(np.mean((x - m[..., None]) ** 2, axis=-1))
+    return x.max(axis=-1) - x.min(axis=-1), rms, m
 
 
 def simulate(
@@ -193,13 +180,18 @@ def simulate(
             "drop schedule requires A to be the Laplacian of its graph"
         )
     limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), 1e-300)
-    states, norms, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops), limit)
-    return _finish_trace(states, norms, p, diverged_at, drops)
+    residuals = []
+    states, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops, residuals), limit)
+    residuals.append(_norm(p.b - _matvec(p, states[-1])))
+    xs = np.asarray(states)
+    spread, rms, mean = consensus_metrics(xs)
+    return SimTrace(states=xs, residuals=np.array(residuals), spread=spread, rms=rms,
+                    mean=mean, diverged_at=diverged_at)
 
 
 def _norm(f) -> float:
     """||f||_2 summed as np.linalg.norm(stack, axis=1) sums each row, so a
-    residual taken from one force equals the stacked one bit for bit."""
+    residual taken from one state equals the stacked one bit for bit."""
     return np.sqrt(np.add.reduce(f * f))
 
 
@@ -210,21 +202,25 @@ def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
     return diag * x + np.bincount(i, a * x[j], len(x))
 
 
-def _force(p: IterationProblem, drops: DropSchedule | None):
-    """force(t, x) = b - A_t x for simulate. A step with dropped links
-    subtracts their Laplacian from A x as a scatter of w (x_i - x_j)
-    over the dropped edges (i, j, w); this equals laplacian_at(t) @ x
-    because simulate checks that A is the Laplacian of drops.graph."""
+def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
+    """force(t, x) = b - A_t x for simulate. It appends the residual
+    ||b - A x|| of state t to residuals from the A x it forms, before a
+    step with dropped links subtracts their Laplacian from A x as a
+    scatter of w (x_i - x_j) over the dropped edges (i, j, w); this
+    equals laplacian_at(t) @ x because simulate checks that A is the
+    Laplacian of drops.graph."""
     cuts = drops.cuts if drops is not None else {}
     n = len(p.x0)
 
     def force(t, x):
         Ax = _matvec(p, x)
-        if t in cuts:
-            i, j, w = cuts[t]
-            d = w * (x[i] - x[j])
-            Ax = Ax - (np.bincount(i, d, n) - np.bincount(j, d, n))
-        return p.b - Ax
+        r = p.b - Ax
+        residuals.append(_norm(r))
+        if t not in cuts:
+            return r
+        i, j, w = cuts[t]
+        d = w * (x[i] - x[j])
+        return p.b - (Ax - (np.bincount(i, d, n) - np.bincount(j, d, n)))
 
     return force
 
@@ -236,7 +232,7 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
     so diagonal systems match it coordinate-wise, bit for bit."""
     if T < 1:
         raise ValueError("need T >= 1")
-    states, _, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
+    states, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
     return np.asarray(states)
 
 
@@ -244,24 +240,20 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
     """States x(0..) of x(t+1) = x(t) + alpha force(t, x(t))
     + sum_m beta_m (x(t-m) - x(t)) with constant history x(s) = x0 for
     s <= 0. Stops after T steps, or early once ||x|| exceeds limit.
-    Returns (states, the norms of the forces force(t, x(t)) of the steps
-    taken, one fewer than the states, and the step t whose x(t) exceeded
-    limit or None)."""
+    Returns (states, the step t whose x(t) exceeded limit or None)."""
     x = x0
     history = [x] * max(g.M - 1, 1)  # x(t-1), x(t-2), ...
-    states, norms = [x], []
+    states = [x]
     for t in range(T):
-        f = force(t, x)
-        norms.append(_norm(f))
-        nxt = x + g.alpha * f
+        nxt = x + g.alpha * force(t, x)
         for m, beta in enumerate(g.betas, start=1):
             nxt = nxt + beta * (history[m - 1] - x)
         history = [x] + history[:-1]
         x = nxt
         states.append(x)
         if np.linalg.norm(x) > limit:
-            return states, norms, t + 1
-    return states, norms, None
+            return states, t + 1
+    return states, None
 
 
 def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:

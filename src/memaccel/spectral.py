@@ -23,16 +23,27 @@ from .errors import (
 from .tuning import SpectralInterval, SpectralSet
 
 
+def _is_index(v) -> bool:
+    """v is an integer, a numpy one included, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected weighted graph; one stored entry per unordered pair."""
+    """Undirected weighted graph; one stored entry per unordered pair.
+    The node count and the node indices must be integers: a float or a
+    bool raises ValueError instead of being truncated."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if not _is_index(self.n):
+            raise ValueError(f"node count must be an integer, got {self.n!r}")
         seen = set()
         for i, j, w in self.edges:
+            if not (_is_index(i) and _is_index(j)):
+                raise ValueError(f"edge ({i!r}, {j!r}) has a node index that is not an integer")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             if i == j:

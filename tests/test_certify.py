@@ -168,6 +168,15 @@ class TestGainsToClaimCoeffs:
             )
 
 
+class TestDegenerateInterval:
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_single_point_interval_raises(self, M):
+        # nu* = 0 on [1, 1]; normalizing by nu ** (m - M + 1) divided by zero.
+        g = Gains(M=M, alpha=0.9, betas=(-0.1,) + (0.0,) * (M - 2))
+        with pytest.raises(MemaccelError, match="single point"):
+            gains_to_claim_coeffs(g, SpectralInterval(1.0, 1.0))
+
+
 class TestPTilde:
     def test_zero_vector_roots_on_unit_circle(self):
         c = ClaimCoeffs(M=4, nu=0.8, a=(0.0,) * 4)

@@ -325,6 +325,17 @@ class TestSimulate:
         assert code == 3 and err.startswith("error:")
         assert out == ""
 
+    def test_negative_drop_step_exit3(self, capsys, tmp_path):
+        # The step was kept and never applied, so the run exited 0.
+        graph = write_path3(tmp_path)
+        gains = write_gains(tmp_path, 1, 0.4, [])
+        path = tmp_path / "drops.json"
+        path.write_text(json.dumps({"-1": [[0, 1]]}))
+        code, out, err = run(capsys, "simulate", "--graph", graph, "--gains", gains,
+                             "--steps", "5", "--x0", "1,0,-1", "--drops", str(path))
+        assert code == 3 and err.startswith("error:") and "drop step" in err
+        assert out == ""
+
     def test_nan_x0_exit3(self, capsys, tmp_path):
         graph = write_path3(tmp_path)
         gains = write_gains(tmp_path, 1, 0.5, [])
@@ -450,6 +461,18 @@ class TestCertify:
             main(["certify", "--gains", gains, "--interval", REF, "--theta-samples", "64"])
         assert exc.value.code == 2
         assert "--theta-samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("M, betas", [(2, [-0.1]), (3, [-0.1, 0.05])])
+    def test_degenerate_interval_exit3_without_traceback(self, tmp_path, M, betas):
+        gains = write_gains(tmp_path, M, 0.9, betas)
+        proc = subprocess.run(
+            [sys.executable, "-m", "memaccel.cli", "certify", "--gains", gains,
+             "--interval", "1,1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(memaccel.__file__).resolve().parents[1])})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_window_ignored_without_field(self, capsys, tmp_path):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from memaccel import dynamics
 from memaccel.accel import Gains, tune_memoryless, tune_theorem3
 from memaccel.dynamics import (
     DIVERGENCE_FACTOR,
@@ -238,6 +239,19 @@ class TestConsensusMetrics:
                                    consensus_metrics(list(reversed(x))),
                                    rtol=1e-14)
 
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError):
+            consensus_metrics([])
+
+    def test_trace_metrics_are_each_states_bit_for_bit(self):
+        # simulate takes the metrics of the whole state stack at once; each
+        # row must equal the metrics of that state alone.
+        rng = np.random.default_rng(7)
+        tr = simulate(path3_problem(rng.standard_normal(3)),
+                      Gains(M=2, alpha=0.4, betas=(-0.1,)), T=25)
+        rows = np.array([consensus_metrics(x) for x in tr.states])
+        assert np.array_equal(np.column_stack([tr.spread, tr.rms, tr.mean]), rows)
+
 
 class TestCsvExport:
     def test_header_and_rows(self):
@@ -246,6 +260,19 @@ class TestCsvExport:
         assert lines[0] == "t,residual,spread,rms,mean"
         assert len(lines) == 5
         assert lines[1].startswith("0,")
+
+
+class TestDropScheduleSteps:
+    @pytest.mark.parametrize("step", [1.7, 2.0, True, -3, np.int64(-1)])
+    def test_non_integer_or_negative_step_rejected(self, step):
+        # 1.7 was truncated to step 1; -3 was kept and never applied.
+        with pytest.raises(ValueError, match="drop step"):
+            DropSchedule(PATH3, {step: frozenset({(0, 1)})})
+
+    def test_numpy_integer_step_accepted(self):
+        schedule = DropSchedule(PATH3, {np.int64(2): frozenset({(0, 1)})})
+        assert schedule.drops == {2: frozenset({(0, 1)})}
+        assert type(next(iter(schedule.drops))) is int
 
 
 class TestDropRobustness:
@@ -319,7 +346,7 @@ class TestDropForce:
         graph, schedule, T, y, x = case
         L = laplacian(graph).entries
         prob = IterationProblem(L, L @ y, x)
-        force = _force(prob, schedule)
+        force = _force(prob, schedule, [])
         scale = np.abs(L).sum(axis=1).max() * (np.abs(x).max() + np.abs(y).max())
         for t in range(T):
             ref = prob.b - schedule.laplacian_at(t) @ x
@@ -328,7 +355,7 @@ class TestDropForce:
     def test_step_without_drops_is_dense_product(self):
         prob = path3_problem(np.array([0.3, -1.7, 2.9]))
         schedule = DropSchedule(PATH3, {1: frozenset({(1, 2)})})
-        force = _force(prob, schedule)
+        force = _force(prob, schedule, [])
         np.testing.assert_array_equal(force(0, prob.x0), prob.b - prob.A @ prob.x0)
 
 
@@ -378,15 +405,16 @@ class TestDropCheck:
 
 class TestResidualsFromForces:
     def test_residuals_are_the_stacked_force_norms_bit_for_bit(self):
-        # Each step keeps only its force's norm; it must be the norm
-        # np.linalg.norm(axis=1) gives the stacked forces, rounding included.
+        # Without drops a state's residual is the norm of its step's force;
+        # it must be the norm np.linalg.norm(axis=1) gives the stacked
+        # forces, rounding included.
         graph = WeightedGraph(40, tuple((i, (i + d) % 40, 1.0 + 0.1 * d)
                                         for d in (1, 7) for i in range(40)))
         L = laplacian(graph).entries
         rng = np.random.default_rng(4)
         prob = IterationProblem(L, L @ rng.standard_normal(40), rng.standard_normal(40))
         tr = simulate(prob, Gains(M=2, alpha=0.05, betas=(-0.1,)), T=30)
-        force = _force(prob, None)
+        force = _force(prob, None, [])
         stack = [force(t, x) for t, x in enumerate(tr.states)]
         assert np.array_equal(tr.residuals, np.linalg.norm(stack, axis=1))
 
@@ -406,6 +434,18 @@ class TestResidualsUnderDrops:
         np.testing.assert_array_less(np.abs(tr.residuals - ref), tol)
         cut = [np.linalg.norm(b - schedule.laplacian_at(t) @ x) for t, x in enumerate(xs[:-1])]
         assert np.sum(np.abs(cut - ref[:-1]) > tol[:-1]) > 10
+
+    def test_one_product_with_A_per_state(self, monkeypatch):
+        # A step's residual comes from the A x its force forms, drop steps
+        # included; only the last state needs a product of its own.
+        graph, g, schedule, x0 = memory_fragility_example()
+        L = laplacian(graph).entries
+        products = []
+        matvec = dynamics._matvec
+        monkeypatch.setattr(dynamics, "_matvec",
+                            lambda p, x: products.append(1) or matvec(p, x))
+        tr = simulate(IterationProblem(L, np.zeros(graph.n), x0), g, 400, drops=schedule)
+        assert tr.diverged and len(products) == tr.T + 1
 
 
 @st.composite
@@ -441,7 +481,7 @@ class TestEdgeArrayProduct:
             assume(False)
         # Forming b - Ax rounds at the scale of |b| as well as |A| |x|.
         tol = 1e-12 * (np.abs(A) @ np.abs(x) + np.abs(b))
-        assert np.all(np.abs(_force(prob, None)(0, x) - (b - A @ x)) <= tol)
+        assert np.all(np.abs(_force(prob, None, [])(0, x) - (b - A @ x)) <= tol)
         tr = simulate(prob, Gains(M=2, alpha=0.05, betas=(-0.1,)), T=5)
         xs = tr.states
         ref = np.linalg.norm(xs @ A.T - b, axis=1)

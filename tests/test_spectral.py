@@ -75,6 +75,27 @@ class TestLoadEdgeList:
             load_edge_list(f"0 1 1\n1 2 {w}")
 
 
+class TestWeightedGraph:
+    @pytest.mark.parametrize("edges", [((0.5, 1, 1.0), (1, 2, 1.0)),
+                                       ((0, 1.0, 1.0),), ((True, 2, 1.0),),
+                                       ((0, np.True_, 1.0),)])
+    def test_non_integer_node_index_rejected(self, edges):
+        # 0.5 was truncated to node 0 and True read as node 1.
+        with pytest.raises(ValueError, match="not an integer"):
+            WeightedGraph(3, edges)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0)])
+    def test_non_integer_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match="node count"):
+            WeightedGraph(n, ((0, 1, 1.0),))
+
+    def test_numpy_integers_accepted(self):
+        edges = ((np.int64(0), np.int32(1), 1.0), (np.uint8(1), np.int64(2), 2.0))
+        g = WeightedGraph(np.int64(3), edges)
+        np.testing.assert_array_equal(laplacian(g).entries,
+                                      laplacian(load_edge_list("0 1 1\n1 2 2")).entries)
+
+
 class TestLaplacian:
     def test_path_graph(self):
         L = laplacian(load_edge_list("0 1 1\n1 2 1"))
