@@ -92,9 +92,10 @@ class DropSchedule:
     """Per-step sets of undirected edges whose weight is zeroed.
 
     Tied to the graph whose Laplacian the simulation runs on; every
-    referenced edge must exist there. A step must be an integer >= 0: a
-    float, a bool or a negative step raises ValueError instead of being
-    truncated or never applied. Each step's dropped edges are also kept
+    referenced edge must exist there. A step must be an integer >= 0 and
+    a node index an integer: a float, a bool or a negative step raises
+    ValueError instead of being truncated or never applied, and so does
+    a float or bool node index. Each step's dropped edges are also kept
     as arrays (i, j, w), sorted by edge, for the simulator.
     """
 
@@ -109,6 +110,10 @@ class DropSchedule:
         for t, edges in self.drops.items():
             if not (_is_index(t) and t >= 0):
                 raise ValueError(f"drop step {t!r} is not an integer >= 0")
+            for i, j in edges:
+                if not (_is_index(i) and _is_index(j)):
+                    raise ValueError(f"dropped edge ({i!r}, {j!r}) has a node index "
+                                     "that is not an integer")
             es = frozenset((min(i, j), max(i, j)) for i, j in edges)
             for e in es:
                 if e not in weight:

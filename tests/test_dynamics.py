@@ -262,12 +262,19 @@ class TestCsvExport:
         assert lines[1].startswith("0,")
 
 
-class TestDropScheduleSteps:
+class TestDropScheduleInput:
     @pytest.mark.parametrize("step", [1.7, 2.0, True, -3, np.int64(-1)])
     def test_non_integer_or_negative_step_rejected(self, step):
         # 1.7 was truncated to step 1; -3 was kept and never applied.
         with pytest.raises(ValueError, match="drop step"):
             DropSchedule(PATH3, {step: frozenset({(0, 1)})})
+
+    @pytest.mark.parametrize("edge", [(0.0, 1), (True, 2), (1, np.True_)])
+    def test_non_integer_node_index_rejected(self, edge):
+        # (0.0, 1) matched edge (0, 1) and failed later as a float index;
+        # (True, 2) was read as edge (1, 2).
+        with pytest.raises(ValueError, match="not an integer"):
+            DropSchedule(PATH3, {0: frozenset({edge})})
 
     def test_numpy_integer_step_accepted(self):
         schedule = DropSchedule(PATH3, {np.int64(2): frozenset({(0, 1)})})
