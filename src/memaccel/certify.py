@@ -109,14 +109,12 @@ class PartitionField:
 def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     """Normalized coefficient vector of the gains relative to the optimal
     tuning of the interval; the optimal tuning itself maps to zero. A
-    degenerate interval (lo == hi) has nu* = 0, by which nothing can be
-    normalized, so it raises MemaccelError."""
+    single-point interval has nu* = 0 and raises MemaccelError."""
     if g.M < 2:
         raise ValueError("need M >= 2")
     t = tune_theorem3(iv, M=g.M)
     if t.degenerate:
-        raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point: "
-                            "nu* = 0 admits no normalized coefficients")
+        raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point, where nu* = 0")
     ratio = t.alpha_star / g.alpha
     M = g.M
     betas = g.betas  # beta_1 .. beta_{M-1}

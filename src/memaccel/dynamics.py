@@ -92,11 +92,10 @@ class DropSchedule:
     """Per-step sets of undirected edges whose weight is zeroed.
 
     Tied to the graph whose Laplacian the simulation runs on; every
-    referenced edge must exist there. A step must be an integer >= 0 and
-    a node index an integer: a float, a bool or a negative step raises
-    ValueError instead of being truncated or never applied, and so does
-    a float or bool node index. Each step's dropped edges are also kept
-    as arrays (i, j, w), sorted by edge, for the simulator.
+    referenced edge must exist there. Steps are integers >= 0 and node
+    indices integers: a float or a bool raises ValueError, not a
+    truncation. Each step's dropped edges are also kept as arrays
+    (i, j, w), sorted by edge, for the simulator.
     """
 
     graph: WeightedGraph
@@ -112,8 +111,7 @@ class DropSchedule:
                 raise ValueError(f"drop step {t!r} is not an integer >= 0")
             for i, j in edges:
                 if not (_is_index(i) and _is_index(j)):
-                    raise ValueError(f"dropped edge ({i!r}, {j!r}) has a node index "
-                                     "that is not an integer")
+                    raise ValueError(f"dropped edge ({i!r}, {j!r}): node index not an integer")
             es = frozenset((min(i, j), max(i, j)) for i, j in edges)
             for e in es:
                 if e not in weight:
@@ -208,12 +206,11 @@ def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
-    """force(t, x) = b - A_t x for simulate. It appends the residual
-    ||b - A x|| of state t to residuals from the A x it forms, before a
-    step with dropped links subtracts their Laplacian from A x as a
-    scatter of w (x_i - x_j) over the dropped edges (i, j, w); this
-    equals laplacian_at(t) @ x because simulate checks that A is the
-    Laplacian of drops.graph."""
+    """force(t, x) = b - A_t x for simulate; it appends state t's residual
+    ||b - A x|| to residuals first. A step with dropped links subtracts
+    their Laplacian from A x as a scatter of w (x_i - x_j) over the
+    dropped edges (i, j, w); this equals laplacian_at(t) @ x because
+    simulate checks that A is the Laplacian of drops.graph."""
     cuts = drops.cuts if drops is not None else {}
     n = len(p.x0)
 

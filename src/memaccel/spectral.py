@@ -31,8 +31,7 @@ def _is_index(v) -> bool:
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected weighted graph; one stored entry per unordered pair.
-    The node count and the node indices must be integers: a float or a
-    bool raises ValueError instead of being truncated."""
+    Node count and indices are integers; a float or bool raises ValueError."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
