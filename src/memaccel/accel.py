@@ -9,14 +9,12 @@ spectral-set types live in :mod:`memaccel.tuning` and are re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import polyroots
 from .errors import OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
-from .tuning import (Gains, SpectralInterval, SpectralSet, TuningResult,
+from .tuning import (Gains, Record, SpectralInterval, SpectralSet, TuningResult,
                      check_guarantee_args, tune_memoryless, tune_theorem3)
 
 DEFAULT_GRID = 2001
@@ -29,8 +27,7 @@ SEARCH_GRID = 161
 SEARCH_REFINE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(Record):
     """Worst-case guarantee over a spectral set: nu is a certified upper
     bound of the largest root modulus, nu_lo <= nu the modulus attained at
     worst_lambda, and nu - nu_lo <= refine_tol; samples holds the sampled

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import polyroots
 from .errors import BetaTildeMinusOneError, MemaccelError
 from .polyroots import RealPolynomial
-from .tuning import Gains, SpectralInterval, tune_theorem3
+from .tuning import Gains, Record, SpectralInterval, tune_theorem3
 
 WITNESS_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-9
@@ -27,8 +26,7 @@ ANGLE_TOL = 0.02
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ClaimCoeffs:
+class ClaimCoeffs(Record):
     """Normalized coefficients a_0 .. a_{M-1} of the perturbation
     polynomial, together with the reference modulus nu in (0, 1).
     The all-zero vector corresponds to the optimal tuning."""
@@ -57,8 +55,7 @@ class ClaimCoeffs:
         return all(v == 0.0 for v in self.a)
 
 
-@dataclass(frozen=True)
-class Prop8Result:
+class Prop8Result(Record):
     """Special-case detection: either the perturbation polynomial has a
     root on the unit circle (witness angle constructible directly), or
     its leading coefficient lies below -1 (every angle is a witness)."""
@@ -67,8 +64,7 @@ class Prop8Result:
     root: complex | None = None
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Certificate angle whose test polynomial has a root of modulus
     >= 1 - WITNESS_TOL, if found."""
 
@@ -79,8 +75,7 @@ class WitnessReport:
     scanned: int
 
 
-@dataclass(frozen=True)
-class PartitionField:
+class PartitionField(Record):
     """Complex-plane sampling of sign(|P1| - |P2|) and of phase match,
     with root overlays; P1 is the unperturbed factor, P2 the (negated)
     perturbation."""
@@ -276,4 +271,5 @@ def _p2_coeffs(c: ClaimCoeffs) -> np.ndarray:
 
 
 def witness_to_json(w: WitnessReport) -> str:
-    return json.dumps({**asdict(w), "root": [w.root.real, w.root.imag]})
+    return json.dumps({"found": w.found, "theta": w.theta, "root": [w.root.real, w.root.imag],
+                       "modulus": w.modulus, "scanned": w.scanned})

@@ -32,9 +32,9 @@ File formats:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
+import re
 import sys
 
 from .errors import MemaccelError, ParseError
@@ -77,6 +77,14 @@ def _emit(payload, path: str | None):
 
 # String-level parsing. These helpers use no numpy and no submodule, so
 # a malformed argument exits 2 before anything numerical is imported.
+
+def integer(text: str) -> int:
+    """An integer written -?[0-9]+ in ASCII digits; int() alone would
+    also read "1_0" as 10, " 2 " as 2 and "\u0663" as 3."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
 
 def _parse_interval(text: str) -> tuple[float, float]:
     try:
@@ -128,7 +136,7 @@ def _parse_window(text: str | None) -> dict:
         lo_r, hi_r, lo_i, hi_i = (float(v) for v in bounds)
         if not all(map(math.isfinite, (lo_r, hi_r, lo_i, hi_i))):
             raise ValueError
-        return {"re_range": (lo_r, hi_r), "im_range": (lo_i, hi_i), "resolution": int(res)}
+        return {"re_range": (lo_r, hi_r), "im_range": (lo_i, hi_i), "resolution": integer(res)}
     except ValueError:
         raise ParseError(0, text) from None
 
@@ -189,8 +197,12 @@ def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
         raise shape
     node = f"node index in drops file {path}"
     try:
-        return {int(t): frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
-                for t, edges in raw.items()}
+        steps = [integer(t) for t in raw]
+    except ValueError as exc:
+        raise ValueError(f"drops file {path}: step {exc}") from None
+    try:
+        return {t: frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
+                for t, edges in zip(steps, raw.values())}
     except TypeError:
         raise shape from None
 
@@ -301,17 +313,20 @@ def _cmd_certify(args) -> int:
     c = certify.gains_to_claim_coeffs(g, iv)
     p8 = certify.prop8_check(c)
     w = certify.claim6_witness(c)
-    payload = {
-        "claim_coeffs": {"M": c.M, "nu": c.nu, "a": list(c.a)},
-        "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
-        else {"kind": p8.kind},
-        "witness": dataclasses.asdict(w),
-    }
-    _emit(payload, args.output)
+    # The field is written before the certificate, so that a field that
+    # fails leaves no certificate on stdout.
     if window is not None:
         field = certify.partition_field(c, args.field, **window)
         with open(args.field_out, "w") as fh:
             fh.write(field.to_json() + "\n")
+    payload = {
+        "claim_coeffs": {"M": c.M, "nu": c.nu, "a": list(c.a)},
+        "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
+        else {"kind": p8.kind},
+        "witness": {"found": w.found, "theta": w.theta, "root": w.root,
+                    "modulus": w.modulus, "scanned": w.scanned},
+    }
+    _emit(payload, args.output)
     return 0
 
 
@@ -337,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="closed-form optimal tuning for an interval")
     p.add_argument("--interval", required=True, metavar="LO,HI")
-    p.add_argument("--M", type=int, default=2)
+    p.add_argument("--M", type=integer, default=2)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("guarantee", help="worst-case guarantee of gains over a set")
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--set", required=True, metavar="SPEC")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=integer)
     p.add_argument("--refine-tol", type=float)
     p.add_argument("--samples-csv", metavar="FILE")
     p.add_argument("--output", "-o")
@@ -352,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="derivative-free gain search over a set")
     p.add_argument("--set", required=True, metavar="SPEC")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--seed-rng", type=int, default=0)
+    p.add_argument("--M", type=integer, required=True)
+    p.add_argument("--budget", type=integer)
+    p.add_argument("--seed-rng", type=integer, default=0)
     p.add_argument("--seed-gains", metavar="FILE")
     p.add_argument("--samples-csv", metavar="FILE")
     p.add_argument("--output", "-o")
@@ -363,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the iteration on a graph")
     p.add_argument("--graph", required=True, metavar="EDGELIST")
     p.add_argument("--gains", required=True, metavar="FILE")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=integer, required=True)
     p.add_argument("--drops", metavar="FILE")
     p.add_argument("--x0", metavar="V0,V1,...")
-    p.add_argument("--seed-rng", type=int, default=0)
+    p.add_argument("--seed-rng", type=integer, default=0)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_simulate)
 

@@ -9,7 +9,6 @@ with header ``t,residual,spread,rms,mean``.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,13 +25,12 @@ from .spectral import (
     nonzero_spectral_interval,
     symmetric_eigenvalues,
 )
-from .tuning import Gains, tune_theorem3
+from .tuning import Gains, Record, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
 
 
-@dataclass(frozen=True)
-class IterationProblem:
+class IterationProblem(Record):
     """Fixed-point problem A x = b with start vector x0.
 
     A must be symmetric, A, b and x0 finite, and b orthogonal to the
@@ -44,17 +42,17 @@ class IterationProblem:
     next to ||b|| when y is nearly in the kernel itself.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
-    nonzeros as arrays (diag, i, j, a_ij), so the simulator computes A x
-    in O(n + nnz(A)) per step. That suits the graph Laplacians and
-    diagonal matrices this package works with; a dense general A costs
-    more than a BLAS matvec would.
+    nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), so the
+    simulator computes A x in O(n + nnz(A)) per step. That suits the
+    graph Laplacians and diagonal matrices this package works with; a
+    dense general A costs more than a BLAS matvec would. ``nonzeros`` is
+    a cache, not a field: it is no argument and is left out of ``==``
+    and repr.
     """
 
     A: np.ndarray
     b: np.ndarray
     x0: np.ndarray
-    nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -87,21 +85,20 @@ class IterationProblem:
         object.__setattr__(self, "nonzeros", (A.diagonal().copy(), i, j, a))
 
 
-@dataclass(frozen=True)
-class DropSchedule:
+class DropSchedule(Record):
     """Per-step sets of undirected edges whose weight is zeroed.
 
     Tied to the graph whose Laplacian the simulation runs on; every
     referenced edge must exist there. Steps are integers >= 0 and node
     indices integers: a float or a bool raises ValueError, not a
     truncation. Each step's dropped edges are also kept as arrays
-    (i, j, w), sorted by edge, for the simulator.
+    (i, j, w), sorted by edge, for the simulator in ``cuts``, a cache
+    that, like ``IterationProblem.nonzeros``, is not a field.
     """
 
     graph: WeightedGraph
-    drops: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
-    cuts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False)
+    # Never mutated: __post_init__ stores a new dict.
+    drops: dict[int, frozenset[tuple[int, int]]] = {}
 
     def __post_init__(self):
         weight = {(min(i, j), max(i, j)): w for i, j, w in self.graph.edges}
@@ -134,8 +131,7 @@ class DropSchedule:
         return laplacian(WeightedGraph(self.graph.n, kept)).entries
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class SimTrace(Record):
     """States x(0..T) with residuals, disagreement metrics and flags."""
 
     states: np.ndarray          # (T+1, n)

@@ -14,18 +14,16 @@ non-finite residual never meets the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegreeZeroError, EmptyRootSetError, NoConvergenceError
+from .tuning import Record
 
 ROOT_RESIDUAL_TOL = 1e-9
 MAX_POLISH_ITERS = 500
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
+class RealPolynomial(Record):
     """Normalized real polynomial: trailing zeros trimmed, degree = index
     of the last nonzero coefficient. The zero polynomial normalizes to
     degree 0 with coeffs (0.0,)."""
@@ -52,8 +50,7 @@ class RealPolynomial:
         return eval_poly(self, z)
 
 
-@dataclass(frozen=True)
-class ComplexRootSet:
+class ComplexRootSet(Record):
     """Root multiset with per-root residuals |p(root)| as quality metric.
 
     Roots are sorted by (real, imag) so output order is deterministic."""

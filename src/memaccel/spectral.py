@@ -9,7 +9,6 @@ live in :mod:`memaccel.tuning` and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import (
     NegativeWeightError,
     ParseError,
 )
-from .tuning import SpectralInterval, SpectralSet
+from .tuning import Record, SpectralInterval, SpectralSet
 
 
 def _is_index(v) -> bool:
@@ -28,8 +27,7 @@ def _is_index(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(Record):
     """Undirected weighted graph; one stored entry per unordered pair.
     Node count and indices are integers; a float or bool raises ValueError."""
 
@@ -57,8 +55,7 @@ class WeightedGraph:
             seen.add(key)
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
+class LaplacianMatrix(Record):
     """Dense symmetric Laplacian; rows sum to zero by construction.
     ``components`` is the number of connected components of its graph,
     which is the dimension of its kernel."""

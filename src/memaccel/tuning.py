@@ -1,20 +1,85 @@
 """Scalar layer: spectral sets, gains and the closed-form optimal tunings.
 
 Everything here is a square root away from the answer, so this module
-imports no numpy; the CLI's ``tune`` and its argument errors run on it
-alone.
+imports only ``math`` and :mod:`memaccel.errors`; the CLI's ``tune`` and
+its argument errors run on it alone. :class:`Record`, the base of every
+record in the package, lives here for the same reason.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import AlphaZeroError, MemaccelError
 
 
-@dataclass(frozen=True)
-class SpectralInterval:
+class Record:
+    """Immutable value object, the base of every record in the package.
+
+    A subclass declares its fields as class annotations, in order, with
+    class-level defaults for the optional ones, and may check and
+    normalise them in ``__post_init__`` (through ``object.__setattr__``).
+    The base reads the annotations once per class and gives every record
+    one shared ``__init__`` (positional or keyword arguments), equality
+    and hash by field, a ``Name(field=value, ...)`` repr, and assignment
+    and deletion that raise AttributeError; to change a field, build a
+    new record.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, "
+                            f"got {len(args)} positional")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for {name!r}")
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
+            values[name] = value
+        if len(values) < len(fields):
+            for name in fields:
+                if name not in values:
+                    if not hasattr(cls, name):
+                        raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                    values[name] = getattr(cls, name)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class SpectralInterval(Record):
     """Closed interval [lo, hi] of admissible nonzero eigenvalues."""
 
     lo: float
@@ -32,8 +97,7 @@ class SpectralInterval:
         return self.lo <= lam <= self.hi
 
 
-@dataclass(frozen=True)
-class SpectralSet:
+class SpectralSet(Record):
     """Union of closed intervals and isolated points in (0, inf).
 
     Canonical form: intervals sorted and merged, degenerate intervals
@@ -41,7 +105,7 @@ class SpectralSet:
     """
 
     intervals: tuple[SpectralInterval, ...] = ()
-    points: tuple[float, ...] = field(default_factory=tuple)
+    points: tuple[float, ...] = ()
 
     def __post_init__(self):
         ivs = sorted(self.intervals, key=lambda iv: (iv.lo, iv.hi))
@@ -83,8 +147,7 @@ class SpectralSet:
         return cls(intervals=(iv,))
 
 
-@dataclass(frozen=True)
-class Gains:
+class Gains(Record):
     """Free parameters of the accelerated iteration.
 
     M is the memory order: M=1 is the memoryless scheme, M-1 memory slots
@@ -110,8 +173,7 @@ class Gains:
             raise AlphaZeroError("alpha = 0 makes every state stationary")
 
 
-@dataclass(frozen=True)
-class TuningResult:
+class TuningResult(Record):
     """Closed-form single-memory tuning for a spectral interval."""
 
     gains: Gains

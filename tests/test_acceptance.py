@@ -5,8 +5,6 @@ PASS line on success; tolerances are stated inline. Randomized criteria
 use frozen seeds so the suite is fully deterministic.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -30,6 +28,7 @@ from memaccel.certify import (
 from memaccel.dynamics import (
     DropSchedule,
     IterationProblem,
+    SimTrace,
     empirical_rate,
     memory_fragility_example,
     simulate,
@@ -228,8 +227,8 @@ def test_criterion_09_simulation_consistency():
         env = np.maximum.accumulate(tr.residuals[::-1])[::-1]
         above = np.flatnonzero(env > env[0] * 1e-12)
         k = max(int(above[-1]) + 1, 13) if above.size else 13
-        trimmed = replace(tr, states=tr.states[:k], residuals=env[:k],
-                          spread=tr.spread[:k], rms=tr.rms[:k], mean=tr.mean[:k])
+        trimmed = SimTrace(states=tr.states[:k], residuals=env[:k], spread=tr.spread[:k],
+                           rms=tr.rms[:k], mean=tr.mean[:k], diverged_at=tr.diverged_at)
         assert empirical_rate(trimmed, burn_in=k // 2) <= t.nu_star + 0.02
     # average preservation, with and without drops
     for _ in range(10):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import memaccel
-from memaccel.cli import build_parser, main
+from memaccel.cli import build_parser, integer, main
 
 
 def run(capsys, *argv):
@@ -314,7 +314,9 @@ class TestSimulate:
         assert code == 3 and err.startswith("error:")
 
     @pytest.mark.parametrize("drops", [{"0": [[0.9, 1]]}, {"0": [[0, True]]},
-                                       {"1.5": [[0, 1]]}, {"true": [[0, 1]]}])
+                                       {"1.5": [[0, 1]]}, {"true": [[0, 1]]},
+                                       {"1_0": [[0, 1]]}, {" 2 ": [[0, 1]]},
+                                       {"\u0663": [[0, 1]]}, {"+1": [[0, 1]]}])
     def test_non_integer_drops_exit3(self, capsys, tmp_path, drops):
         graph = write_path3(tmp_path)
         gains = write_gains(tmp_path, 1, 0.4, [])
@@ -423,7 +425,9 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--gains", str(p), "--interval", REF)
         assert code == 3 and err.startswith("error:")
 
-    @pytest.mark.parametrize("window", ["-2:2:oops", "-2:2:-2:2:x", "a:2:-2:2:64"])
+    @pytest.mark.parametrize("window", ["-2:2:oops", "-2:2:-2:2:x", "a:2:-2:2:64",
+                                        "-2:2:-2:2:4_8", "-2:2:-2:2: 48",
+                                        "-2:2:-2:2:\u0664\u0668"])
     def test_malformed_window_exit2(self, capsys, tmp_path, window):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])
         field = tmp_path / "field.json"
@@ -474,12 +478,77 @@ class TestCertify:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("window", ["-2:2:-2:2:16", "-2:2:-2:2:-48"])
+    def test_rejected_resolution_exit3_before_certificate(self, capsys, tmp_path, window):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        field = tmp_path / "field.json"
+        code, out, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                             "--field", "0.5", f"--window={window}",
+                             "--field-out", str(field))
+        assert code == 3 and err.startswith("error:") and "resolution" in err
+        assert out == "" and not field.exists()
+
+    def test_unwritable_field_out_exit3_before_certificate(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        code, out, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                             "--field", "0.5", "--window=-2:2:-2:2:48",
+                             "--field-out", str(tmp_path / "no-such-dir" / "field.json"))
+        assert code == 3 and err.startswith("error:")
+        assert out == ""
+
+    def test_field_leaves_certificate_unchanged(self, capsys, tmp_path):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        _, plain, _ = run(capsys, "certify", "--gains", gains, "--interval", REF)
+        code, out, _ = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                           "--field", "0.5", "--window=-2:2:-2:2:48",
+                           "--field-out", str(tmp_path / "field.json"))
+        assert code == 0 and out == plain
+        assert json.loads((tmp_path / "field.json").read_text())["re_range"][2] == 48
+
     def test_window_ignored_without_field(self, capsys, tmp_path):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])
         code, out, _ = run(capsys, "certify", "--gains", gains, "--interval", REF,
                            "--window=-2:2:oops")
         assert code == 0
         assert json.loads(out)["witness"]["found"] is True
+
+
+class TestIntegerArguments:
+    """The integers the CLI parses itself are -?[0-9]+ in ASCII digits;
+    int() would also take underscores, surrounding blanks and other
+    scripts' digits."""
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3), ("0012", 12)])
+    def test_accepted(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", " 2 ", "2\n", "\u0663", "+3", "", "-", "1.0",
+                                      "1e3", "0x10"])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match="is not an integer"):
+            integer(text)
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--interval", "0.1,2", "--M", "1_0"],
+        ["tune", "--interval", "0.1,2", "--M", "\u0663"],
+        ["guarantee", "--gains", "GAINS", "--set", "0.1:2", "--grid", "1_00"],
+        ["search", "--set", "0.1:2", "--M", "2", "--budget", " 50"],
+        ["search", "--set", "0.1:2", "--M", "2", "--seed-rng", "1_0"],
+        ["simulate", "--graph", "GRAPH", "--gains", "GAINS", "--steps", "1_2"],
+        ["simulate", "--graph", "GRAPH", "--gains", "GAINS", "--steps", "5",
+         "--seed-rng", "\u0661"],
+    ], ids=["M", "M-arabic", "grid", "budget", "search-seed", "steps", "simulate-seed"])
+    def test_option_exit2(self, capsys, tmp_path, argv):
+        paths = {"GAINS": write_gains(tmp_path, 2, 3.0, [-0.5]), "GRAPH": write_path3(tmp_path)}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(a, a) for a in argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "invalid integer value" in out.err
+
+    def test_negative_value_reaches_the_library(self, capsys):
+        code, out, err = run(capsys, "tune", "--interval", "0.1,2", "--M", "-1")
+        assert code == 3 and out == "" and "M >= 2" in err
 
 
 class TestSpectrum:

@@ -45,7 +45,9 @@ EXPORTS = {
     },
 }
 SUBMODULES = ("accel", "certify", "dynamics", "errors", "polyroots", "spectral", "tuning")
-WATCHED = ("numpy", "memaccel.accel", "memaccel.certify", "memaccel.dynamics",
+# dataclasses pulls in inspect, the largest import the CLI's numpy-free
+# paths could still pay for; numpy imports inspect itself.
+WATCHED = ("dataclasses", "inspect", "numpy", "memaccel.accel", "memaccel.certify", "memaccel.dynamics",
            "memaccel.polyroots", "memaccel.spectral", "memaccel.tuning")
 # The numpy-free scalar layer, and the modules that re-export its names.
 TUNING = {
@@ -132,8 +134,15 @@ def test_import_memaccel_loads_no_numpy(tmp_path):
     "from memaccel import Gains, SpectralSet, tune_memoryless, tune_theorem3",
 ])
 def test_scalar_layer_loads_no_numpy(tmp_path, statement):
-    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'memaccel'))))"
+    watched = ('numpy', 'memaccel', 'dataclasses', 'inspect')
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith({watched!r})))"
     assert _fresh(code, tmp_path).strip() == "['memaccel', 'memaccel.errors', 'memaccel.tuning']"
+
+
+def test_submodules_load_no_dataclasses(tmp_path):
+    modules = ", ".join(f"memaccel.{name}" for name in SUBMODULES)
+    code = f"import sys, {modules}; print('dataclasses' in sys.modules)"
+    assert _fresh(code, tmp_path).strip() == "False"
 
 
 @pytest.fixture
@@ -160,8 +169,12 @@ def files(tmp_path):
     ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "nan"],
     ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "0.5",
      "--window=-2:inf:-2:2:32"],
+    ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "0.5",
+     "--window=-2:2:-2:2:4_8"],
+    ["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "1_2"],
 ], ids=["interval", "set-item", "set-order", "search-set", "missing-flag", "x0", "window",
-        "set-point-negative", "set-point-zero", "set-point-inf", "field-nan", "window-inf"])
+        "set-point-negative", "set-point-zero", "set-point-inf", "field-nan", "window-inf",
+        "window-resolution", "steps"])
 def test_exit2_paths_load_no_numpy(files, argv):
     assert _run_cli(argv, files) == (2, [])
 
@@ -185,14 +198,14 @@ def test_exit3_argument_errors_load_no_numpy(files, argv):
     (["tune", "--interval", "0.1,2", "--M", "1"], ["tuning"]),
     (["tune", "--interval", "0.1,2", "--M", "4"], ["tuning"]),
     (["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--grid", "9"],
-     ["numpy", "accel", "polyroots", "tuning"]),
+     ["inspect", "numpy", "accel", "polyroots", "tuning"]),
     (["search", "--set", "0.1:2", "--M", "2", "--budget", "10"],
-     ["numpy", "accel", "polyroots", "tuning"]),
-    (["spectrum", "--graph", "graph.txt"], ["numpy", "spectral", "tuning"]),
+     ["inspect", "numpy", "accel", "polyroots", "tuning"]),
+    (["spectrum", "--graph", "graph.txt"], ["inspect", "numpy", "spectral", "tuning"]),
     (["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "3"],
-     ["numpy", "dynamics", "spectral", "tuning"]),
+     ["inspect", "numpy", "dynamics", "spectral", "tuning"]),
     (["certify", "--gains", "gains.json", "--interval", "0.1,2"],
-     ["numpy", "certify", "polyroots", "tuning"]),
+     ["inspect", "numpy", "certify", "polyroots", "tuning"]),
 ], ids=["tune", "tune-M1", "tune-M4", "guarantee", "search", "spectrum", "simulate",
         "certify"])
 def test_subcommand_imports_only_what_it_runs(files, argv, loaded):

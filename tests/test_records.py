@@ -1,0 +1,182 @@
+"""Value semantics shared by every record in the package.
+
+Each record derives from ``tuning.Record``: one shared ``__init__``,
+equality, hash and repr by field, and no assignment or deletion after
+construction. One small valid instance per record class checks all of
+it, together with a variant that differs in one field.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from memaccel import accel, certify, dynamics, polyroots, spectral, tuning
+from memaccel.tuning import Record
+
+PATH3 = spectral.WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+ZEROS = np.zeros(2)
+
+# class -> (fields of an instance, in declaration order; one changed field)
+RECORDS = {
+    tuning.SpectralInterval: (dict(lo=0.1, hi=2.0), dict(hi=3.0)),
+    tuning.SpectralSet: (dict(intervals=(tuning.SpectralInterval(0.1, 0.2),), points=(1.0,)),
+                         dict(points=(1.5,))),
+    tuning.Gains: (dict(M=2, alpha=0.5, betas=(-0.1,)), dict(alpha=0.6)),
+    tuning.TuningResult: (dict(gains=tuning.Gains(2, 0.5, (-0.1,)), mu=0.5, nu_star=0.27,
+                               alpha_star=0.5, beta1_star=-0.1, degenerate=False),
+                          dict(degenerate=True)),
+    accel.GuaranteeReport: (dict(nu=0.5, nu_lo=0.49, worst_lambda=1.0, samples=((1.0, 0.49),)),
+                            dict(nu=0.6)),
+    polyroots.RealPolynomial: (dict(coeffs=(1.0, -2.0, 1.0)), dict(coeffs=(1.0, 2.0))),
+    polyroots.ComplexRootSet: (dict(roots=(1 + 0j, 1 + 0j), residuals=(0.0, 0.0)),
+                               dict(residuals=(0.0, 1e-16))),
+    certify.ClaimCoeffs: (dict(M=2, nu=0.5, a=(0.1, 0.2)), dict(nu=0.4)),
+    certify.Prop8Result: (dict(kind="unit_circle_root", root=1j), dict(root=-1j)),
+    certify.WitnessReport: (dict(found=True, theta=0.5, root=1 + 0j, modulus=1.0, scanned=3),
+                            dict(scanned=4)),
+    certify.PartitionField: (dict(re=np.array([-1.0, 1.0]), im=np.array([-1.0, 1.0]),
+                                  type_mask=np.zeros((2, 2), int),
+                                  phase_match=np.zeros((2, 2), bool),
+                                  roots_p1=(1j, -1j), roots_p2=(2 + 0j,), theta=0.5),
+                             dict(theta=0.6)),
+    spectral.WeightedGraph: (dict(n=3, edges=PATH3.edges), dict(n=4)),
+    spectral.LaplacianMatrix: (dict(entries=L2, components=1), dict(components=2)),
+    # One-entry vectors compare to a plain bool, so the variant is unequal
+    # rather than ambiguous.
+    dynamics.IterationProblem: (dict(A=np.array([[2.0]]), b=np.array([0.0]),
+                                     x0=np.array([1.0])),
+                                dict(x0=np.array([2.0]))),
+    dynamics.DropSchedule: (dict(graph=PATH3, drops={0: frozenset({(0, 1)})}),
+                            dict(drops={1: frozenset({(0, 1)})})),
+    dynamics.SimTrace: (dict(states=np.zeros((2, 1)), residuals=ZEROS, spread=ZEROS,
+                             rms=ZEROS, mean=ZEROS, diverged_at=None),
+                        dict(diverged_at=1)),
+}
+
+
+def _hash_or_none(values):
+    try:
+        return hash(values)
+    except TypeError:
+        return None
+
+
+def test_every_record_is_covered():
+    assert set(Record.__subclasses__()) == set(RECORDS)
+
+
+@pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
+def case(request):
+    cls = request.param
+    fields, change = RECORDS[cls]
+    return cls, fields, change
+
+
+class TestRecord:
+    def test_keyword_equals_positional(self, case):
+        cls, fields, _ = case
+        assert cls(**fields) == cls(*fields.values())
+
+    def test_equality_and_hash_by_field(self, case):
+        cls, fields, change = case
+        r, same = cls(**fields), cls(**fields)
+        assert r == same and not r != same
+        assert r != cls(**{**fields, **change})
+        assert r != tuple(getattr(r, k) for k in fields)
+        expected = _hash_or_none(tuple(getattr(r, k) for k in fields))
+        if expected is None:
+            with pytest.raises(TypeError):
+                hash(r)
+        else:
+            assert hash(r) == hash(same) == expected
+            assert len({r, same}) == 1
+
+    def test_repr_names_every_field(self, case):
+        cls, fields, _ = case
+        r = cls(**fields)
+        body = ", ".join(f"{k}={getattr(r, k)!r}" for k in fields)
+        assert repr(r) == f"{cls.__name__}({body})"
+
+    def test_immutable(self, case):
+        cls, fields, _ = case
+        r = cls(**fields)
+        first = next(iter(fields))
+        before = getattr(r, first)
+        with pytest.raises(AttributeError):
+            setattr(r, first, before)
+        with pytest.raises(AttributeError):
+            delattr(r, first)
+        with pytest.raises(AttributeError):
+            r.not_a_field = 1
+        assert getattr(r, first) is before and not hasattr(r, "not_a_field")
+
+    def test_argument_errors(self, case):
+        cls, fields, _ = case
+        first, value = next(iter(fields.items()))
+        args = tuple(fields.values())
+        with pytest.raises(TypeError, match="multiple values"):
+            cls(*args, **{first: value})
+        with pytest.raises(TypeError, match="unexpected argument 'bogus'"):
+            cls(*args, bogus=1)
+        with pytest.raises(TypeError, match="arguments"):
+            cls(*args, None)
+        required = [k for k in fields if not hasattr(cls, k)]
+        if required:
+            with pytest.raises(TypeError, match=f"missing argument '{required[-1]}'"):
+                cls(**{k: v for k, v in fields.items() if k != required[-1]})
+        else:
+            assert cls() == cls(*(getattr(cls, k) for k in fields))
+
+    def test_pickle_round_trip(self, case):
+        cls, fields, _ = case
+        r = cls(**fields)
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is cls
+        for k in fields:
+            np.testing.assert_equal(getattr(back, k), getattr(r, k))
+        assert repr(back) == repr(r)
+
+
+class TestDerivedCaches:
+    """``IterationProblem.nonzeros`` and ``DropSchedule.cuts`` are set by
+    ``__post_init__`` and are not fields: they stay out of ``__init__``,
+    ``==`` and repr, and survive a pickle."""
+
+    def _problems(self):
+        A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
+        return [dynamics.IterationProblem(A, b, x0) for _ in range(2)]
+
+    def _schedules(self):
+        drops = {2: frozenset({(0, 1), (1, 2)})}
+        return [dynamics.DropSchedule(PATH3, drops) for _ in range(2)]
+
+    def test_not_in_init(self):
+        p, _ = self._problems()
+        with pytest.raises(TypeError, match="unexpected argument 'nonzeros'"):
+            dynamics.IterationProblem(p.A, p.b, p.x0, nonzeros=p.nonzeros)
+        d, _ = self._schedules()
+        with pytest.raises(TypeError, match="unexpected argument 'cuts'"):
+            dynamics.DropSchedule(PATH3, d.drops, cuts=d.cuts)
+
+    def test_not_compared(self):
+        # Distinct arrays of two or more entries cannot be compared as a
+        # bool, so equality holds only if the caches are left out.
+        p, q = self._problems()
+        assert p.nonzeros[1] is not q.nonzeros[1] and p.nonzeros[1].size > 1
+        assert p == q
+        d, e = self._schedules()
+        assert d.cuts[2][0] is not e.cuts[2][0] and d.cuts[2][0].size > 1
+        assert d == e
+
+    def test_not_in_repr(self):
+        p, _ = self._problems()
+        d, _ = self._schedules()
+        assert "nonzeros" not in repr(p) and "cuts" not in repr(d)
+
+    def test_survive_pickle(self):
+        p, _ = self._problems()
+        d, _ = self._schedules()
+        np.testing.assert_equal(pickle.loads(pickle.dumps(p)).nonzeros, p.nonzeros)
+        np.testing.assert_equal(pickle.loads(pickle.dumps(d)).cuts, d.cuts)
