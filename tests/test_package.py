@@ -45,10 +45,10 @@ EXPORTS = {
     },
 }
 SUBMODULES = ("accel", "certify", "dynamics", "errors", "polyroots", "spectral", "tuning")
-# dataclasses pulls in inspect, the largest import the CLI's numpy-free
-# paths could still pay for; numpy imports inspect itself.
-WATCHED = ("dataclasses", "inspect", "numpy", "memaccel.accel", "memaccel.certify", "memaccel.dynamics",
-           "memaccel.polyroots", "memaccel.spectral", "memaccel.tuning")
+# A numpy-free path loads neither dataclasses nor inspect (which
+# dataclasses imports); numpy imports inspect itself.
+WATCHED = ("dataclasses", "inspect", "numpy", "memaccel.accel", "memaccel.certify",
+           "memaccel.dynamics", "memaccel.polyroots", "memaccel.spectral", "memaccel.tuning")
 # The numpy-free scalar layer, and the modules that re-export its names.
 TUNING = {
     "Gains": ("memaccel.accel",), "TuningResult": ("memaccel.accel",),
