@@ -197,12 +197,8 @@ def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
         raise shape
     node = f"node index in drops file {path}"
     try:
-        steps = [integer(t) for t in raw]
-    except ValueError as exc:
-        raise ValueError(f"drops file {path}: step {exc}") from None
-    try:
-        return {t: frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
-                for t, edges in zip(steps, raw.values())}
+        return {integer(t): frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
+                for t, edges in raw.items()}
     except TypeError:
         raise shape from None
 
