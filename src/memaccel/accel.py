@@ -15,7 +15,7 @@ from . import polyroots
 from .errors import OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
 from .tuning import (Gains, Record, SpectralInterval, SpectralSet, TuningResult,
-                     check_guarantee_args, tune_memoryless, tune_theorem3)
+                     _check_index, check_guarantee_args, tune_memoryless, tune_theorem3)
 
 DEFAULT_GRID = 2001
 DEFAULT_REFINE_TOL = 1e-10
@@ -219,9 +219,12 @@ def search_gains(
     the incumbent best. ``budget`` caps the guarantee evaluations, each
     on a SEARCH_GRID grid bracketed to SEARCH_REFINE_TOL. Returns the seed
     itself when no improvement is found. Deterministic for a fixed
-    rng_seed."""
+    rng_seed. M, budget and rng_seed are integers: a float or a bool
+    raises ValueError."""
     if isinstance(s, SpectralInterval):
         s = SpectralSet.from_interval(s)
+    for name, v in (("M", M), ("budget", budget), ("rng_seed", rng_seed)):
+        _check_index(name, v)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if seed is None and M == 1:

@@ -18,7 +18,7 @@ import numpy as np
 from . import polyroots
 from .errors import BetaTildeMinusOneError, MemaccelError
 from .polyroots import RealPolynomial
-from .tuning import Gains, Record, SpectralInterval, tune_theorem3
+from .tuning import Gains, Record, SpectralInterval, _check_index, tune_theorem3
 
 WITNESS_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-9
@@ -36,6 +36,7 @@ class ClaimCoeffs(Record):
     a: tuple[float, ...]
 
     def __post_init__(self):
+        _check_index("M", self.M)
         if self.M < 2:
             raise ValueError("need M >= 2")
         if not (0 < self.nu < 1):
@@ -217,7 +218,8 @@ def partition_field(
     """Sample sign(|P1| - |P2|) and the phase-match locus on a window of
     the complex plane, with root overlays. Tie cells (difference below
     TIE_TOL) are marked 0. A non-finite theta or window bound raises
-    ValueError."""
+    ValueError, and so does a resolution that is not an integer >= 32."""
+    _check_index("resolution", resolution)
     if resolution < 32:
         raise ValueError("resolution must be at least 32")
     if not np.isfinite([theta, *re_range, *im_range]).all():
@@ -248,6 +250,8 @@ def large_radius_phase_check(
     for b the larger of the Cauchy root bounds of P1 and P2.
     Requires a positive leading coefficient. Returns (ok, violating
     (theta, phase) sample or None)."""
+    _check_index("theta_grid", theta_grid)
+    _check_index("phase_grid", phase_grid)
     if c.a[-1] <= 0:
         raise ValueError("check requires a_{M-1} > 0")
     bound1 = 3.0  # Cauchy bound of P1: coefficients within [-2, 2]

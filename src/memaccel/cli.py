@@ -6,7 +6,11 @@ fully deterministic for a fixed --seed-rng. A guarantee report gives
 the certified bound nu and the attained nu_lo <= nu at worst_lambda.
 Exit codes: 0 success, 2 usage or parse error (a malformed number, a
 set item outside (0, inf), a non-finite --field or --window bound),
-3 domain error or a gains or drops file of the wrong JSON shape. Every
+3 domain error or a gains or drops file of the wrong JSON shape. A
+number in an option or an edge-list file is an integer written
+-?[0-9]+, or a decimal as float() reads it (inf and nan included) but
+in ASCII, without underscores and, except between list items, without
+blanks around it (``errors.integer`` and ``errors.decimal``). Every
 exit-2 error is found before any numerical work: each subcommand
 parses its strings first and only then imports the modules it runs.
 ``tune`` runs on the numpy-free ``memaccel.tuning`` alone; ``guarantee``
@@ -34,10 +38,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 
-from .errors import MemaccelError, ParseError
+from .errors import MemaccelError, ParseError, decimal, integer
 
 
 class _Full(float):
@@ -77,68 +80,52 @@ def _emit(payload, path: str | None):
 
 # String-level parsing. These helpers use no numpy and no submodule, so
 # a malformed argument exits 2 before anything numerical is imported.
+# Every number is read by errors.integer or errors.decimal.
 
-def integer(text: str) -> int:
-    """An integer written -?[0-9]+ in ASCII digits; int() alone would
-    also read "1_0" as 10, " 2 " as 2 and "\u0663" as 3."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
+def _numbers(text: str, sep: str, count: int | None = None) -> list[float]:
+    """The decimals of a sep-separated list, each stripped of the blanks
+    around it; ValueError unless each reads and, given count, there are
+    count of them."""
+    values = [decimal(v.strip()) for v in text.split(sep)]
+    if count is not None and len(values) != count:
+        raise ValueError(f"{text!r} is not {count} numbers")
+    return values
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
+def _read(option: str, read, text: str, *args):
+    """read(text, *args), its ValueError a ParseError that names option."""
     try:
-        lo, hi = (float(v) for v in text.split(","))
+        return read(text, *args)
     except ValueError:
-        raise ParseError(0, text) from None
+        raise ParseError(text, option=option) from None
+
+
+def _set_item(item: str) -> tuple[float, float]:
+    """(lo, hi) of a spectral-set item "lo:hi", or (v, v) of a point "v",
+    which SpectralSet keeps as an isolated point."""
+    bounds = _numbers(item, ":")
+    lo, hi = bounds if len(bounds) > 1 else bounds * 2
+    # SpectralInterval's own condition, which SpectralSet applies to
+    # points too: an item that fails it is a parse error, as a malformed
+    # number is.
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"{item!r} is not inside (0, inf)")
     return lo, hi
 
 
 def _parse_set(text: str) -> list[tuple[float, float]]:
-    """(lo, hi) of each item of a spectral-set spec; a point v is (v, v),
-    which SpectralSet keeps as an isolated point."""
-    items = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            bounds = [float(v) for v in item.split(":")]
-            lo, hi = bounds if ":" in item else bounds * 2
-            # SpectralInterval's own condition, which SpectralSet applies
-            # to points too: an item that fails it is a parse error, as a
-            # malformed number is.
-            if not 0 < lo <= hi < float("inf"):
-                raise ValueError
-        except ValueError:
-            raise ParseError(0, item) from None
-        items.append((lo, hi))
-    return items
+    """(lo, hi) of each nonblank item of a spectral-set spec."""
+    return [_read("--set", _set_item, item) for item in map(str.strip, text.split(",")) if item]
 
 
-def _parse_x0(text: str | None) -> list[float] | None:
-    if not text:
-        return None
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ParseError(0, text) from None
-
-
-def _parse_window(text: str | None) -> dict:
+def _window(text: str) -> dict:
     """partition_field's re_range, im_range and resolution keywords from a
-    REMIN:REMAX:IMMIN:IMMAX:RES spec with finite bounds; none without a
-    spec, so the library's own window applies."""
-    if text is None:
-        return {}
-    try:
-        *bounds, res = text.split(":")
-        lo_r, hi_r, lo_i, hi_i = (float(v) for v in bounds)
-        if not all(map(math.isfinite, (lo_r, hi_r, lo_i, hi_i))):
-            raise ValueError
-        return {"re_range": (lo_r, hi_r), "im_range": (lo_i, hi_i), "resolution": integer(res)}
-    except ValueError:
-        raise ParseError(0, text) from None
+    REMIN:REMAX:IMMIN:IMMAX:RES spec with finite bounds."""
+    bounds, _, res = text.rpartition(":")
+    lo_r, hi_r, lo_i, hi_i = _numbers(bounds, ":")
+    if not all(map(math.isfinite, (lo_r, hi_r, lo_i, hi_i))):
+        raise ValueError(f"{text!r} has a bound that is not finite")
+    return {"re_range": (lo_r, hi_r), "im_range": (lo_i, hi_i), "resolution": integer(res)}
 
 
 def _spectral_set(items):
@@ -219,7 +206,7 @@ def _write_samples_csv(rep, path: str):
 
 
 def _cmd_tune(args) -> int:
-    lo, hi = _parse_interval(args.interval)
+    lo, hi = _read("--interval", _numbers, args.interval, ",", 2)
     from . import tuning
 
     iv = tuning.SpectralInterval(lo, hi)
@@ -266,7 +253,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    x0 = _parse_x0(args.x0)
+    x0 = _read("--x0", _numbers, args.x0, ",") if args.x0 else None
     import numpy as np
 
     from . import dynamics, spectral
@@ -278,7 +265,7 @@ def _cmd_simulate(args) -> int:
     if x0 is None:
         x0 = np.random.default_rng(args.seed_rng).standard_normal(graph.n)
     elif len(x0) != graph.n:
-        raise ParseError(0, args.x0)
+        raise ParseError(args.x0, option="--x0")
     prob = dynamics.IterationProblem(L.entries, np.zeros(graph.n), np.asarray(x0))
     schedule = None
     if args.drops:
@@ -297,10 +284,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    lo, hi = _parse_interval(args.interval)
-    if args.field is not None and not math.isfinite(args.field):
-        raise ParseError(0, str(args.field))
-    window = _parse_window(args.window) if args.field is not None else None
+    lo, hi = _read("--interval", _numbers, args.interval, ",", 2)
+    window = None
+    if args.field is not None:
+        if not math.isfinite(args.field):
+            raise ParseError(str(args.field), option="--field")
+        window = _read("--window", _window, args.window) if args.window is not None else {}
     from . import certify
     from .tuning import SpectralInterval
 
@@ -356,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--set", required=True, metavar="SPEC")
     p.add_argument("--grid", type=integer)
-    p.add_argument("--refine-tol", type=float)
+    p.add_argument("--refine-tol", type=decimal)
     p.add_argument("--samples-csv", metavar="FILE")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_guarantee)
@@ -384,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="optimality certificate machinery for gains")
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--interval", required=True, metavar="LO,HI")
-    p.add_argument("--field", type=float, metavar="THETA")
+    p.add_argument("--field", type=decimal, metavar="THETA")
     p.add_argument("--window", metavar="REMIN:REMAX:IMMIN:IMMAX:RES")
     p.add_argument("--field-out", default="field.json", metavar="FILE")
     p.add_argument("--output", "-o")

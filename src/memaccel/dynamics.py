@@ -19,13 +19,12 @@ from .errors import (
 )
 from .spectral import (
     WeightedGraph,
-    _is_index,
     _nonzeros,
     laplacian,
     nonzero_spectral_interval,
     symmetric_eigenvalues,
 )
-from .tuning import Gains, Record, tune_theorem3
+from .tuning import Gains, Record, _check_index, _is_index, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -172,6 +171,7 @@ def simulate(
     for T steps with constant history, where A_t is A with the scheduled
     links removed. Aborts with the diverged flag once ||x|| exceeds
     1e6 * ||x0||."""
+    _check_index("T", T)
     if T < 1:
         raise ValueError("need T >= 1")
     if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
@@ -228,6 +228,7 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
 
     Runs the recursion of :func:`simulate` without its divergence abort,
     so diagonal systems match it coordinate-wise, bit for bit."""
+    _check_index("T", T)
     if T < 1:
         raise ValueError("need T >= 1")
     states, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
@@ -291,6 +292,8 @@ def find_divergent_drop_schedule(
     gains on the given graph: each trial drops every edge independently
     with drop_prob at every step. Returns the first schedule whose run
     sets the diverged flag, or None."""
+    for name, v in (("T", T), ("trials", trials), ("rng_seed", rng_seed)):
+        _check_index(name, v)
     rng = np.random.default_rng(rng_seed)
     L = laplacian(graph).entries
     prob = IterationProblem(L, np.zeros(graph.n), np.asarray(x0, dtype=float))

@@ -18,12 +18,35 @@ class EmptyRootSetError(MemaccelError):
 
 
 class ParseError(MemaccelError):
-    """Malformed text input; carries the offending line."""
+    """Malformed text input; carries the text and where it was read, the
+    line_no of a file's line or the command-line option."""
 
-    def __init__(self, line_no, text):
-        self.line_no = line_no
+    def __init__(self, text, *, line_no=None, option=None):
         self.text = text
-        super().__init__(f"line {line_no}: cannot parse {text!r}")
+        self.line_no = line_no
+        self.option = option
+        where = option if option is not None else f"line {line_no}"
+        super().__init__(f"{where}: cannot parse {text!r}")
+
+
+# The two readers of a number written as text, for every number the CLI
+# and an edge-list file read. Python's int() and float() would also read
+# "1_0" as 10, " 2 " as 2 and "\u0663" as 3.
+
+def integer(text: str) -> int:
+    """An integer written -?[0-9]+ in ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def decimal(text: str) -> float:
+    """A float written as float() reads it, inf and nan included, but
+    in ASCII, without underscores and without blanks around it."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
 
 
 class DuplicateEdgeError(MemaccelError):

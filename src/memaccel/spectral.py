@@ -18,13 +18,10 @@ from .errors import (
     MemaccelError,
     NegativeWeightError,
     ParseError,
+    decimal,
+    integer,
 )
-from .tuning import Record, SpectralInterval, SpectralSet
-
-
-def _is_index(v) -> bool:
-    """v is an integer, a numpy one included, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+from .tuning import Record, SpectralInterval, SpectralSet, _is_index
 
 
 class WeightedGraph(Record):
@@ -82,22 +79,22 @@ class LaplacianMatrix(Record):
 
 
 def load_edge_list(text: str) -> WeightedGraph:
-    """Parse an ``i j w`` edge list; node count is 1 + max index seen."""
+    """Parse an ``i j w`` edge list; node count is 1 + max index seen.
+    Indices are read by :func:`~memaccel.errors.integer` and weights by
+    :func:`~memaccel.errors.decimal`."""
     edges = []
     n = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(line_no, raw)
         try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            i, j, w = line.split()
+            i, j, w = integer(i), integer(j), decimal(w)
         except ValueError:
-            raise ParseError(line_no, raw) from None
+            raise ParseError(raw, line_no=line_no) from None
         if i < 0 or j < 0:
-            raise ParseError(line_no, raw)
+            raise ParseError(raw, line_no=line_no)
         edges.append((i, j, w))
         n = max(n, i + 1, j + 1)
     return WeightedGraph(n=n, edges=tuple(edges))

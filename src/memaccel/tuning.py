@@ -9,8 +9,26 @@ record in the package, lives here for the same reason.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import AlphaZeroError, MemaccelError
+
+
+def _is_index(v) -> bool:
+    """v is an integer, a numpy one included, and not a bool: what
+    operator.index takes, less True and False."""
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return not isinstance(v, bool)
+
+
+def _check_index(name: str, v):
+    """ValueError unless v is an integer (_is_index): a float would be
+    truncated or fail deep in list or numpy code, and True read as 1."""
+    if not _is_index(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 class Record:
@@ -159,6 +177,7 @@ class Gains(Record):
     betas: tuple[float, ...] = ()
 
     def __post_init__(self):
+        _check_index("memory order M", self.M)
         if self.M < 1:
             raise ValueError(f"memory order M must be >= 1, got {self.M}")
         if len(self.betas) != self.M - 1:
@@ -187,14 +206,16 @@ class TuningResult(Record):
 def check_guarantee_args(s: SpectralSet | SpectralInterval, grid: int | None = None,
                          refine_tol: float | None = None) -> SpectralSet:
     """The set ``accel.guarantee`` evaluates, once its arguments pass: s
-    is not empty, grid >= 2 and refine_tol is finite and > 0. None stands
-    for guarantee's own default, which passes."""
+    is not empty, grid is an integer >= 2 and refine_tol is finite and
+    > 0. None stands for guarantee's own default, which passes."""
     if isinstance(s, SpectralInterval):
         s = SpectralSet.from_interval(s)
     if s.empty:
         raise ValueError("empty spectral set")
-    if grid is not None and grid < 2:
-        raise ValueError("need at least 2 grid samples per interval")
+    if grid is not None:
+        _check_index("grid", grid)
+        if grid < 2:
+            raise ValueError("need at least 2 grid samples per interval")
     if refine_tol is not None and not 0 < refine_tol < math.inf:
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
     return s
@@ -222,6 +243,7 @@ def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
     """Optimal single-memory tuning for the interval; extra memory slots
     beyond the first get zero gain. A degenerate interval (lo == hi)
     returns the deadbeat limit, flagged."""
+    _check_index("M", M)
     if M < 2:
         raise ValueError(f"single-memory tuning needs M >= 2, got {M}")
     _check_sum(iv)

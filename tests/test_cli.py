@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import memaccel
-from memaccel.cli import build_parser, integer, main
+from memaccel import errors
+from memaccel.cli import _numbers, build_parser, integer, main
+from memaccel.errors import decimal
 
 
 def run(capsys, *argv):
@@ -549,6 +553,91 @@ class TestIntegerArguments:
     def test_negative_value_reaches_the_library(self, capsys):
         code, out, err = run(capsys, "tune", "--interval", "0.1,2", "--M", "-1")
         assert code == 3 and out == "" and "M >= 2" in err
+
+    def test_one_reader(self):
+        assert integer is errors.integer
+
+
+class TestDecimalArguments:
+    """Every float the CLI or an edge-list file reads is read by decimal:
+    what float() reads, inf and nan included, but in ASCII, without
+    underscores and without blanks around it. A list (an interval, a set
+    item, --x0, the --window bounds) strips the blanks around each item."""
+
+    @given(st.floats())
+    @example(5e-324)
+    @example(-0.0)
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(float("nan"))
+    def test_reads_repr(self, x):
+        # repr round-trips every float; equal reprs also match nan and -0.0.
+        assert repr(decimal(repr(x))) == repr(x)
+
+    @given(st.lists(st.floats(), min_size=1))
+    def test_list_reads_reprs(self, xs):
+        assert [repr(v) for v in _numbers(",".join(map(repr, xs)), ",")] == list(map(repr, xs))
+
+    @pytest.mark.parametrize("text", ["1_0", "1_0e-3", "0.1_5", " 1", "1 ", "1\n", "\t1",
+                                      "\u0662", "\uff11", "\u0660.5", "1\u00a0", "", "x",
+                                      "1 0", "1,0", "0x10"])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            decimal(text)
+
+    def test_list_strips_items(self):
+        assert _numbers(" 0.5 ,\t2e1 ", ",") == [0.5, 20.0]
+
+    @pytest.mark.parametrize("text, count", [("1,2", 3), ("1,,2", None), ("1,2_0", 2),
+                                             ("1,", 2)])
+    def test_list_rejected(self, text, count):
+        with pytest.raises(ValueError):
+            _numbers(text, ",", count)
+
+    @pytest.mark.parametrize("spaced, plain", [
+        (["tune", "--interval", " 0.1 , 2 "], ["tune", "--interval", "0.1,2"]),
+        (["search", "--set", " 0.1 : 0.2 , 1 ", "--M", "2", "--budget", "5"],
+         ["search", "--set", "0.1:0.2,1", "--M", "2", "--budget", "5"]),
+    ], ids=["interval", "set"])
+    def test_blanks_between_items_read_as_before(self, capsys, spaced, plain):
+        assert run(capsys, *spaced) == run(capsys, *plain)
+
+    @pytest.mark.parametrize("argv", [
+        ["guarantee", "--gains", "GAINS", "--set", "0.1:2", "--refine-tol", "1_0e-3"],
+        ["guarantee", "--gains", "GAINS", "--set", "0.1:2", "--refine-tol", " 1e-3"],
+        ["certify", "--gains", "GAINS", "--interval", "0.1,2", "--field", "\u0660.5"],
+        ["certify", "--gains", "GAINS", "--interval", "0.1,2", "--field", "0.5 "],
+    ], ids=["refine-tol", "refine-tol-blank", "field-arabic", "field-blank"])
+    def test_option_exit2(self, capsys, tmp_path, argv):
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        with pytest.raises(SystemExit) as exc:
+            main([gains if a == "GAINS" else a for a in argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "invalid decimal value" in out.err
+
+    @pytest.mark.parametrize("argv, option, text", [
+        (["tune", "--interval", "0.1;2"], "--interval", "0.1;2"),
+        (["tune", "--interval", "0.1,2_0"], "--interval", "0.1,2_0"),
+        (["tune", "--interval", "0.1,\u0662"], "--interval", "0.1,\u0662"),
+        (["certify", "--gains", "GAINS", "--interval", "0.1"], "--interval", "0.1"),
+        (["guarantee", "--gains", "GAINS", "--set", "0.5, 2:1"], "--set", "2:1"),
+        (["guarantee", "--gains", "GAINS", "--set", "0.5,1:2_0"], "--set", "1:2_0"),
+        (["simulate", "--graph", "GRAPH", "--gains", "GAINS", "--steps", "5",
+          "--x0", "1,0_0,-1"], "--x0", "1,0_0,-1"),
+        (["simulate", "--graph", "GRAPH", "--gains", "GAINS", "--steps", "5",
+          "--x0", "1,0"], "--x0", "1,0"),
+        (["certify", "--gains", "GAINS", "--interval", "0.1,2", "--field", "nan"],
+         "--field", "nan"),
+        (["certify", "--gains", "GAINS", "--interval", "0.1,2", "--field", "0.5",
+          "--window=-2:2_0:-2:2:32"], "--window", "-2:2_0:-2:2:32"),
+    ], ids=["interval", "interval-underscore", "interval-arabic", "interval-count",
+            "set", "set-underscore", "x0", "x0-length", "field", "window"])
+    def test_parse_error_names_the_option(self, capsys, tmp_path, argv, option, text):
+        paths = {"GAINS": write_gains(tmp_path, 2, 3.0, [-0.5]), "GRAPH": write_path3(tmp_path)}
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        assert err == f"error: {option}: cannot parse {text!r}\n"
 
 
 class TestSpectrum:

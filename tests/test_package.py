@@ -172,9 +172,16 @@ def files(tmp_path):
     ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "0.5",
      "--window=-2:2:-2:2:4_8"],
     ["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "1_2"],
+    ["tune", "--interval", "0.1,2_0"],
+    ["tune", "--interval", "0.1,\u0662"],
+    ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--refine-tol", "1_0e-3"],
+    ["certify", "--gains", "gains.json", "--interval", "0.1,2", "--field", "\u0660.5"],
+    ["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "5",
+     "--x0", "1,0_0,-1"],
 ], ids=["interval", "set-item", "set-order", "search-set", "missing-flag", "x0", "window",
         "set-point-negative", "set-point-zero", "set-point-inf", "field-nan", "window-inf",
-        "window-resolution", "steps"])
+        "window-resolution", "steps", "interval-underscore", "interval-arabic",
+        "refine-tol-underscore", "field-arabic", "x0-underscore"])
 def test_exit2_paths_load_no_numpy(files, argv):
     assert _run_cli(argv, files) == (2, [])
 

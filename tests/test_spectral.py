@@ -69,6 +69,15 @@ class TestLoadEdgeList:
             load_edge_list("0 1 1\nnot an edge")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("line", ["0 1_0 1", "0 1 1_0", "0 +1 1", "0 \u0662 1",
+                                      "0 1 \u0662", "0 1.0 1", "0 1 1 1"])
+    def test_strict_numbers(self, line):
+        # int() and float() read "1_0" as 10, "+1" as 1 and "\u0662" as 2.
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(f"0 1 1\n{line}")
+        assert exc.value.line_no == 2
+        assert str(exc.value) == f"line 2: cannot parse {line!r}"
+
     @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
     def test_non_finite_weight(self, w):
         with pytest.raises(MemaccelError, match=r"edge \(1, 2\) has non-finite weight"):

@@ -135,3 +135,61 @@ class TestCheckGuaranteeArgs:
     def test_defaults_pass(self):
         s = SpectralSet(points=(1.0,))
         assert check_guarantee_args(s, grid=2, refine_tol=1e-300) is s
+
+
+class TestIntegerArguments:
+    """Every integer argument takes what operator.index takes, less bools:
+    a float was truncated or failed deep in list or numpy code, and True
+    read as 1."""
+
+    @staticmethod
+    def _calls():
+        from memaccel import accel, certify, dynamics
+
+        iv = SpectralInterval(0.1, 2.0)
+        g = Gains(M=2, alpha=1.0, betas=(-0.5,))
+        p = dynamics.IterationProblem(np.diag([1.0, 2.0]), np.zeros(2), np.ones(2))
+        c = certify.gains_to_claim_coeffs(g, iv)
+        fragile = dynamics.memory_fragility_example()[:2]
+        x0 = np.ones(fragile[0].n)
+        return {
+            "Gains.M": (2, lambda v: Gains(M=v, alpha=1.0, betas=(-0.5,))),
+            "tune_theorem3.M": (2, lambda v: tune_theorem3(iv, M=v)),
+            "simulate.T": (5, lambda v: dynamics.simulate(p, g, v)),
+            "simulate_modal.T": (5, lambda v: dynamics.simulate_modal(1.0, 0.0, g, 1.0, v)),
+            "guarantee.grid": (33, lambda v: accel.guarantee(g, iv, grid=v)),
+            "partition_field.resolution":
+                (48, lambda v: certify.partition_field(c, 0.5, resolution=v)),
+            "search_gains.M": (2, lambda v: accel.search_gains(iv, M=v, budget=5)),
+            "search_gains.budget": (20, lambda v: accel.search_gains(iv, M=2, budget=v)),
+            "search_gains.rng_seed":
+                (1, lambda v: accel.search_gains(iv, M=2, budget=5, rng_seed=v)),
+            "ClaimCoeffs.M": (2, lambda v: certify.ClaimCoeffs(M=v, nu=0.5, a=(0.1, 0.2))),
+            "large_radius_phase_check.theta_grid": (8, lambda v: certify.large_radius_phase_check(
+                certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)), theta_grid=v)),
+            "large_radius_phase_check.phase_grid": (8, lambda v: certify.large_radius_phase_check(
+                certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)), phase_grid=v)),
+            "find_divergent_drop_schedule.T": (5, lambda v: dynamics.find_divergent_drop_schedule(
+                *fragile, x0, T=v, trials=1)),
+            "find_divergent_drop_schedule.trials":
+                (1, lambda v: dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=v)),
+            "find_divergent_drop_schedule.rng_seed":
+                (1, lambda v: dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=1,
+                                                                    rng_seed=v)),
+        }
+
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    @pytest.mark.parametrize("entry", ["Gains.M", "tune_theorem3.M", "simulate.T",
+                                       "simulate_modal.T", "guarantee.grid",
+                                       "partition_field.resolution", "search_gains.M",
+                                       "search_gains.budget", "search_gains.rng_seed",
+                                       "ClaimCoeffs.M", "large_radius_phase_check.theta_grid",
+                                       "large_radius_phase_check.phase_grid",
+                                       "find_divergent_drop_schedule.T",
+                                       "find_divergent_drop_schedule.trials",
+                                       "find_divergent_drop_schedule.rng_seed"])
+    def test_float_and_bool_rejected(self, entry, kind):
+        valid, call = self._calls()[entry]
+        call(np.int64(valid))
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(float(valid) if kind == "float" else True)
