@@ -15,7 +15,8 @@ from . import polyroots
 from .errors import OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
 from .tuning import (Gains, Record, SpectralInterval, SpectralSet, TuningResult,
-                     _check_index, check_guarantee_args, tune_memoryless, tune_theorem3)
+                     _check_index, _check_order, check_guarantee_args, tune_memoryless,
+                     tune_theorem3)
 
 DEFAULT_GRID = 2001
 DEFAULT_REFINE_TOL = 1e-10
@@ -219,11 +220,11 @@ def search_gains(
     the incumbent best. ``budget`` caps the guarantee evaluations, each
     on a SEARCH_GRID grid bracketed to SEARCH_REFINE_TOL. Returns the seed
     itself when no improvement is found. Deterministic for a fixed
-    rng_seed. M, budget and rng_seed are integers: a float or a bool
-    raises ValueError."""
-    if isinstance(s, SpectralInterval):
-        s = SpectralSet.from_interval(s)
-    for name, v in (("M", M), ("budget", budget), ("rng_seed", rng_seed)):
+    rng_seed. s is not empty, M is an integer >= 1, and budget and
+    rng_seed are integers: anything else raises ValueError."""
+    s = check_guarantee_args(s)
+    _check_order(M)
+    for name, v in (("budget", budget), ("rng_seed", rng_seed)):
         _check_index(name, v)
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -13,10 +13,11 @@ in ASCII, without underscores and, except between list items, without
 blanks around it (``errors.integer`` and ``errors.decimal``). Every
 exit-2 error is found before any numerical work: each subcommand
 parses its strings first and only then imports the modules it runs.
-``tune`` runs on the numpy-free ``memaccel.tuning`` alone; ``guarantee``
-and ``search`` build their gains and set with it (``guarantee`` checks
-``--grid`` and ``--refine-tol`` too) before they import ``accel``, so
-their exit-3 argument errors load no numpy either. ``spectrum`` prints
+``tune`` runs on the numpy-free ``memaccel.tuning`` alone. ``guarantee``
+checks its gains, set, ``--grid`` and ``--refine-tol`` with it, and
+``search`` its set and ``--seed-gains``, before they import ``accel``, so
+those exit-3 errors load no numpy either; ``accel.search_gains`` itself
+checks search's ``--M`` and ``--budget``, after numpy. ``spectrum`` prints
 a graph's kernel eigenvalues, one per connected component, as exact 0;
 a graph with a non-finite edge weight, or whose spectral gap is below
 eigvalsh's resolution, exits 3. A numeric option left out takes the
@@ -69,13 +70,17 @@ def _fmt(v) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _emit(payload, path: str | None):
-    text = _fmt(payload) + "\n"
+def _write(text: str, path: str | None):
+    """text to the file at path, or to stdout without one."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, path: str | None):
+    _write(_fmt(payload) + "\n", path)
 
 
 # String-level parsing. These helpers use no numpy and no submodule, so
@@ -150,30 +155,23 @@ def _json_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {json.dumps(v)}")
 
 
-def _json_float(v, what: str) -> float:
-    """A number read from JSON; bools, strings and other values raise
-    ValueError instead of being converted."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise ValueError(f"{what} must be a number, got {json.dumps(v)}")
-
-
 def _load_gains(path: str):
     from .tuning import Gains
 
     with open(path) as fh:
         data = json.load(fh)
-    shape = ValueError(f'gains file {path} is not JSON {{"M": k, "alpha": a, "betas": [...]}}')
     if not isinstance(data, dict) or not isinstance(data.get("betas", []), list):
-        raise shape
-    try:
-        M = _json_int(data["M"], f"M in gains file {path}")
-        alpha = _json_float(data["alpha"], f"alpha in gains file {path}")
-        betas = tuple(_json_float(b, f"beta in gains file {path}")
-                      for b in data.get("betas", []))
-    except TypeError:
-        raise shape from None
-    return Gains(M=M, alpha=alpha, betas=betas)
+        raise ValueError(f'gains file {path} is not JSON {{"M": k, "alpha": a, "betas": [...]}}')
+    # Gains checks the gain values itself.
+    return Gains(M=_json_int(data["M"], f"M in gains file {path}"), alpha=data["alpha"],
+                 betas=tuple(data.get("betas", [])))
+
+
+def _load_graph(path: str):
+    from .spectral import load_edge_list
+
+    with open(path) as fh:
+        return load_edge_list(fh.read())
 
 
 def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
@@ -199,10 +197,8 @@ def _report_dict(rep) -> dict:
 
 
 def _write_samples_csv(rep, path: str):
-    with open(path, "w") as fh:
-        fh.write("lambda,max_root_modulus\n")
-        for lam, mod in rep.samples:
-            fh.write(f"{lam:.12g},{mod:.12g}\n")
+    _write("lambda,max_root_modulus\n"
+           + "".join(f"{lam:.12g},{mod:.12g}\n" for lam, mod in rep.samples), path)
 
 
 def _cmd_tune(args) -> int:
@@ -212,13 +208,11 @@ def _cmd_tune(args) -> int:
     iv = tuning.SpectralInterval(lo, hi)
     if args.M == 1:
         alpha, mu = tuning.tune_memoryless(iv)
-        _emit({"M": 1, "alpha": _Full(alpha), "betas": [], "mu": mu,
-               "nu_star": mu, "degenerate": mu == 0.0}, args.output)
-        return 0
-    t = tuning.tune_theorem3(iv, M=args.M)
-    _emit({"M": args.M, "alpha": _Full(t.alpha_star),
-           "betas": [_Full(b) for b in t.gains.betas],
-           "mu": t.mu, "nu_star": t.nu_star, "degenerate": t.degenerate},
+        g, nu_star, degenerate = tuning.Gains(M=1, alpha=alpha), mu, mu == 0.0
+    else:
+        t = tuning.tune_theorem3(iv, M=args.M)
+        g, mu, nu_star, degenerate = t.gains, t.mu, t.nu_star, t.degenerate
+    _emit({**_gains_dict(g), "mu": mu, "nu_star": nu_star, "degenerate": degenerate},
           args.output)
     return 0
 
@@ -240,8 +234,11 @@ def _cmd_guarantee(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    s = _spectral_set(_parse_set(args.set))
+    items = _parse_set(args.set)
+    from .tuning import check_guarantee_args
+
     seed = _load_gains(args.seed_gains) if args.seed_gains else None
+    s = check_guarantee_args(_spectral_set(items))
     from . import accel
 
     g, rep = accel.search_gains(s, M=args.M, seed=seed, rng_seed=args.seed_rng,
@@ -258,8 +255,7 @@ def _cmd_simulate(args) -> int:
 
     from . import dynamics, spectral
 
-    with open(args.graph) as fh:
-        graph = spectral.load_edge_list(fh.read())
+    graph = _load_graph(args.graph)
     g = _load_gains(args.gains)
     L = spectral.laplacian(graph)
     if x0 is None:
@@ -271,12 +267,7 @@ def _cmd_simulate(args) -> int:
     if args.drops:
         schedule = dynamics.DropSchedule(graph, _load_drops(args.drops))
     trace = dynamics.simulate(prob, g, args.steps, drops=schedule)
-    text = dynamics.trace_to_csv(trace)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(dynamics.trace_to_csv(trace), args.output)
     if trace.diverged:
         sys.stderr.write(f"warning: divergence detected at step {trace.diverged_at}, "
                          "run aborted early\n")
@@ -302,8 +293,7 @@ def _cmd_certify(args) -> int:
     # fails leaves no certificate on stdout.
     if window is not None:
         field = certify.partition_field(c, args.field, **window)
-        with open(args.field_out, "w") as fh:
-            fh.write(field.to_json() + "\n")
+        _write(field.to_json() + "\n", args.field_out)
     payload = {
         "claim_coeffs": {"M": c.M, "nu": c.nu, "a": list(c.a)},
         "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
@@ -318,8 +308,7 @@ def _cmd_certify(args) -> int:
 def _cmd_spectrum(args) -> int:
     from . import spectral
 
-    with open(args.graph) as fh:
-        graph = spectral.load_edge_list(fh.read())
+    graph = _load_graph(args.graph)
     eigs = spectral.symmetric_eigenvalues(spectral.laplacian(graph))
     iv = spectral.nonzero_spectral_interval(eigs)
     _emit({"eigenvalues": eigs.tolist(), "nonzero_interval": [iv.lo, iv.hi]},

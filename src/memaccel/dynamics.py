@@ -8,8 +8,6 @@ with header ``t,residual,spread,rms,mean``.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import (
@@ -32,13 +30,17 @@ DIVERGENCE_FACTOR = 1e6
 class IterationProblem(Record):
     """Fixed-point problem A x = b with start vector x0.
 
-    A must be symmetric, A, b and x0 finite, and b orthogonal to the
-    numerical kernel of A, otherwise no fixed point exists. The kernel
-    check needs a full eigendecomposition of A, so it runs only when b
-    has a nonzero entry; b = 0 is orthogonal to every kernel. Its
-    tolerance is 1e-9 max(||b||, ||A||): a bias formed as b = A y carries
-    rounding of order eps ||A|| ||y|| in the kernel, which is not small
-    next to ||b|| when y is nearly in the kernel itself.
+    A must be symmetric, |a_ij - a_ji| <= 1e-12 max |a|, A, b and x0
+    finite, and b orthogonal to the numerical kernel of A, the
+    eigenvectors whose eigenvalues are within 1e-9 ||A|| of 0; otherwise
+    no fixed point exists. The kernel check needs a full
+    eigendecomposition of A, so it runs only when b has a nonzero entry;
+    b = 0 is orthogonal to every kernel. Its tolerance is
+    1e-9 max(||b||, ||A||): a bias formed as b = A y carries rounding of
+    order eps ||A|| ||y|| in the kernel, which is not small next to ||b||
+    when y is nearly in the kernel itself. Every tolerance is relative,
+    with no absolute floor, so scaling A and b by s > 0 changes no
+    decision until their entries underflow.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
     nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), so the
@@ -67,14 +69,14 @@ class IterationProblem(Record):
         i, j, a = r[off], c[off], vals[off]
         # max |A - A.T| over all entries is its max over the nonzero pattern
         scale = np.abs(vals).max(initial=0.0)
-        if np.abs(a - A[j, i]).max(initial=0.0) > 1e-12 * max(scale, 1.0):
+        if np.abs(a - A[j, i]).max(initial=0.0) > 1e-12 * scale:
             raise ValueError("A must be symmetric within 1e-12")
         if b.shape != (A.shape[0],) or x0.shape != (A.shape[0],):
             raise ValueError("b and x0 must match the dimension of A")
         if b.any():
             w, v = np.linalg.eigh(A)
             norm_A = np.abs(w).max()
-            kernel = v[:, np.abs(w) <= 1e-9 * max(norm_A, 1.0)]
+            kernel = v[:, np.abs(w) <= 1e-9 * norm_A]
             tol = 1e-9 * max(np.linalg.norm(b), norm_A)
             if kernel.size and np.linalg.norm(kernel.T @ b) > tol:
                 raise IncompatibleBiasError("b has a component in the kernel of A")
@@ -269,14 +271,9 @@ def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Render the trace as CSV: ``t,residual,spread,rms,mean``."""
-    buf = io.StringIO()
-    buf.write("t,residual,spread,rms,mean\n")
-    for t in range(trace.T + 1):
-        buf.write(
-            f"{t},{trace.residuals[t]:.12g},{trace.spread[t]:.12g},"
-            f"{trace.rms[t]:.12g},{trace.mean[t]:.12g}\n"
-        )
-    return buf.getvalue()
+    rows = (f"{t},{trace.residuals[t]:.12g},{trace.spread[t]:.12g},"
+            f"{trace.rms[t]:.12g},{trace.mean[t]:.12g}\n" for t in range(trace.T + 1))
+    return "t,residual,spread,rms,mean\n" + "".join(rows)
 
 
 def find_divergent_drop_schedule(
@@ -325,27 +322,12 @@ def memory_fragility_example() -> tuple[WeightedGraph, Gains, DropSchedule, np.n
     schedule below (found by seeded randomized search, then frozen) makes
     the run diverge. Returns (graph, gains, schedule, x0).
     """
-    graph = _fragility_graph()
+    # Two unit triangles bridged by a weak edge: lambda_min ~ its weight.
+    graph = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 0.01)))
     g = tune_theorem3(nonzero_spectral_interval(symmetric_eigenvalues(laplacian(graph)))).gains
-    x0 = _fragility_x0(graph.n)
+    x0 = np.repeat([1.0, -1.0], 3)
     # Frozen seeded reconstruction of the first trial of
     # find_divergent_drop_schedule; regenerating keeps the fixture small.
     schedule = _random_drops(graph, 400, 0.5, np.random.default_rng(0))
     return graph, g, schedule, x0
-
-
-def _fragility_graph() -> WeightedGraph:
-    # Two triangles bridged by a weak edge: lambda_min ~ weak weight.
-    edges = (
-        (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-        (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0),
-        (2, 3, 0.01),
-    )
-    return WeightedGraph(6, edges)
-
-
-def _fragility_x0(n: int) -> np.ndarray:
-    x0 = np.zeros(n)
-    x0[: n // 2] = 1.0
-    x0[n // 2:] = -1.0
-    return x0

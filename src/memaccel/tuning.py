@@ -31,6 +31,29 @@ def _check_index(name: str, v):
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def _check_order(M):
+    """ValueError unless M is a memory order, an integer >= 1."""
+    _check_index("memory order M", M)
+    if M < 1:
+        raise ValueError(f"memory order M must be >= 1, got {M}")
+
+
+def _real(name: str, v) -> float:
+    """float(v) for a real number v, a numpy one included, and inf for
+    an integer too large for a float; a bool, a string, None or any
+    other value raises ValueError naming name. Plain floats and ints,
+    all that the numpy-free paths pass, skip the numbers import."""
+    if type(v) not in (float, int):
+        import numbers
+
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must be real, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 class Record:
     """Immutable value object, the base of every record in the package.
 
@@ -169,7 +192,9 @@ class Gains(Record):
     """Free parameters of the accelerated iteration.
 
     M is the memory order: M=1 is the memoryless scheme, M-1 memory slots
-    otherwise. ``betas`` holds beta_1 .. beta_{M-1}.
+    otherwise. ``betas`` holds beta_1 .. beta_{M-1}. Each gain is a
+    finite real number, stored as a float: a bool, a string, None or any
+    other value raises ValueError.
     """
 
     M: int
@@ -177,15 +202,13 @@ class Gains(Record):
     betas: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _check_index("memory order M", self.M)
-        if self.M < 1:
-            raise ValueError(f"memory order M must be >= 1, got {self.M}")
+        _check_order(self.M)
         if len(self.betas) != self.M - 1:
             raise ValueError(
                 f"need {self.M - 1} beta gains for M={self.M}, got {len(self.betas)}"
             )
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
+        object.__setattr__(self, "betas", tuple(_real("betas", b) for b in self.betas))
         if not all(math.isfinite(v) for v in (self.alpha, *self.betas)):
             raise ValueError(f"gains must be finite: alpha={self.alpha}, betas={self.betas}")
         if self.alpha == 0:

@@ -260,6 +260,50 @@ class TestCertifiedGuarantee:
             assert guarantee(g, iv).nu >= sup
 
 
+@st.composite
+def m2_gains_and_sets(draw):
+    """M = 2 gains and a set of 1-3 intervals plus 0-2 points. Half the
+    gains are the closed-form tuning of the set's hull with each gain
+    perturbed by a relative 0 to 1e-1, half are random."""
+    intervals = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(1e-3, 3.0))
+        intervals.append(SpectralInterval(lo, lo * draw(st.floats(1.0, 100.0))))
+    points = tuple(draw(st.lists(st.floats(1e-3, 10.0), max_size=2)))
+    s = SpectralSet(intervals=tuple(intervals), points=points)
+    hull = s.hull()
+    if draw(st.booleans()):
+        t = tune_theorem3(hull).gains
+        scale = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-1]))
+        alpha, beta = (v * (1 + scale * draw(st.floats(-1.0, 1.0))) for v in (t.alpha, t.betas[0]))
+    else:
+        alpha, beta = draw(st.floats(0.05, 4.0)) / hull.hi, draw(st.floats(-1.0, 1.0))
+    return Gains(2, alpha, (beta,)), s
+
+
+class TestTwoExtremesDecideM2:
+    """At M = 2 the mode z^2 - c z + d has its roots within r exactly when
+    d <= r^2 and |c| <= r + d / r, a condition that holds on an interval
+    of lambda; so the largest root modulus is quasi-convex in lambda, and
+    the guarantee over a set is the larger of its values at the set's
+    two extremes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m2_gains_and_sets())
+    def test_nu_is_the_larger_end_value(self, gs):
+        g, s = gs
+        hull = s.hull()
+        ends = max_root_moduli(g, [hull.lo, hull.hi]).max()
+        rep = guarantee(g, s)
+        # Measured on 3000 such draws (refine_tol 1e-2, 1e-7 and 1e-10):
+        # nu_lo - ends <= 1.02e-15 ends, the eigenvalue solver's rounding
+        # inside the set, and nu - ends <= 1.011e-13 ends, because the
+        # crossing test's first radius, nu_lo + 1e-13 nu_lo, is never
+        # exceeded. Both are far inside refine_tol.
+        assert ends <= rep.nu <= ends * (1 + 1.1e-13)
+        assert rep.nu_lo <= ends * (1 + 4e-15)
+
+
 class TestTuneMemoryless:
     def test_reference(self):
         alpha, mu = tune_memoryless(REF_IV)
@@ -356,6 +400,15 @@ class TestSearchGains:
         assert g.M == 1 and g.betas == ()
         assert rep.nu <= guarantee(Gains(1, alpha), s).nu
         assert rep.nu == pytest.approx(mu, abs=1e-9)
+
+    @pytest.mark.parametrize("M", [0, -2])
+    def test_memory_order_below_one_rejected(self, M):
+        with pytest.raises(ValueError, match=f"memory order M must be >= 1, got {M}"):
+            search_gains(SpectralSet(points=(1.0,)), M=M, budget=5)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="^empty spectral set$"):
+            search_gains(SpectralSet(), M=2, budget=5)
 
     def test_deterministic(self):
         s = SpectralSet(points=(0.5, 1.5))

@@ -236,6 +236,14 @@ class TestSearch:
         # The optimal memoryless factor of [0.1, 2] is 1.9 / 2.1.
         assert d["report"]["nu"] == pytest.approx(1.9 / 2.1, abs=1e-9)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--M", "0"], "memory order M must be >= 1, got 0"),
+        (["--M", "2", "--budget", "0"], "budget must be >= 1"),
+    ])
+    def test_bad_argument_named_exit3(self, capsys, argv, message):
+        code, out, err = run(capsys, "search", "--set", "1:2", *argv)
+        assert code == 3 and out == "" and err == f"error: {message}\n"
+
 
 class TestLibraryDefaults:
     """An option left out reaches the library as no keyword at all, so the

@@ -114,6 +114,22 @@ class TestIterationProblem:
         with pytest.raises(ValueError, match="symmetric"):
             IterationProblem(A, np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12, 1e-50, 1e-100, 1e50, 1e100])
+    def test_bias_in_range_accepted_at_any_scale(self, s):
+        # An absolute floor of 1e-9 under the kernel threshold took every
+        # eigenvector of s L for a kernel vector at s <= 1e-10.
+        L = laplacian(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))).entries
+        IterationProblem(s * L, s * (L @ np.array([0.3, -0.1, 0.5])), np.zeros(3))
+        with pytest.raises(IncompatibleBiasError):
+            IterationProblem(s * L, s * np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-14, 1e-50, 1e-100, 1e100])
+    def test_asymmetry_rejected_at_any_scale(self, s):
+        # An absolute floor of 1e-12 under the symmetry bound accepted
+        # this matrix at s = 1e-14.
+        with pytest.raises(ValueError, match="symmetric"):
+            IterationProblem(s * np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2), np.ones(2))
+
     def test_empty_A_rejected(self):
         with pytest.raises(ValueError, match="square"):
             IterationProblem(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
@@ -502,7 +518,7 @@ class TestEdgeArrayProduct:
         A = case[0].copy()
         n = len(A)
         A[i % n, j % n] += eps
-        dense_ok = np.abs(A - A.T).max() <= 1e-12 * max(np.abs(A).max(), 1.0)
+        dense_ok = np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
         if dense_ok:
             IterationProblem(A, np.zeros(n), np.zeros(n))
         else:

@@ -139,6 +139,13 @@ def test_scalar_layer_loads_no_numpy(tmp_path, statement):
     assert _fresh(code, tmp_path).strip() == "['memaccel', 'memaccel.errors', 'memaccel.tuning']"
 
 
+def test_plain_gains_load_no_numbers(tmp_path):
+    # Gains checks a gain that is not a plain float or int against
+    # numbers.Real; the plain ones of the numpy-free paths skip that import.
+    code = "import sys; from memaccel import Gains; Gains(2, 1.5, (-1,)); print('numbers' in sys.modules)"
+    assert _fresh(code, tmp_path).strip() == "False"
+
+
 def test_submodules_load_no_dataclasses(tmp_path):
     modules = ", ".join(f"memaccel.{name}" for name in SUBMODULES)
     code = f"import sys, {modules}; print('dataclasses' in sys.modules)"
@@ -195,7 +202,10 @@ def test_exit2_paths_load_no_numpy(files, argv):
     ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--refine-tol", "-1"],
     ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--grid", "1"],
     ["guarantee", "--gains", "gains.json", "--set", ","],
-], ids=["inverted", "inf", "M0", "overflow", "alpha0", "refine-tol", "grid", "empty-set"])
+    ["search", "--set", ",", "--M", "2"],
+    ["search", "--set", "0.1:2", "--M", "2", "--seed-gains", "alpha0.json"],
+], ids=["inverted", "inf", "M0", "overflow", "alpha0", "refine-tol", "grid", "empty-set",
+        "search-empty-set", "search-seed-gains"])
 def test_exit3_argument_errors_load_no_numpy(files, argv):
     assert _run_cli(argv, files) == (3, ["memaccel.tuning"])
 

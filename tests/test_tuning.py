@@ -83,6 +83,32 @@ class TestBitIdentity:
                 Gains(M=1, alpha=alpha)
 
 
+class TestGainValues:
+    """Gains owns what a gain value is: a real number, numpy's included,
+    and never a bool, a string, None or a container."""
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, [1.0]])
+    @pytest.mark.parametrize("where", ["alpha", "betas"])
+    def test_non_real_rejected(self, where, value):
+        gains = {"alpha": 1.5, "betas": (-0.2,)}
+        gains[where] = value if where == "alpha" else (value,)
+        with pytest.raises(ValueError, match=f"^{where} must be real, got "):
+            Gains(M=2, **gains)
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.int64(2), 2])
+    def test_real_accepted(self, value):
+        g = Gains(M=2, alpha=value, betas=(value,))
+        assert (g.alpha, g.betas) == (float(value), (float(value),))
+        assert type(g.alpha) is float and type(g.betas[0]) is float
+
+    @pytest.mark.parametrize("where", ["alpha", "betas"])
+    def test_integer_too_large_for_a_float_not_finite(self, where):
+        gains = {"alpha": 1.5, "betas": (-0.2,)}
+        gains[where] = 10 ** 400 if where == "alpha" else (10 ** 400,)
+        with pytest.raises(ValueError, match="finite"):
+            Gains(M=2, **gains)
+
+
 class TestOverflow:
     # lo + hi overflows: mu would read 0 and nu_star 0 for an interval
     # whose true optimal rate is about 0.13.
