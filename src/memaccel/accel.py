@@ -15,7 +15,7 @@ from . import polyroots
 from .errors import OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
 from .tuning import (Gains, Record, SpectralInterval, SpectralSet, TuningResult,
-                     _check_index, _check_order, check_guarantee_args, tune_memoryless,
+                     _check_index, check_guarantee_args, tune_memoryless,
                      tune_theorem3)
 
 DEFAULT_GRID = 2001
@@ -220,14 +220,12 @@ def search_gains(
     the incumbent best. ``budget`` caps the guarantee evaluations, each
     on a SEARCH_GRID grid bracketed to SEARCH_REFINE_TOL. Returns the seed
     itself when no improvement is found. Deterministic for a fixed
-    rng_seed. s is not empty, M is an integer >= 1, and budget and
-    rng_seed are integers: anything else raises ValueError."""
+    rng_seed. s is not empty, M and budget are integers >= 1 and
+    rng_seed an integer >= 0: anything else raises ValueError."""
     s = check_guarantee_args(s)
-    _check_order(M)
-    for name, v in (("budget", budget), ("rng_seed", rng_seed)):
-        _check_index(name, v)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_index("memory order M", M, 1)
+    _check_index("budget", budget, 1)
+    _check_index("rng_seed", rng_seed, 0)
     if seed is None and M == 1:
         seed = Gains(M=1, alpha=tune_memoryless(s.hull())[0])
     elif seed is None:

@@ -36,9 +36,7 @@ class ClaimCoeffs(Record):
     a: tuple[float, ...]
 
     def __post_init__(self):
-        _check_index("M", self.M)
-        if self.M < 2:
-            raise ValueError("need M >= 2")
+        _check_index("memory order M", self.M, 2)
         if not (0 < self.nu < 1):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if len(self.a) != self.M:
@@ -106,8 +104,6 @@ def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     """Normalized coefficient vector of the gains relative to the optimal
     tuning of the interval; the optimal tuning itself maps to zero. A
     single-point interval has nu* = 0 and raises MemaccelError."""
-    if g.M < 2:
-        raise ValueError("need M >= 2")
     t = tune_theorem3(iv, M=g.M)
     if t.degenerate:
         raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point, where nu* = 0")
@@ -219,9 +215,7 @@ def partition_field(
     the complex plane, with root overlays. Tie cells (difference below
     TIE_TOL) are marked 0. A non-finite theta or window bound raises
     ValueError, and so does a resolution that is not an integer >= 32."""
-    _check_index("resolution", resolution)
-    if resolution < 32:
-        raise ValueError("resolution must be at least 32")
+    _check_index("resolution", resolution, 32)
     if not np.isfinite([theta, *re_range, *im_range]).all():
         raise ValueError(f"theta and window bounds must be finite, got theta={theta}, "
                          f"re_range={re_range}, im_range={im_range}")
@@ -248,10 +242,11 @@ def large_radius_phase_check(
     """Verify that Real(P1/P2) stays negative on the circle |y| = R for
     all sampled angles, so no phase match exists at large radius; R = 10 (1 + b)
     for b the larger of the Cauchy root bounds of P1 and P2.
-    Requires a positive leading coefficient. Returns (ok, violating
-    (theta, phase) sample or None)."""
-    _check_index("theta_grid", theta_grid)
-    _check_index("phase_grid", phase_grid)
+    Requires a positive leading coefficient, and integer grids >= 2 so
+    that theta = 0 and theta = pi are both sampled. Returns (ok,
+    violating (theta, phase) sample or None)."""
+    _check_index("theta_grid", theta_grid, 2)
+    _check_index("phase_grid", phase_grid, 2)
     if c.a[-1] <= 0:
         raise ValueError("check requires a_{M-1} > 0")
     bound1 = 3.0  # Cauchy bound of P1: coefficients within [-2, 2]

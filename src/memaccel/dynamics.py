@@ -40,7 +40,8 @@ class IterationProblem(Record):
     order eps ||A|| ||y|| in the kernel, which is not small next to ||b||
     when y is nearly in the kernel itself. Every tolerance is relative,
     with no absolute floor, so scaling A and b by s > 0 changes no
-    decision until their entries underflow.
+    decision: the check divides A and b by the largest entry of either
+    first, so that no norm underflows or overflows.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
     nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), so the
@@ -74,11 +75,13 @@ class IterationProblem(Record):
         if b.shape != (A.shape[0],) or x0.shape != (A.shape[0],):
             raise ValueError("b and x0 must match the dimension of A")
         if b.any():
-            w, v = np.linalg.eigh(A)
+            d = max(scale, np.abs(b).max())
+            w, v = np.linalg.eigh(A / d)
+            u = b / d
             norm_A = np.abs(w).max()
             kernel = v[:, np.abs(w) <= 1e-9 * norm_A]
-            tol = 1e-9 * max(np.linalg.norm(b), norm_A)
-            if kernel.size and np.linalg.norm(kernel.T @ b) > tol:
+            tol = 1e-9 * max(np.linalg.norm(u), norm_A)
+            if kernel.size and np.linalg.norm(kernel.T @ u) > tol:
                 raise IncompatibleBiasError("b has a component in the kernel of A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -105,8 +108,7 @@ class DropSchedule(Record):
         weight = {(min(i, j), max(i, j)): w for i, j, w in self.graph.edges}
         canon, cuts = {}, {}
         for t, edges in self.drops.items():
-            if not (_is_index(t) and t >= 0):
-                raise ValueError(f"drop step {t!r} is not an integer >= 0")
+            _check_index("drop step", t, 0)
             for i, j in edges:
                 if not (_is_index(i) and _is_index(j)):
                     raise ValueError(f"dropped edge ({i!r}, {j!r}): node index not an integer")
@@ -173,9 +175,7 @@ def simulate(
     for T steps with constant history, where A_t is A with the scheduled
     links removed. Aborts with the diverged flag once ||x|| exceeds
     1e6 * ||x0||."""
-    _check_index("T", T)
-    if T < 1:
-        raise ValueError("need T >= 1")
+    _check_index("T", T, 1)
     if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
         raise DropOnNonLaplacianError(
             "drop schedule requires A to be the Laplacian of its graph"
@@ -230,9 +230,9 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
 
     Runs the recursion of :func:`simulate` without its divergence abort,
     so diagonal systems match it coordinate-wise, bit for bit."""
-    _check_index("T", T)
-    if T < 1:
-        raise ValueError("need T >= 1")
+    _check_index("T", T, 1)
+    if not np.isfinite([lam, b_mode, x0]).all():
+        raise ValueError(f"lam, b_mode and x0 must be finite, got {lam}, {b_mode}, {x0}")
     states, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
     return np.asarray(states)
 
@@ -259,7 +259,9 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
 
 def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
     """Exponentiated least-squares slope of log residual vs t over
-    [burn_in, T]. Requires at least 10 positive residuals after burn_in."""
+    [burn_in, T]. Requires an integer burn_in >= 0 and at least 10
+    positive residuals after it."""
+    _check_index("burn_in", burn_in, 0)
     res = trace.residuals[burn_in:]
     pos = res > 0
     if pos.sum() < 10:
@@ -288,9 +290,14 @@ def find_divergent_drop_schedule(
     """Randomized search for a drop schedule destabilizing the given
     gains on the given graph: each trial drops every edge independently
     with drop_prob at every step. Returns the first schedule whose run
-    sets the diverged flag, or None."""
-    for name, v in (("T", T), ("trials", trials), ("rng_seed", rng_seed)):
-        _check_index(name, v)
+    sets the diverged flag, or None. T and trials are integers >= 1,
+    rng_seed an integer >= 0 and 0 < drop_prob <= 1: anything else
+    raises ValueError, since it would search nothing."""
+    _check_index("T", T, 1)
+    _check_index("trials", trials, 1)
+    _check_index("rng_seed", rng_seed, 0)
+    if not 0 < drop_prob <= 1:
+        raise ValueError(f"drop_prob must lie in (0, 1], got {drop_prob}")
     rng = np.random.default_rng(rng_seed)
     L = laplacian(graph).entries
     prob = IterationProblem(L, np.zeros(graph.n), np.asarray(x0, dtype=float))

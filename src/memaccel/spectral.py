@@ -21,19 +21,19 @@ from .errors import (
     decimal,
     integer,
 )
-from .tuning import Record, SpectralInterval, SpectralSet, _is_index
+from .tuning import Record, SpectralInterval, SpectralSet, _check_index, _is_index
 
 
 class WeightedGraph(Record):
     """Undirected weighted graph; one stored entry per unordered pair.
-    Node count and indices are integers; a float or bool raises ValueError."""
+    The node count is an integer >= 0 and node indices are integers; a
+    float or bool raises ValueError."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if not _is_index(self.n):
-            raise ValueError(f"node count must be an integer, got {self.n!r}")
+        _check_index("node count", self.n, 0)
         seen = set()
         for i, j, w in self.edges:
             if not (_is_index(i) and _is_index(j)):

@@ -24,18 +24,12 @@ def _is_index(v) -> bool:
     return not isinstance(v, bool)
 
 
-def _check_index(name: str, v):
-    """ValueError unless v is an integer (_is_index): a float would be
-    truncated or fail deep in list or numpy code, and True read as 1."""
-    if not _is_index(v):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def _check_order(M):
-    """ValueError unless M is a memory order, an integer >= 1."""
-    _check_index("memory order M", M)
-    if M < 1:
-        raise ValueError(f"memory order M must be >= 1, got {M}")
+def _check_index(name: str, v, least: int):
+    """ValueError unless v is an integer (_is_index) >= least: a float
+    would be truncated or fail deep in list or numpy code, True read as
+    1, and a count below its floor would check nothing."""
+    if not (_is_index(v) and v >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 def _real(name: str, v) -> float:
@@ -202,7 +196,7 @@ class Gains(Record):
     betas: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _check_order(self.M)
+        _check_index("memory order M", self.M, 1)
         if len(self.betas) != self.M - 1:
             raise ValueError(
                 f"need {self.M - 1} beta gains for M={self.M}, got {len(self.betas)}"
@@ -236,9 +230,7 @@ def check_guarantee_args(s: SpectralSet | SpectralInterval, grid: int | None = N
     if s.empty:
         raise ValueError("empty spectral set")
     if grid is not None:
-        _check_index("grid", grid)
-        if grid < 2:
-            raise ValueError("need at least 2 grid samples per interval")
+        _check_index("grid", grid, 2)
     if refine_tol is not None and not 0 < refine_tol < math.inf:
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
     return s
@@ -266,9 +258,7 @@ def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
     """Optimal single-memory tuning for the interval; extra memory slots
     beyond the first get zero gain. A degenerate interval (lo == hi)
     returns the deadbeat limit, flagged."""
-    _check_index("M", M)
-    if M < 2:
-        raise ValueError(f"single-memory tuning needs M >= 2, got {M}")
+    _check_index("memory order M", M, 2)
     _check_sum(iv)
     mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
     if mu == 0.0:

@@ -403,7 +403,7 @@ class TestSearchGains:
 
     @pytest.mark.parametrize("M", [0, -2])
     def test_memory_order_below_one_rejected(self, M):
-        with pytest.raises(ValueError, match=f"memory order M must be >= 1, got {M}"):
+        with pytest.raises(ValueError, match=f"memory order M must be an integer >= 1, got {M}"):
             search_gains(SpectralSet(points=(1.0,)), M=M, budget=5)
 
     def test_empty_set_rejected(self):

@@ -237,8 +237,8 @@ class TestSearch:
         assert d["report"]["nu"] == pytest.approx(1.9 / 2.1, abs=1e-9)
 
     @pytest.mark.parametrize("argv, message", [
-        (["--M", "0"], "memory order M must be >= 1, got 0"),
-        (["--M", "2", "--budget", "0"], "budget must be >= 1"),
+        (["--M", "0"], "memory order M must be an integer >= 1, got 0"),
+        (["--M", "2", "--budget", "0"], "budget must be an integer >= 1, got 0"),
     ])
     def test_bad_argument_named_exit3(self, capsys, argv, message):
         code, out, err = run(capsys, "search", "--set", "1:2", *argv)
@@ -560,7 +560,7 @@ class TestIntegerArguments:
 
     def test_negative_value_reaches_the_library(self, capsys):
         code, out, err = run(capsys, "tune", "--interval", "0.1,2", "--M", "-1")
-        assert code == 3 and out == "" and "M >= 2" in err
+        assert code == 3 and out == "" and "memory order M must be an integer >= 2, got -1" in err
 
     def test_one_reader(self):
         assert integer is errors.integer

@@ -114,14 +114,25 @@ class TestIterationProblem:
         with pytest.raises(ValueError, match="symmetric"):
             IterationProblem(A, np.zeros(3), np.zeros(3))
 
-    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12, 1e-50, 1e-100, 1e50, 1e100])
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-12, 1e-50, 1e-100, 1e-160, 1e-170,
+                                   1e-200, 1e-300, 1e50, 1e100, 1e150, 1e200, 1e300])
     def test_bias_in_range_accepted_at_any_scale(self, s):
         # An absolute floor of 1e-9 under the kernel threshold took every
-        # eigenvector of s L for a kernel vector at s <= 1e-10.
+        # eigenvector of s L for a kernel vector at s <= 1e-10. The norms
+        # of the unscaled A and b underflowed at s <= 1e-170, accepting
+        # s ones, and overflowed at s >= 1e200.
         L = laplacian(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))).entries
         IterationProblem(s * L, s * (L @ np.array([0.3, -0.1, 0.5])), np.zeros(3))
         with pytest.raises(IncompatibleBiasError):
             IterationProblem(s * L, s * np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("s", [0.0, 1e-300])
+    def test_kernel_bias_rejected_when_it_dwarfs_A(self, s):
+        # Scaling by max |A| alone would divide by zero at s = 0 and turn
+        # b into inf at s = 1e-300, where an inf tolerance accepts it.
+        L = laplacian(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))).entries
+        with pytest.raises(IncompatibleBiasError):
+            IterationProblem(s * L, 1e10 * np.ones(3), np.zeros(3))
 
     @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-14, 1e-50, 1e-100, 1e100])
     def test_asymmetry_rejected_at_any_scale(self, s):
@@ -209,6 +220,13 @@ class TestSimulateModal:
         out = simulate_modal(0.5, 0.0, t.gains, 1.0, 60)
         bound = 2.5 * 0.8 ** np.arange(61)
         assert np.all(np.abs(out) <= bound + 1e-12)
+
+    @pytest.mark.parametrize("lam, b_mode, x0", [(np.nan, 0.0, 1.0), (1.0, np.inf, 1.0),
+                                                 (1.0, 0.0, -np.inf)])
+    def test_non_finite_input_rejected(self, lam, b_mode, x0):
+        # A NaN lam gave [1, nan, nan, nan].
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_modal(lam, b_mode, Gains(M=2, alpha=1.0, betas=(-0.5,)), x0, 3)
 
     def test_matches_vector_on_diagonal(self):
         lams = np.array([0.3, 1.1, 2.0])
@@ -337,6 +355,19 @@ class TestDropRobustness:
                                              trials=3, rng_seed=0)
         assert found is not None
         assert found.drops == schedule.drops
+
+    @pytest.mark.parametrize("drop_prob", [np.nan, 0.0, -0.5, 1.5, np.inf])
+    def test_drop_prob_outside_unit_interval_rejected(self, drop_prob):
+        # NaN and 0 dropped no link and returned None.
+        graph, gains, _, x0 = memory_fragility_example()
+        with pytest.raises(ValueError, match=r"drop_prob must lie in \(0, 1\]"):
+            find_divergent_drop_schedule(graph, gains, x0, trials=3, drop_prob=drop_prob)
+
+    def test_drop_prob_one_accepted(self):
+        # Every link dropped at every step leaves A_t = 0: no run diverges.
+        graph, gains, _, x0 = memory_fragility_example()
+        found = find_divergent_drop_schedule(graph, gains, x0, T=5, trials=1, drop_prob=1.0)
+        assert found is None
 
 
 @st.composite

@@ -2,6 +2,7 @@
 replaced, and the overflow guards of the closed-form tunings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestCheckGuaranteeArgs:
 
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_grid_below_two(self, grid):
-        with pytest.raises(ValueError, match="at least 2 grid samples"):
+        with pytest.raises(ValueError, match=f"^grid must be an integer >= 2, got {grid}$"):
             check_guarantee_args(SpectralSet(points=(1.0,)), grid=grid)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
@@ -164,13 +165,15 @@ class TestCheckGuaranteeArgs:
 
 
 class TestIntegerArguments:
-    """Every integer argument takes what operator.index takes, less bools:
-    a float was truncated or failed deep in list or numpy code, and True
-    read as 1."""
+    """Every integer argument takes what operator.index takes, less bools,
+    from its floor up: a float was truncated or failed deep in list or
+    numpy code, True read as 1, and a count below its floor checked
+    nothing. Each entry is (a valid value, the name its message gives,
+    its floor, the call)."""
 
     @staticmethod
     def _calls():
-        from memaccel import accel, certify, dynamics
+        from memaccel import accel, certify, dynamics, spectral
 
         iv = SpectralInterval(0.1, 2.0)
         g = Gains(M=2, alpha=1.0, betas=(-0.5,))
@@ -178,44 +181,94 @@ class TestIntegerArguments:
         c = certify.gains_to_claim_coeffs(g, iv)
         fragile = dynamics.memory_fragility_example()[:2]
         x0 = np.ones(fragile[0].n)
+        path3 = spectral.WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+        trace = dynamics.simulate(p, Gains(M=1, alpha=0.5), 20)
         return {
-            "Gains.M": (2, lambda v: Gains(M=v, alpha=1.0, betas=(-0.5,))),
-            "tune_theorem3.M": (2, lambda v: tune_theorem3(iv, M=v)),
-            "simulate.T": (5, lambda v: dynamics.simulate(p, g, v)),
-            "simulate_modal.T": (5, lambda v: dynamics.simulate_modal(1.0, 0.0, g, 1.0, v)),
-            "guarantee.grid": (33, lambda v: accel.guarantee(g, iv, grid=v)),
+            "Gains.M": (2, "memory order M", 1, lambda v: Gains(M=v, alpha=1.0, betas=(-0.5,))),
+            "tune_theorem3.M": (2, "memory order M", 2, lambda v: tune_theorem3(iv, M=v)),
+            "simulate.T": (5, "T", 1, lambda v: dynamics.simulate(p, g, v)),
+            "simulate_modal.T":
+                (5, "T", 1, lambda v: dynamics.simulate_modal(1.0, 0.0, g, 1.0, v)),
+            "guarantee.grid": (33, "grid", 2, lambda v: accel.guarantee(g, iv, grid=v)),
             "partition_field.resolution":
-                (48, lambda v: certify.partition_field(c, 0.5, resolution=v)),
-            "search_gains.M": (2, lambda v: accel.search_gains(iv, M=v, budget=5)),
-            "search_gains.budget": (20, lambda v: accel.search_gains(iv, M=2, budget=v)),
-            "search_gains.rng_seed":
-                (1, lambda v: accel.search_gains(iv, M=2, budget=5, rng_seed=v)),
-            "ClaimCoeffs.M": (2, lambda v: certify.ClaimCoeffs(M=v, nu=0.5, a=(0.1, 0.2))),
-            "large_radius_phase_check.theta_grid": (8, lambda v: certify.large_radius_phase_check(
-                certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)), theta_grid=v)),
-            "large_radius_phase_check.phase_grid": (8, lambda v: certify.large_radius_phase_check(
-                certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)), phase_grid=v)),
-            "find_divergent_drop_schedule.T": (5, lambda v: dynamics.find_divergent_drop_schedule(
-                *fragile, x0, T=v, trials=1)),
-            "find_divergent_drop_schedule.trials":
-                (1, lambda v: dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=v)),
-            "find_divergent_drop_schedule.rng_seed":
-                (1, lambda v: dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=1,
-                                                                    rng_seed=v)),
+                (48, "resolution", 32, lambda v: certify.partition_field(c, 0.5, resolution=v)),
+            "search_gains.M":
+                (2, "memory order M", 1, lambda v: accel.search_gains(iv, M=v, budget=5)),
+            "search_gains.budget":
+                (20, "budget", 1, lambda v: accel.search_gains(iv, M=2, budget=v)),
+            "search_gains.rng_seed": (1, "rng_seed", 0, lambda v: accel.search_gains(
+                iv, M=2, budget=5, rng_seed=v)),
+            "ClaimCoeffs.M": (2, "memory order M", 2,
+                              lambda v: certify.ClaimCoeffs(M=v, nu=0.5, a=(0.1, 0.2))),
+            "large_radius_phase_check.theta_grid": (8, "theta_grid", 2, lambda v:
+                certify.large_radius_phase_check(certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)),
+                                                 theta_grid=v)),
+            "large_radius_phase_check.phase_grid": (8, "phase_grid", 2, lambda v:
+                certify.large_radius_phase_check(certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)),
+                                                 phase_grid=v)),
+            "find_divergent_drop_schedule.T": (5, "T", 1, lambda v:
+                dynamics.find_divergent_drop_schedule(*fragile, x0, T=v, trials=1)),
+            "find_divergent_drop_schedule.trials": (1, "trials", 1, lambda v:
+                dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=v)),
+            "find_divergent_drop_schedule.rng_seed": (1, "rng_seed", 0, lambda v:
+                dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=1,
+                                                      rng_seed=v)),
+            "WeightedGraph.n": (3, "node count", 0, lambda v: spectral.WeightedGraph(v, ())),
+            "DropSchedule.step": (2, "drop step", 0, lambda v:
+                dynamics.DropSchedule(path3, {v: frozenset({(0, 1)})})),
+            "empirical_rate.burn_in":
+                (2, "burn_in", 0, lambda v: dynamics.empirical_rate(trace, burn_in=v)),
         }
 
+    ENTRIES = ["Gains.M", "tune_theorem3.M", "simulate.T", "simulate_modal.T", "guarantee.grid",
+               "partition_field.resolution", "search_gains.M", "search_gains.budget",
+               "search_gains.rng_seed", "ClaimCoeffs.M", "large_radius_phase_check.theta_grid",
+               "large_radius_phase_check.phase_grid", "find_divergent_drop_schedule.T",
+               "find_divergent_drop_schedule.trials", "find_divergent_drop_schedule.rng_seed",
+               "WeightedGraph.n", "DropSchedule.step", "empirical_rate.burn_in"]
+
     @pytest.mark.parametrize("kind", ["float", "bool"])
-    @pytest.mark.parametrize("entry", ["Gains.M", "tune_theorem3.M", "simulate.T",
-                                       "simulate_modal.T", "guarantee.grid",
-                                       "partition_field.resolution", "search_gains.M",
-                                       "search_gains.budget", "search_gains.rng_seed",
-                                       "ClaimCoeffs.M", "large_radius_phase_check.theta_grid",
-                                       "large_radius_phase_check.phase_grid",
-                                       "find_divergent_drop_schedule.T",
-                                       "find_divergent_drop_schedule.trials",
-                                       "find_divergent_drop_schedule.rng_seed"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_float_and_bool_rejected(self, entry, kind):
-        valid, call = self._calls()[entry]
+        valid, _, _, call = self._calls()[entry]
         call(np.int64(valid))
         with pytest.raises(ValueError, match="must be an integer"):
             call(float(valid) if kind == "float" else True)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_below_floor_rejected(self, entry):
+        _, name, least, call = self._calls()[entry]
+        message = f"{name} must be an integer >= {least}, got {least - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(least - 1)
+
+    def test_zero_theta_grid_rejected(self):
+        # It returned (True, None) without testing a single angle.
+        from memaccel.certify import ClaimCoeffs, large_radius_phase_check
+
+        with pytest.raises(ValueError, match="theta_grid must be an integer >= 2"):
+            large_radius_phase_check(ClaimCoeffs(2, 0.5, (0.1, 0.2)), theta_grid=0)
+
+    def test_zero_trials_rejected(self):
+        # It reported that no divergent schedule exists after no trial.
+        from memaccel.dynamics import find_divergent_drop_schedule, memory_fragility_example
+
+        graph, gains, _, x0 = memory_fragility_example()
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            find_divergent_drop_schedule(graph, gains, x0, trials=0)
+
+    @pytest.mark.parametrize("burn_in", [-20, True])
+    def test_negative_or_bool_burn_in_rejected(self, burn_in):
+        # -20 fitted only the last 20 residuals, and True was read as 1.
+        from memaccel.dynamics import IterationProblem, empirical_rate, simulate
+
+        p = IterationProblem(np.diag([1.0, 2.0]), np.zeros(2), np.ones(2))
+        trace = simulate(p, Gains(M=1, alpha=0.5), 40)
+        with pytest.raises(ValueError, match="burn_in must be an integer >= 0"):
+            empirical_rate(trace, burn_in=burn_in)
+
+    def test_negative_node_count_rejected(self):
+        from memaccel.spectral import WeightedGraph
+
+        with pytest.raises(ValueError, match="node count must be an integer >= 0, got -1"):
+            WeightedGraph(-1, ())
