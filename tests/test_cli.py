@@ -236,9 +236,12 @@ class TestSearch:
         # The optimal memoryless factor of [0.1, 2] is 1.9 / 2.1.
         assert d["report"]["nu"] == pytest.approx(1.9 / 2.1, abs=1e-9)
 
+    # Explicit ids keep each case's name stable when the message wording changes.
     @pytest.mark.parametrize("argv, message", [
-        (["--M", "0"], "memory order M must be an integer >= 1, got 0"),
-        (["--M", "2", "--budget", "0"], "budget must be an integer >= 1, got 0"),
+        pytest.param(["--M", "0"], "memory order M must be an integer >= 1, got 0",
+                     id="argv0-memory order M must be >= 1, got 0"),
+        pytest.param(["--M", "2", "--budget", "0"], "budget must be an integer >= 1, got 0",
+                     id="argv1-budget must be >= 1"),
     ])
     def test_bad_argument_named_exit3(self, capsys, argv, message):
         code, out, err = run(capsys, "search", "--set", "1:2", *argv)
