@@ -214,9 +214,9 @@ def search_gains(
 
     Three stages of the in-house Nelder-Mead (:func:`_nelder_mead`,
     coefficients 1, 2, 1/2, 1/2 as in Lagarias et al. 1998): a run from
-    the seed (default: the optimal tuning of the hull of s, memoryless
-    at M = 1), SEARCH_RESTARTS wide jittered restarts to escape the seed's
-    basin, then SEARCH_POLISH_ROUNDS small-jitter polish rounds around
+    the seed (default: :func:`tune_theorem3` of the hull of s at M),
+    SEARCH_RESTARTS wide jittered restarts to escape the seed's basin,
+    then SEARCH_POLISH_ROUNDS small-jitter polish rounds around
     the incumbent best. ``budget`` caps the guarantee evaluations, each
     on a SEARCH_GRID grid bracketed to SEARCH_REFINE_TOL. Returns the seed
     itself when no improvement is found. Deterministic for a fixed
@@ -226,9 +226,7 @@ def search_gains(
     _check_index("memory order M", M, 1)
     _check_index("budget", budget, 1)
     _check_index("rng_seed", rng_seed, 0)
-    if seed is None and M == 1:
-        seed = Gains(M=1, alpha=tune_memoryless(s.hull())[0])
-    elif seed is None:
+    if seed is None:
         seed = tune_theorem3(s.hull(), M=M).gains
     if seed.M != M:
         raise ValueError(f"seed has M={seed.M}, expected {M}")

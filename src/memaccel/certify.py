@@ -18,7 +18,7 @@ import numpy as np
 from . import polyroots
 from .errors import BetaTildeMinusOneError, MemaccelError
 from .polyroots import RealPolynomial
-from .tuning import Gains, Record, SpectralInterval, _check_index, tune_theorem3
+from .tuning import Gains, Record, SpectralInterval, _check_index, _real, tune_theorem3
 
 WITNESS_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-9
@@ -37,11 +37,12 @@ class ClaimCoeffs(Record):
 
     def __post_init__(self):
         _check_index("memory order M", self.M, 2)
+        object.__setattr__(self, "nu", _real("nu", self.nu))
         if not (0 < self.nu < 1):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if len(self.a) != self.M:
             raise ValueError(f"need {self.M} coefficients, got {len(self.a)}")
-        a = tuple(float(v) for v in self.a)
+        a = tuple(_real("a", v) for v in self.a)
         for k, v in enumerate(a):
             if not math.isfinite(v):
                 raise MemaccelError(f"coefficient a_{k} = {v} is not finite")
@@ -102,8 +103,9 @@ class PartitionField(Record):
 
 def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     """Normalized coefficient vector of the gains relative to the optimal
-    tuning of the interval; the optimal tuning itself maps to zero. A
-    single-point interval has nu* = 0 and raises MemaccelError."""
+    tuning of the interval; the optimal tuning itself maps to zero. M < 2
+    raises ValueError, and a single-point interval, nu* = 0, MemaccelError."""
+    _check_index("memory order M", g.M, 2)
     t = tune_theorem3(iv, M=g.M)
     if t.degenerate:
         raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point, where nu* = 0")
@@ -135,10 +137,15 @@ def _p_tilde_q(c: ClaimCoeffs) -> np.ndarray:
     return q
 
 
-def p_tilde(c: ClaimCoeffs, theta: float) -> RealPolynomial:
-    """The degree-M test polynomial at angle theta."""
+def _check_theta(theta: float):
+    """ValueError unless the certificate angle theta lies in [0, pi]."""
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
+
+
+def p_tilde(c: ClaimCoeffs, theta: float) -> RealPolynomial:
+    """The degree-M test polynomial at angle theta in [0, pi]."""
+    _check_theta(theta)
     q = _p_tilde_q(c)
     q[c.M - 1] -= 2.0 * np.cos(theta)
     return RealPolynomial(tuple(q))
@@ -213,12 +220,13 @@ def partition_field(
 ) -> PartitionField:
     """Sample sign(|P1| - |P2|) and the phase-match locus on a window of
     the complex plane, with root overlays. Tie cells (difference below
-    TIE_TOL) are marked 0. A non-finite theta or window bound raises
-    ValueError, and so does a resolution that is not an integer >= 32."""
+    TIE_TOL) are marked 0. A non-finite theta or window bound, a theta
+    outside [0, pi] and a resolution not an integer >= 32 raise ValueError."""
     _check_index("resolution", resolution, 32)
     if not np.isfinite([theta, *re_range, *im_range]).all():
         raise ValueError(f"theta and window bounds must be finite, got theta={theta}, "
                          f"re_range={re_range}, im_range={im_range}")
+    _check_theta(theta)
     re = np.linspace(re_range[0], re_range[1], resolution)
     im = np.linspace(im_range[0], im_range[1], resolution)
     y = re[None, :] + 1j * im[:, None]

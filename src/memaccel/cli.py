@@ -205,15 +205,9 @@ def _cmd_tune(args) -> int:
     lo, hi = _read("--interval", _numbers, args.interval, ",", 2)
     from . import tuning
 
-    iv = tuning.SpectralInterval(lo, hi)
-    if args.M == 1:
-        alpha, mu = tuning.tune_memoryless(iv)
-        g, nu_star, degenerate = tuning.Gains(M=1, alpha=alpha), mu, mu == 0.0
-    else:
-        t = tuning.tune_theorem3(iv, M=args.M)
-        g, mu, nu_star, degenerate = t.gains, t.mu, t.nu_star, t.degenerate
-    _emit({**_gains_dict(g), "mu": mu, "nu_star": nu_star, "degenerate": degenerate},
-          args.output)
+    t = tuning.tune_theorem3(tuning.SpectralInterval(lo, hi), M=args.M)
+    _emit({**_gains_dict(t.gains), "mu": t.mu, "nu_star": t.nu_star,
+           "degenerate": t.degenerate}, args.output)
     return 0
 
 

@@ -173,14 +173,20 @@ def simulate(
 ) -> SimTrace:
     """Run x(t+1) = x(t) + alpha (b - A_t x(t)) + sum_m beta_m (x(t-m) - x(t))
     for T steps with constant history, where A_t is A with the scheduled
-    links removed. Aborts with the diverged flag once ||x|| exceeds
-    1e6 * ||x0||."""
+    links removed. Aborts with the diverged flag once ||x|| exceeds 1e6
+    times the larger of ||x0|| and ||b|| / max|a_ij|, the scale of a
+    solution, and of 1e-300 (x0 = 0 and b = 0 keep x at 0). With b != 0
+    a diverging run from a smaller x0 is flagged some steps later."""
     _check_index("T", T, 1)
     if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
         raise DropOnNonLaplacianError(
             "drop schedule requires A to be the Laplacian of its graph"
         )
-    limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), 1e-300)
+    scale = np.linalg.norm(p.x0)
+    if p.b.any():
+        diag, _, _, a = p.nonzeros
+        scale = max(scale, np.linalg.norm(p.b) / np.abs(np.concatenate([diag, a])).max())
+    limit = DIVERGENCE_FACTOR * max(scale, 1e-300)
     residuals = []
     states, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops, residuals), limit)
     residuals.append(_norm(p.b - _matvec(p, states[-1])))
@@ -243,13 +249,11 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
     s <= 0. Stops after T steps, or early once ||x|| exceeds limit.
     Returns (states, the step t whose x(t) exceeded limit or None)."""
     x = x0
-    history = [x] * max(g.M - 1, 1)  # x(t-1), x(t-2), ...
     states = [x]
     for t in range(T):
         nxt = x + g.alpha * force(t, x)
         for m, beta in enumerate(g.betas, start=1):
-            nxt = nxt + beta * (history[m - 1] - x)
-        history = [x] + history[:-1]
+            nxt = nxt + beta * (states[max(t - m, 0)] - x)
         x = nxt
         states.append(x)
         if np.linalg.norm(x) > limit:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegreeZeroError, EmptyRootSetError, NoConvergenceError
-from .tuning import Record
+from .tuning import Record, _real
 
 ROOT_RESIDUAL_TOL = 1e-9
 MAX_POLISH_ITERS = 500
@@ -31,7 +31,7 @@ class RealPolynomial(Record):
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        c = [float(v) for v in self.coeffs]
+        c = [_real("coeffs", v) for v in self.coeffs]
         while len(c) > 1 and c[-1] == 0.0:
             c.pop()
         if not c:

@@ -21,13 +21,13 @@ from .errors import (
     decimal,
     integer,
 )
-from .tuning import Record, SpectralInterval, SpectralSet, _check_index, _is_index
+from .tuning import Record, SpectralInterval, SpectralSet, _check_index, _is_index, _real
 
 
 class WeightedGraph(Record):
     """Undirected weighted graph; one stored entry per unordered pair.
-    The node count is an integer >= 0 and node indices are integers; a
-    float or bool raises ValueError."""
+    The node count is an integer >= 0, node indices are integers and a
+    weight is real (``tuning._real``); anything else raises ValueError."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
@@ -42,7 +42,7 @@ class WeightedGraph(Record):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
-            if not math.isfinite(w):
+            if not math.isfinite(_real("edge weight", w)):
                 raise MemaccelError(f"edge ({i}, {j}) has non-finite weight {w}")
             if w < 0:
                 raise NegativeWeightError(i, j, w)

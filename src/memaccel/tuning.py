@@ -35,9 +35,9 @@ def _check_index(name: str, v, least: int):
 def _real(name: str, v) -> float:
     """float(v) for a real number v, a numpy one included, and inf for
     an integer too large for a float; a bool, a string, None or any
-    other value raises ValueError naming name. Plain floats and ints,
-    all that the numpy-free paths pass, skip the numbers import."""
-    if type(v) not in (float, int):
+    other value raises ValueError naming name. Floats, numpy's float64
+    among them, and plain ints skip the numbers import."""
+    if not isinstance(v, float) and type(v) is not int:
         import numbers
 
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -121,6 +121,8 @@ class SpectralInterval(Record):
     hi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", _real("lo", self.lo))
+        object.__setattr__(self, "hi", _real("hi", self.hi))
         if not (0 < self.lo <= self.hi < math.inf):
             raise ValueError(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
 
@@ -145,7 +147,7 @@ class SpectralSet(Record):
     def __post_init__(self):
         ivs = sorted(self.intervals, key=lambda iv: (iv.lo, iv.hi))
         merged: list[list[float]] = []
-        pts = [float(p) for p in self.points]
+        pts = [_real("points", p) for p in self.points]
         for iv in ivs:
             if iv.lo == iv.hi:
                 pts.append(iv.lo)
@@ -236,40 +238,31 @@ def check_guarantee_args(s: SpectralSet | SpectralInterval, grid: int | None = N
     return s
 
 
-def _check_sum(iv: SpectralInterval):
-    # Both tunings divide by lo + hi; where it overflows, mu would read 0
-    # and the tuning would claim a deadbeat rate the interval cannot have.
-    if not math.isfinite(iv.hi + iv.lo):
-        raise MemaccelError(f"lo + hi overflows for [{iv.lo}, {iv.hi}]")
-
-
 def tune_memoryless(iv: SpectralInterval) -> tuple[float, float]:
     """Optimal memoryless gain: alpha balancing the interval endpoints,
-    with worst contraction factor mu."""
-    _check_sum(iv)
-    alpha = 2.0 / (iv.hi + iv.lo)
-    if not math.isfinite(alpha):
-        raise MemaccelError(f"alpha = 2 / (lo + hi) overflows for [{iv.lo}, {iv.hi}]")
-    mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
-    return alpha, mu
+    with worst contraction factor mu; :func:`tune_theorem3` at M = 1."""
+    t = tune_theorem3(iv, M=1)
+    return t.alpha_star, t.mu
 
 
 def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
-    """Optimal single-memory tuning for the interval; extra memory slots
-    beyond the first get zero gain. A degenerate interval (lo == hi)
-    returns the deadbeat limit, flagged."""
-    _check_index("memory order M", M, 2)
-    _check_sum(iv)
+    """Optimal single-memory tuning for the interval at an integer M >= 1;
+    memory slots beyond the first get zero gain, and M = 1, without one,
+    gives the memoryless optimum nu* = mu. At lo == hi the formulas give
+    the deadbeat limit alpha = 1 / lo, flagged. MemaccelError if lo + hi
+    or alpha overflows."""
+    _check_index("memory order M", M, 1)
     mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
-    if mu == 0.0:
-        gains = Gains(M=M, alpha=1.0 / iv.lo, betas=(0.0,) * (M - 1))
-        return TuningResult(gains, mu=0.0, nu_star=0.0, alpha_star=gains.alpha,
-                            beta1_star=0.0, degenerate=True)
-    # Stable form of 1/mu - sqrt(1/mu^2 - 1); the direct expression
-    # cancels catastrophically for small mu.
-    nu_star = mu / (1.0 + math.sqrt(1.0 - mu**2))
-    beta1 = -nu_star**2
+    nu_star, beta1 = mu, 0.0
+    if M > 1:
+        # Stable form of 1/mu - sqrt(1/mu^2 - 1); the direct expression
+        # cancels catastrophically for small mu. 0.0 - nu^2 is +0.0 at mu = 0.
+        nu_star = mu / (1.0 + math.sqrt(1.0 - mu**2))
+        beta1 = 0.0 - nu_star**2
     alpha = 2.0 * (1.0 - beta1) / (iv.hi + iv.lo)
-    gains = Gains(M=M, alpha=alpha, betas=(beta1,) + (0.0,) * (M - 2))
-    return TuningResult(gains, mu=float(mu), nu_star=float(nu_star),
-                        alpha_star=float(alpha), beta1_star=float(beta1))
+    # Where lo + hi overflows, mu would read 0 and the tuning would claim
+    # a deadbeat rate the interval cannot have.
+    if not (math.isfinite(iv.hi + iv.lo) and math.isfinite(alpha)):
+        raise MemaccelError(f"lo + hi or alpha overflows for [{iv.lo}, {iv.hi}]")
+    gains = Gains(M=M, alpha=alpha, betas=((beta1,) + (0.0,) * (M - 2))[:M - 1])
+    return TuningResult(gains, mu, nu_star, alpha, beta1, degenerate=mu == 0.0)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -333,6 +334,16 @@ class TestPartitionField:
         c = ClaimCoeffs(M=2, nu=0.6, a=(0.1, 0.2))
         with pytest.raises(ValueError, match="finite"):
             partition_field(c, theta, re_range=re_range, im_range=im_range, resolution=32)
+
+    @pytest.mark.parametrize("theta", [5.0, -1.0, np.nextafter(np.pi, 4.0)])
+    def test_theta_outside_zero_pi_rejected_as_by_p_tilde(self, theta):
+        # partition_field sampled a field at any finite theta.
+        c = ClaimCoeffs(M=2, nu=0.6, a=(0.1, 0.2))
+        message = f"theta must lie in [0, pi], got {theta}"
+        for call in (lambda: p_tilde(c, theta),
+                     lambda: partition_field(c, theta, resolution=32)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
     @pytest.mark.parametrize("M, a", [(2, (1.0, 2.2e-309)), (4, (1.0, 0.0, 1.0, 9.4e-291))])
     def test_top_coefficient_below_rounding(self, M, a):

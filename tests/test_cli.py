@@ -56,6 +56,23 @@ class TestTune:
         assert d["alpha"] == pytest.approx(2.0, abs=1e-12)
         assert d["nu_star"] == pytest.approx(0.9756, abs=1e-6)
 
+    @pytest.mark.parametrize("interval", [REF, "2,2"])
+    def test_memoryless_is_theorem3_at_one(self, capsys, interval):
+        from memaccel.tuning import SpectralInterval, tune_theorem3
+
+        t = tune_theorem3(SpectralInterval(*map(float, interval.split(","))), M=1)
+        code, out, _ = run(capsys, "tune", "--interval", interval, "--M", "1")
+        d = json.loads(out)
+        assert code == 0 and (d["M"], d["alpha"], d["betas"]) == (1, t.alpha_star, [])
+        assert d["mu"] == d["nu_star"] == float(format(t.mu, ".12g"))
+        assert d["degenerate"] is t.degenerate
+
+    def test_memory_order_zero_exit3(self, capsys):
+        # --M 1 worked, but --M 0 named the floor of M >= 2.
+        code, out, err = run(capsys, "tune", "--interval", "0.1,2", "--M", "0")
+        assert code == 3 and out == ""
+        assert err == "error: memory order M must be an integer >= 1, got 0\n"
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "t.json"
         code, out, _ = run(capsys, "tune", "--interval", "1,3", "-o", str(dest))
@@ -503,6 +520,25 @@ class TestCertify:
         assert code == 3 and err.startswith("error:") and "resolution" in err
         assert out == "" and not field.exists()
 
+    @pytest.mark.parametrize("theta", ["5.0", "-1.0"])
+    def test_theta_outside_zero_pi_exit3_before_certificate(self, capsys, tmp_path, theta):
+        # partition_field took any finite theta and wrote its field.
+        gains = write_gains(tmp_path, 2, 3.0, [-0.5])
+        field = tmp_path / "field.json"
+        code, out, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
+                             f"--field={theta}", "--window=-2:2:-2:2:32",
+                             "--field-out", str(field))
+        assert code == 3 and f"theta must lie in [0, pi], got {theta}" in err
+        assert out == "" and not field.exists()
+
+    @pytest.mark.parametrize("interval", [REF, "1,1"])
+    def test_memoryless_gains_exit3_naming_the_memory_order(self, capsys, tmp_path, interval):
+        # The map checks M itself: tune_theorem3 takes M = 1 now.
+        gains = write_gains(tmp_path, 1, 1.5, [])
+        code, out, err = run(capsys, "certify", "--gains", gains, "--interval", interval)
+        assert code == 3 and out == ""
+        assert err == "error: memory order M must be an integer >= 2, got 1\n"
+
     def test_unwritable_field_out_exit3_before_certificate(self, capsys, tmp_path):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])
         code, out, err = run(capsys, "certify", "--gains", gains, "--interval", REF,
@@ -563,7 +599,7 @@ class TestIntegerArguments:
 
     def test_negative_value_reaches_the_library(self, capsys):
         code, out, err = run(capsys, "tune", "--interval", "0.1,2", "--M", "-1")
-        assert code == 3 and out == "" and "memory order M must be an integer >= 2, got -1" in err
+        assert code == 3 and out == "" and "memory order M must be an integer >= 1, got -1" in err
 
     def test_one_reader(self):
         assert integer is errors.integer

@@ -28,6 +28,8 @@ from memaccel.spectral import (
     WeightedGraph,
     laplacian,
     load_edge_list,
+    nonzero_spectral_interval,
+    symmetric_eigenvalues,
 )
 
 PATH3 = load_edge_list("0 1 1\n1 2 1")
@@ -162,6 +164,16 @@ class TestIterationProblem:
         IterationProblem(L, np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), np.zeros(6))
 
 
+def weighted_path3_solve():
+    """A x = b from x0 = 0, for A the Laplacian of the path with weights 1
+    and 2 and b = A (0.3, -0.1, 0.5); and A's nonzero spectral interval."""
+    graph = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+    L = laplacian(graph)
+    b = L.entries @ np.array([0.3, -0.1, 0.5])
+    iv = nonzero_spectral_interval(symmetric_eigenvalues(L))
+    return IterationProblem(L.entries, b, np.zeros(3)), iv
+
+
 class TestSimulate:
     def test_single_step_scalar(self):
         lam, alpha = 0.7, 1.1
@@ -200,6 +212,25 @@ class TestSimulate:
     def test_converging_run_has_no_divergence_step(self):
         tr = simulate(path3_problem(), Gains(M=1, alpha=0.5), T=20)
         assert tr.diverged_at is None and not tr.diverged
+
+    def test_tuned_solve_from_zero_runs_every_step(self):
+        # The limit was 1e6 * max(||x0||, 1e-300): from x0 = 0 with b != 0
+        # the first step read as divergence, so a converging solve of
+        # A x = b stopped at T = 1.
+        p, iv = weighted_path3_solve()
+        tr = simulate(p, tune_theorem3(iv).gains, 200)
+        assert tr.diverged_at is None and tr.T == 200
+        assert tr.residuals[-1] <= 1e-12 * tr.residuals[0]
+
+    def test_divergent_solve_from_zero_flagged_at_solution_scale(self):
+        # alpha = 2.5 / lambda_max diverges. From x0 = 0 the limit is
+        # 1e6 ||b|| / max|a_ij|, and the flagged step is the first over it.
+        p, iv = weighted_path3_solve()
+        tr = simulate(p, Gains(M=1, alpha=2.5 / iv.hi), 200)
+        norms = np.linalg.norm(tr.states, axis=1)
+        limit = DIVERGENCE_FACTOR * np.linalg.norm(p.b) / np.abs(p.A).max()
+        assert tr.diverged_at == tr.T > 1
+        assert norms[-1] > limit >= norms[-2]
 
     def test_average_preserved_under_drops(self):
         rng = np.random.default_rng(1)

@@ -180,3 +180,48 @@ class TestDerivedCaches:
         d, _ = self._schedules()
         np.testing.assert_equal(pickle.loads(pickle.dumps(p)).nonzeros, p.nonzeros)
         np.testing.assert_equal(pickle.loads(pickle.dumps(d)).cuts, d.cuts)
+
+
+# field -> (the name its message gives, a record with value v in that field)
+REAL_FIELDS = {
+    "SpectralInterval.lo": ("lo", lambda v: tuning.SpectralInterval(v, 2.0)),
+    "SpectralInterval.hi": ("hi", lambda v: tuning.SpectralInterval(0.1, v)),
+    "SpectralSet.points": ("points", lambda v: tuning.SpectralSet(points=(v,))),
+    "ClaimCoeffs.nu": ("nu", lambda v: certify.ClaimCoeffs(2, v, (0.1, 0.2))),
+    "ClaimCoeffs.a": ("a", lambda v: certify.ClaimCoeffs(2, 0.5, (v, 0.2))),
+    "RealPolynomial.coeffs": ("coeffs", lambda v: polyroots.RealPolynomial((v, 1.0))),
+    "WeightedGraph.weight": ("edge weight", lambda v: spectral.WeightedGraph(2, ((0, 1, v),))),
+}
+
+
+class TestRealFields:
+    """Every real field is read as Gains reads a gain (``tuning._real``):
+    a string was read as the number it spells or raised TypeError, and a
+    bool was read as 0 or 1."""
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, 0.5j, [0.5]],
+                             ids=["str", "bool", "None", "complex", "list"])
+    @pytest.mark.parametrize("field", list(REAL_FIELDS))
+    def test_non_real_rejected(self, field, value):
+        name, make = REAL_FIELDS[field]
+        with pytest.raises(ValueError, match=f"^{name} must be real, got "):
+            make(value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("field", list(REAL_FIELDS))
+    def test_numpy_scalar_gives_equal_record(self, field, value):
+        _, make = REAL_FIELDS[field]
+        assert make(value) == make(0.5)
+
+    @pytest.mark.parametrize("value", [1, np.int64(1)], ids=["int", "int64"])
+    @pytest.mark.parametrize("field", [f for f in REAL_FIELDS if f != "ClaimCoeffs.nu"])
+    def test_integer_gives_equal_record(self, field, value):
+        _, make = REAL_FIELDS[field]
+        assert make(value) == make(1.0)
+
+    def test_stored_as_float(self):
+        iv = tuning.SpectralInterval(np.float32(0.5), np.int64(2))
+        assert repr(iv) == "SpectralInterval(lo=0.5, hi=2.0)"
+        c = certify.ClaimCoeffs(2, np.float64(0.5), (1, np.float32(0.5)))
+        assert repr(c) == "ClaimCoeffs(M=2, nu=0.5, a=(1.0, 0.5))"

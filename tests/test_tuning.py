@@ -59,9 +59,30 @@ class TestBitIdentity:
         lo, hi = iv
         assert tune_memoryless(SpectralInterval(lo, hi)) == reference_memoryless(lo, hi)
 
+    @settings(max_examples=300, deadline=None)
+    @given(intervals)
+    def test_theorem3_at_one_is_the_memoryless_optimum(self, iv):
+        lo, hi = iv
+        t = tune_theorem3(SpectralInterval(lo, hi), M=1)
+        alpha, mu = reference_memoryless(lo, hi)
+        assert t.gains == Gains(1, alpha)
+        assert (t.alpha_star, t.mu, t.nu_star, t.beta1_star) == (alpha, mu, mu, 0.0)
+        assert t.degenerate is (lo == hi)
+
     def test_degenerate_interval(self):
         t = tune_theorem3(SpectralInterval(3.0, 3.0))
         assert t.degenerate and t.alpha_star == 1.0 / 3.0
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("lo", [3.0, 1e-300, 7e307])
+    def test_deadbeat_limit_from_the_formula(self, M, lo):
+        # The deadbeat limit comes from the formula itself: 2 / (2 lo) is
+        # 1 / lo bit for bit, and beta1 is +0.0.
+        t = tune_theorem3(SpectralInterval(lo, lo), M=M)
+        assert t.degenerate and t.alpha_star == t.gains.alpha == 1.0 / lo
+        assert (t.mu, t.nu_star, t.beta1_star) == (0.0, 0.0, 0.0)
+        assert math.copysign(1.0, t.beta1_star) == 1.0
+        assert t.gains.betas == (0.0,) * (M - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True).filter(lambda a: a != 0),
@@ -124,6 +145,15 @@ class TestOverflow:
         with pytest.raises(MemaccelError, match="overflows"):
             tune_theorem3(self.HUGE, M=M)
 
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (1e-320, 2e-320), (1e-320, 1e-320)])
+    def test_one_message_at_every_memory_order(self, lo, hi):
+        # At M = 1 the subnormal interval raised MemaccelError and at
+        # M >= 2 Gains' ValueError.
+        message = f"lo + hi or alpha overflows for [{lo}, {hi}]"
+        for M in (1, 2, 3):
+            with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
+                tune_theorem3(SpectralInterval(lo, hi), M=M)
+
     def test_largest_sum_that_fits_still_tunes(self):
         lo = 1e307
         hi = math.nextafter(math.inf, 0) - lo
@@ -136,7 +166,7 @@ class TestOverflow:
             tune_memoryless(SpectralInterval(1e-320, 2e-320))
 
     def test_theorem3_subnormal_interval_rejected_by_gains(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(MemaccelError, match="overflows"):
             tune_theorem3(SpectralInterval(1e-320, 2e-320))
 
 
@@ -185,7 +215,7 @@ class TestIntegerArguments:
         trace = dynamics.simulate(p, Gains(M=1, alpha=0.5), 20)
         return {
             "Gains.M": (2, "memory order M", 1, lambda v: Gains(M=v, alpha=1.0, betas=(-0.5,))),
-            "tune_theorem3.M": (2, "memory order M", 2, lambda v: tune_theorem3(iv, M=v)),
+            "tune_theorem3.M": (2, "memory order M", 1, lambda v: tune_theorem3(iv, M=v)),
             "simulate.T": (5, "T", 1, lambda v: dynamics.simulate(p, g, v)),
             "simulate_modal.T":
                 (5, "T", 1, lambda v: dynamics.simulate_modal(1.0, 0.0, g, 1.0, v)),
