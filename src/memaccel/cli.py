@@ -6,7 +6,8 @@ fully deterministic for a fixed --seed-rng. A guarantee report gives
 the certified bound nu and the attained nu_lo <= nu at worst_lambda.
 Exit codes: 0 success, 2 usage or parse error (a malformed number, a
 set item outside (0, inf), a non-finite --field or --window bound),
-3 domain error or a gains or drops file of the wrong JSON shape. A
+3 domain error, a gains or drops file of the wrong JSON shape, or an
+allocation the input makes impossible. A
 number in an option or an edge-list file is an integer written
 -?[0-9]+, or a decimal as float() reads it (inf and nan included) but
 in ASCII, without underscores and, except between list items, without
@@ -155,13 +156,26 @@ def _json_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {json.dumps(v)}")
 
 
+def _load_json(path: str, kind: str, shape: str, fits):
+    """The JSON value in the file at path; ValueError "<kind> file <path>
+    is not JSON <shape>" unless the file reads as JSON and fits(value)."""
+    message = f"{kind} file {path} is not JSON {shape}"
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            raise ValueError(message) from None
+    if not fits(data):
+        raise ValueError(message)
+    return data
+
+
 def _load_gains(path: str):
     from .tuning import Gains
 
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("betas", []), list):
-        raise ValueError(f'gains file {path} is not JSON {{"M": k, "alpha": a, "betas": [...]}}')
+    data = _load_json(path, "gains", '{"M": k, "alpha": a, "betas": [...]}',
+                      lambda d: isinstance(d, dict) and "M" in d and "alpha" in d
+                      and isinstance(d.get("betas", []), list))
     # Gains checks the gain values itself.
     return Gains(M=_json_int(data["M"], f"M in gains file {path}"), alpha=data["alpha"],
                  betas=tuple(data.get("betas", [])))
@@ -175,17 +189,14 @@ def _load_graph(path: str):
 
 
 def _load_drops(path: str) -> dict[int, frozenset[tuple[int, int]]]:
-    with open(path) as fh:
-        raw = json.load(fh)
-    shape = ValueError(f'drops file {path} is not JSON {{"step": [[i, j], ...], ...}}')
-    if not isinstance(raw, dict) or not all(isinstance(e, list) for e in raw.values()):
-        raise shape
+    raw = _load_json(path, "drops", '{"step": [[i, j], ...], ...}',
+                     lambda d: isinstance(d, dict) and all(
+                         isinstance(es, list)
+                         and all(isinstance(e, list) and len(e) == 2 for e in es)
+                         for es in d.values()))
     node = f"node index in drops file {path}"
-    try:
-        return {integer(t): frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
-                for t, edges in raw.items()}
-    except TypeError:
-        raise shape from None
+    return {integer(t): frozenset((_json_int(i, node), _json_int(j, node)) for i, j in edges)
+            for t, edges in raw.items()}
 
 
 def _gains_dict(g) -> dict:
@@ -377,7 +388,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (MemaccelError, ValueError, OSError, KeyError) as exc:
+    except (MemaccelError, ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

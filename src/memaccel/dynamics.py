@@ -47,9 +47,11 @@ class IterationProblem(Record):
     nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), so the
     simulator computes A x in O(n + nnz(A)) per step. That suits the
     graph Laplacians and diagonal matrices this package works with; a
-    dense general A costs more than a BLAS matvec would. ``nonzeros`` is
-    a cache, not a field: it is no argument and is left out of ``==``
-    and repr.
+    dense general A costs more than a BLAS matvec would. The kernel
+    check's eigendecomposition also gives ``solution_scale``, the size
+    of a solution: max(||A^+ b||, ||b|| / ||A||_2), 0.0 for b = 0. The
+    second term counts only where a kernel part of b passed as rounding.
+    Both are caches, not fields: no argument, not in ``==``, hash or repr.
     """
 
     A: np.ndarray
@@ -57,9 +59,7 @@ class IterationProblem(Record):
     x0: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        x0 = np.asarray(self.x0, dtype=float)
+        A, b, x0 = (np.asarray(m, dtype=float) for m in (self.A, self.b, self.x0))
         if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
             raise ValueError("A must be square and nonempty")
         # NaN and inf are nonzero, so checking the nonzeros checks all of A.
@@ -74,19 +74,24 @@ class IterationProblem(Record):
             raise ValueError("A must be symmetric within 1e-12")
         if b.shape != (A.shape[0],) or x0.shape != (A.shape[0],):
             raise ValueError("b and x0 must match the dimension of A")
+        solution_scale = 0.0
         if b.any():
             d = max(scale, np.abs(b).max())
             w, v = np.linalg.eigh(A / d)
             u = b / d
             norm_A = np.abs(w).max()
-            kernel = v[:, np.abs(w) <= 1e-9 * norm_A]
-            tol = 1e-9 * max(np.linalg.norm(u), norm_A)
-            if kernel.size and np.linalg.norm(kernel.T @ u) > tol:
+            kernel = np.abs(w) <= 1e-9 * norm_A
+            if np.linalg.norm(v[:, kernel].T @ u) > 1e-9 * max(np.linalg.norm(u), norm_A):
                 raise IncompatibleBiasError("b has a component in the kernel of A")
+            # (A/d)^+ (b/d) = A^+ b; a solution past the largest float is inf.
+            with np.errstate(over="ignore"):
+                solution_scale = max(np.linalg.norm((v[:, ~kernel].T @ u) / w[~kernel]),
+                                     np.linalg.norm(u) / norm_A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "nonzeros", (A.diagonal().copy(), i, j, a))
+        object.__setattr__(self, "solution_scale", float(solution_scale))
 
 
 class DropSchedule(Record):
@@ -174,26 +179,20 @@ def simulate(
     """Run x(t+1) = x(t) + alpha (b - A_t x(t)) + sum_m beta_m (x(t-m) - x(t))
     for T steps with constant history, where A_t is A with the scheduled
     links removed. Aborts with the diverged flag once ||x|| exceeds 1e6
-    times the larger of ||x0|| and ||b|| / max|a_ij|, the scale of a
-    solution, and of 1e-300 (x0 = 0 and b = 0 keep x at 0). With b != 0
-    a diverging run from a smaller x0 is flagged some steps later."""
+    times the larger of ||x0|| and p.solution_scale, so that a solve from
+    x0 = 0 is measured against its solution. With b = 0 the limit is
+    1e6 ||x0||; from x0 = 0, x stays 0 and is never flagged."""
     _check_index("T", T, 1)
     if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
         raise DropOnNonLaplacianError(
             "drop schedule requires A to be the Laplacian of its graph"
         )
-    scale = np.linalg.norm(p.x0)
-    if p.b.any():
-        diag, _, _, a = p.nonzeros
-        scale = max(scale, np.linalg.norm(p.b) / np.abs(np.concatenate([diag, a])).max())
-    limit = DIVERGENCE_FACTOR * max(scale, 1e-300)
+    limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), p.solution_scale)
     residuals = []
-    states, diverged_at = _recur(p.x0.astype(float), g, T, _force(p, drops, residuals), limit)
+    states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
     residuals.append(_norm(p.b - _matvec(p, states[-1])))
     xs = np.asarray(states)
-    spread, rms, mean = consensus_metrics(xs)
-    return SimTrace(states=xs, residuals=np.array(residuals), spread=spread, rms=rms,
-                    mean=mean, diverged_at=diverged_at)
+    return SimTrace(xs, np.array(residuals), *consensus_metrics(xs), diverged_at)
 
 
 def _norm(f) -> float:

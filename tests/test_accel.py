@@ -246,11 +246,12 @@ class TestCertifiedGuarantee:
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect 1: floating eigvals "
                        "decides a crossing at a double root only to about sqrt(eps)")
-    def test_closed_form_tuning_not_under_reported(self):
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_closed_form_tuning_not_under_reported(self, M):
         # The closed-form tuning has a double root at lambda = hi = 1; nu
-        # reads 0.8181818278085041, below the supremum.
+        # reads 0.8181818278085041 at every M, below the supremum.
         iv = SpectralInterval(0.01, 1.0)
-        g = tune_theorem3(iv).gains
+        g = tune_theorem3(iv, M).gains
         with mpmath.workdps(50):
             alpha, betas = mpmath.mpf(g.alpha), [mpmath.mpf(b) for b in g.betas]
             # The mode at lambda = 1, exact in the float gains.

@@ -226,6 +226,38 @@ class TestGuarantee:
         assert code == 0
 
 
+GAINS_SHAPE = '{"M": k, "alpha": a, "betas": [...]}'
+DROPS_SHAPE = '{"step": [[i, j], ...], ...}'
+
+
+class TestJsonFileShape:
+    """A gains or drops file that is not JSON of its format exits 3 with
+    the reader's one message, which names the file."""
+
+    @pytest.mark.parametrize("kind, text", [
+        pytest.param("gains", b'{"M": 2, "betas": [-0.1]}', id="gains-no-alpha"),
+        pytest.param("gains", b'{"alpha": 0.5}', id="gains-no-M"),
+        pytest.param("gains", b"{not json", id="gains-not-json"),
+        pytest.param("gains", b"\xff", id="gains-not-utf8"),
+        pytest.param("drops", b'{"0": [[0]]}', id="drops-edge-of-one"),
+        pytest.param("drops", b'{"0": [[0, 1, 2]]}', id="drops-edge-of-three"),
+        pytest.param("drops", b'{"0": [0]}', id="drops-edge-not-list"),
+        pytest.param("drops", b"{not json", id="drops-not-json"),
+    ])
+    def test_message_names_the_file(self, capsys, tmp_path, kind, text):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(text)
+        gains = bad if kind == "gains" else write_gains(tmp_path, 1, 0.4, [])
+        argv = ["simulate", "--graph", write_path3(tmp_path), "--steps", "5",
+                "--x0", "1,0,-1", "--gains", str(gains)]
+        if kind == "drops":
+            argv += ["--drops", str(bad)]
+        shape = GAINS_SHAPE if kind == "gains" else DROPS_SHAPE
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {kind} file {bad} is not JSON {shape}\n"
+
+
 class TestSearch:
     def test_deterministic_bytes(self, capsys, tmp_path):
         args = ("search", "--set", "0.5,1.5", "--M", "2", "--budget", "60",
@@ -740,6 +772,19 @@ class TestSpectrum:
         bad.write_text("# no edges\n")
         code, _, _ = run(capsys, "spectrum", "--graph", str(bad))
         assert code == 3
+
+    def test_impossible_allocation_exit3(self, capsys, tmp_path):
+        # 5e6 nodes ask for a 182 TiB Laplacian, more than a 48-bit
+        # address space maps, so the allocation fails before any page is
+        # touched; it was a MemoryError traceback and exit 1.
+        graph = tmp_path / "huge.txt"
+        graph.write_text("0 4999999 1\n")
+        gains = write_gains(tmp_path, 1, 0.5, [])
+        for argv in (["spectrum", "--graph", str(graph)],
+                     ["simulate", "--graph", str(graph), "--gains", gains, "--steps", "3"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and err.startswith("error: ")
+            assert out == ""
 
 
 def test_import_does_not_load_scipy():

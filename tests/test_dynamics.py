@@ -224,13 +224,42 @@ class TestSimulate:
 
     def test_divergent_solve_from_zero_flagged_at_solution_scale(self):
         # alpha = 2.5 / lambda_max diverges. From x0 = 0 the limit is
-        # 1e6 ||b|| / max|a_ij|, and the flagged step is the first over it.
+        # 1e6 max(||A^+ b||, ||b|| / ||A||_2), and the flagged step is the
+        # first over it.
         p, iv = weighted_path3_solve()
         tr = simulate(p, Gains(M=1, alpha=2.5 / iv.hi), 200)
         norms = np.linalg.norm(tr.states, axis=1)
-        limit = DIVERGENCE_FACTOR * np.linalg.norm(p.b) / np.abs(p.A).max()
+        limit = DIVERGENCE_FACTOR * max(np.linalg.norm(np.linalg.pinv(p.A) @ p.b),
+                                        np.linalg.norm(p.b) / np.linalg.norm(p.A, 2))
         assert tr.diverged_at == tr.T > 1
         assert norms[-1] > limit >= norms[-2]
+
+    def test_ill_conditioned_solve_from_zero_runs_every_step(self):
+        # x* = (0, 1e7) is 1e7 times ||b|| / max|a_ij|, the scale a limit
+        # of 1e6 ||b|| / max|a_ij| took, which flagged this run at step 841.
+        p = IterationProblem(np.diag([1.0, 1e-7]), np.array([0.0, 1.0]), np.zeros(2))
+        tr = simulate(p, tune_theorem3(SpectralInterval(1e-7, 1.0)).gains, 5000)
+        assert tr.diverged_at is None and tr.T == 5000
+        assert p.solution_scale == pytest.approx(1e7, rel=1e-12)
+
+    def test_kernel_residue_of_bias_not_flagged(self):
+        # b = 1e-20 (1, 1, 1) lies almost wholly in the kernel span(ones),
+        # below the check's tolerance, so ||A^+ b|| ~ 1e-36 while x drifts
+        # along the kernel to ~1e-18; ||b|| / ||A||_2 sizes the limit.
+        graph = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+        L = laplacian(graph)
+        p = IterationProblem(L.entries, np.full(3, 1e-20), np.zeros(3))
+        iv = nonzero_spectral_interval(symmetric_eigenvalues(L))
+        tr = simulate(p, tune_theorem3(iv).gains, 200)
+        assert tr.diverged_at is None and tr.T == 200
+        assert np.linalg.norm(tr.states[-1]) > 1e3 * np.linalg.norm(np.linalg.pinv(p.A) @ p.b)
+
+    def test_solution_past_largest_float_gives_no_limit(self):
+        # ||A^+ b|| = 1e310 overflows to inf without a RuntimeWarning, so
+        # the run has no finite limit and is not flagged.
+        p = IterationProblem(np.array([[1e-300]]), np.array([1e10]), np.zeros(1))
+        assert p.solution_scale == np.inf
+        assert simulate(p, Gains(M=1, alpha=1.0), 3).diverged_at is None
 
     def test_average_preserved_under_drops(self):
         rng = np.random.default_rng(1)

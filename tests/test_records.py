@@ -140,9 +140,9 @@ class TestRecord:
 
 
 class TestDerivedCaches:
-    """``IterationProblem.nonzeros`` and ``DropSchedule.cuts`` are set by
-    ``__post_init__`` and are not fields: they stay out of ``__init__``,
-    ``==`` and repr, and survive a pickle."""
+    """``IterationProblem.nonzeros`` and ``.solution_scale`` and
+    ``DropSchedule.cuts`` are set by ``__post_init__`` and are not fields:
+    they stay out of ``__init__``, ``==`` and repr, and survive a pickle."""
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
@@ -156,6 +156,8 @@ class TestDerivedCaches:
         p, _ = self._problems()
         with pytest.raises(TypeError, match="unexpected argument 'nonzeros'"):
             dynamics.IterationProblem(p.A, p.b, p.x0, nonzeros=p.nonzeros)
+        with pytest.raises(TypeError, match="unexpected argument 'solution_scale'"):
+            dynamics.IterationProblem(p.A, p.b, p.x0, solution_scale=p.solution_scale)
         d, _ = self._schedules()
         with pytest.raises(TypeError, match="unexpected argument 'cuts'"):
             dynamics.DropSchedule(PATH3, d.drops, cuts=d.cuts)
@@ -174,11 +176,14 @@ class TestDerivedCaches:
         p, _ = self._problems()
         d, _ = self._schedules()
         assert "nonzeros" not in repr(p) and "cuts" not in repr(d)
+        assert "solution_scale" not in repr(p)
 
     def test_survive_pickle(self):
         p, _ = self._problems()
         d, _ = self._schedules()
-        np.testing.assert_equal(pickle.loads(pickle.dumps(p)).nonzeros, p.nonzeros)
+        back = pickle.loads(pickle.dumps(p))
+        np.testing.assert_equal(back.nonzeros, p.nonzeros)
+        assert back.solution_scale == p.solution_scale
         np.testing.assert_equal(pickle.loads(pickle.dumps(d)).cuts, d.cuts)
 
 
