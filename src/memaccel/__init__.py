@@ -30,7 +30,6 @@ _EXPORTS = {
         "p_tilde",
         "partition_field",
         "prop8_check",
-        "witness_to_json",
     ),
     "dynamics": (
         "DropSchedule",

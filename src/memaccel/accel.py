@@ -47,8 +47,10 @@ def _char_q(g: Gains) -> np.ndarray:
 
 
 def char_poly(g: Gains, lam: float) -> RealPolynomial:
-    """Monic degree-M characteristic polynomial of the mode at eigenvalue
+    """Monic degree-M characteristic polynomial of the mode at a finite
     lam: z^M - (1 - alpha*lam) z^{M-1} + sum_m beta_{M-m-1} (z^{M-1} - z^m)."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     q = _char_q(g)
     q[g.M - 1] += g.alpha * lam
     return RealPolynomial(tuple(q))
@@ -60,8 +62,11 @@ def mode_roots(g: Gains, lam: float) -> ComplexRootSet:
 
 
 def max_root_moduli(g: Gains, lambdas) -> np.ndarray:
-    """Max root modulus of the characteristic polynomial at each lambda,
-    computed in one batched companion-eigenvalue call."""
+    """Max root modulus of the characteristic polynomial at each finite
+    lambda, computed in one batched companion-eigenvalue call."""
+    finite = np.isfinite(lambdas)
+    if not finite.all():
+        raise ValueError(f"lambda must be finite, got {np.extract(~finite, lambdas)[0]}")
     return polyroots.affine_max_roots(_char_q(g), g.M - 1, g.alpha, lambdas)[0]
 
 

@@ -50,10 +50,6 @@ class ClaimCoeffs(Record):
             raise ValueError("leading coefficient a_{M-1} = -1 is inadmissible")
         object.__setattr__(self, "a", a)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.a)
-
 
 class Prop8Result(Record):
     """Special-case detection: either the perturbation polynomial has a
@@ -275,8 +271,3 @@ def large_radius_phase_check(
 def _p2_coeffs(c: ClaimCoeffs) -> np.ndarray:
     """Low-to-high coefficients of P2 = -(y - 1/nu) sum_k a_k y^k."""
     return np.convolve(c.a, [1.0 / c.nu, -1.0])
-
-
-def witness_to_json(w: WitnessReport) -> str:
-    return json.dumps({"found": w.found, "theta": w.theta, "root": [w.root.real, w.root.imag],
-                       "modulus": w.modulus, "scanned": w.scanned})

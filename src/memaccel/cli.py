@@ -15,7 +15,7 @@ blanks around it (``errors.integer`` and ``errors.decimal``). Every
 exit-2 error is found before any numerical work: each subcommand
 parses its strings first and only then imports the modules it runs.
 ``tune`` runs on the numpy-free ``memaccel.tuning`` alone. ``guarantee``
-checks its gains, set, ``--grid`` and ``--refine-tol`` with it, and
+checks its gains, set and ``--refine-tol`` with it, and
 ``search`` its set and ``--seed-gains``, before they import ``accel``, so
 those exit-3 errors load no numpy either; ``accel.search_gains`` itself
 checks search's ``--M`` and ``--budget``, after numpy. ``spectrum`` prints
@@ -227,11 +227,10 @@ def _cmd_guarantee(args) -> int:
     from .tuning import check_guarantee_args
 
     g = _load_gains(args.gains)
-    options = _given(grid=args.grid, refine_tol=args.refine_tol)
-    s = check_guarantee_args(_spectral_set(items), **options)
+    s = check_guarantee_args(_spectral_set(items), refine_tol=args.refine_tol)
     from . import accel
 
-    rep = accel.guarantee(g, s, **options)
+    rep = accel.guarantee(g, s, **_given(refine_tol=args.refine_tol))
     _emit(_report_dict(rep), args.output)
     if args.samples_csv:
         _write_samples_csv(rep, args.samples_csv)
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guarantee", help="worst-case guarantee of gains over a set")
     p.add_argument("--gains", required=True, metavar="FILE")
     p.add_argument("--set", required=True, metavar="SPEC")
-    p.add_argument("--grid", type=integer)
     p.add_argument("--refine-tol", type=decimal)
     p.add_argument("--samples-csv", metavar="FILE")
     p.add_argument("--output", "-o")

@@ -42,13 +42,6 @@ class RealPolynomial(Record):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0.0
-
-    def __call__(self, z):
-        return eval_poly(self, z)
-
 
 class ComplexRootSet(Record):
     """Root multiset with per-root residuals |p(root)| as quality metric.

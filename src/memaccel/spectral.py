@@ -53,7 +53,7 @@ class WeightedGraph(Record):
 
 
 class LaplacianMatrix(Record):
-    """Dense symmetric Laplacian; rows sum to zero by construction.
+    """Dense, finite, symmetric Laplacian; rows sum to zero by construction.
     ``components`` is the number of connected components of its graph,
     which is the dimension of its kernel."""
 
@@ -64,18 +64,16 @@ class LaplacianMatrix(Record):
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("Laplacian must be square")
-        # Equal to array_equal(a, a.T): an entry whose mirror is zero is
-        # in the pattern, and NaN is nonzero and equal to nothing.
         r, c, v = _nonzeros(a)
+        if not np.isfinite(v).all():  # a degree can overflow from finite weights
+            k = np.isfinite(v).argmin()
+            raise ValueError(f"Laplacian entry ({r[k]}, {c[k]}) is {v[k]}, not finite")
+        # Equal to array_equal(a, a.T): an entry whose mirror is zero is in the pattern.
         if not np.array_equal(v, a[c, r]):
             raise ValueError("Laplacian must be exactly symmetric")
         if not min(a.shape[0], 1) <= self.components <= a.shape[0]:
             raise ValueError(f"{self.components} components for n={a.shape[0]} nodes")
         object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def load_edge_list(text: str) -> WeightedGraph:
@@ -142,12 +140,9 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> int:
     return sum(parent[x] == x for x in range(n))
 
 
-def symmetric_eigenvalues(L: LaplacianMatrix | np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, eigvalsh's ascending ones. For a
-    LaplacianMatrix the leading L.components of them, its kernel, are
-    exact zeros."""
-    if not isinstance(L, LaplacianMatrix):
-        return np.linalg.eigvalsh(np.asarray(L, dtype=float))
+def symmetric_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
+    """Eigenvalues of a Laplacian, eigvalsh's ascending ones, with the
+    leading L.components of them, its kernel, set to exact zeros."""
     eigs = np.linalg.eigvalsh(L.entries)
     eigs[:L.components] = 0.0
     return eigs
@@ -163,12 +158,12 @@ def nonzero_spectral_interval(eigs) -> SpectralInterval:
     was not zeroed. Dropping or keeping it could under-report nu."""
     eigs = np.asarray(eigs, dtype=float)
     if not (np.isfinite(eigs) & (eigs >= 0)).all():
-        raise MemaccelError(f"eigenvalues must be finite and >= 0, got min {eigs.min()!r}")
+        raise MemaccelError(f"eigenvalues must be finite and >= 0, got min {float(eigs.min())}")
     nz = eigs[eigs > 0]
     if nz.size == 0:
         raise AllZeroError("no positive eigenvalue")
-    resolution = eigs.size * np.finfo(float).eps * nz.max()
+    resolution = float(eigs.size * np.finfo(float).eps * nz.max())
     if nz.min() <= resolution:
-        raise MemaccelError(f"eigenvalue {nz.min()!r} is at or below eigvalsh's resolution "
-                            f"{resolution!r}: an unresolved gap or an unzeroed kernel")
+        raise MemaccelError(f"eigenvalue {float(nz.min())} is at or below eigvalsh's resolution "
+                            f"{resolution}: an unresolved gap or an unzeroed kernel")
     return SpectralInterval(float(nz.min()), float(nz.max()))

@@ -126,10 +126,6 @@ class SpectralInterval(Record):
         if not (0 < self.lo <= self.hi < math.inf):
             raise ValueError(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, lam: float) -> bool:
         return self.lo <= lam <= self.hi
 

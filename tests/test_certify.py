@@ -20,7 +20,6 @@ from memaccel.certify import (
     p_tilde,
     partition_field,
     prop8_check,
-    witness_to_json,
 )
 from memaccel.errors import BetaTildeMinusOneError, MemaccelError
 from memaccel.polyroots import RealPolynomial, eval_poly, residual_tolerance, trim_noise
@@ -77,10 +76,6 @@ class TestClaimCoeffs:
             warnings.simplefilter("error")
             with pytest.raises(MemaccelError, match=name):
                 call(ClaimCoeffs(M=2, nu=0.5, a=a))
-
-    def test_is_zero(self):
-        assert ClaimCoeffs(M=3, nu=0.5, a=(0.0, 0.0, 0.0)).is_zero
-        assert not ClaimCoeffs(M=3, nu=0.5, a=(0.0, 0.1, 0.0)).is_zero
 
 
 class TestGainsToClaimCoeffs:
@@ -266,7 +261,7 @@ class TestWitness:
         rng = np.random.default_rng(12)
         for _ in range(50):
             c = random_claim(rng)
-            if c.is_zero:
+            if not any(c.a):
                 continue
             w = claim6_witness(c)
             assert w.found, f"no witness for {c}"
@@ -290,15 +285,6 @@ class TestWitness:
         assert 0.0 <= w.theta <= np.pi
         p = p_tilde(c, w.theta)
         assert abs(eval_poly(p, w.root)) <= residual_tolerance(p.coeffs, abs(w.root)) * 1e3
-
-    def test_json_roundtrip(self):
-        import json
-        c = ClaimCoeffs(M=2, nu=0.8, a=(0.1, 0.2))
-        w = claim6_witness(c)
-        d = json.loads(witness_to_json(w))
-        assert d["found"] == w.found
-        assert d["theta"] == w.theta
-        assert d["root"] == [w.root.real, w.root.imag]
 
 
 class TestPartitionField:

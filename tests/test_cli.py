@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import re
@@ -140,11 +141,11 @@ class TestGuarantee:
         gains = write_gains(tmp_path, 1, 0.5, [])
         csv = tmp_path / "s.csv"
         code, _, _ = run(capsys, "guarantee", "--gains", gains, "--set", "1:3",
-                         "--grid", "11", "--samples-csv", str(csv))
+                         "--samples-csv", str(csv))
         assert code == 0
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "lambda,max_root_modulus"
-        assert len(lines) >= 12
+        assert len(lines) >= 2002
 
     @pytest.mark.parametrize("spec", ["2:1", "0.1:inf", "0:1", "nan:1"])
     def test_invalid_set_interval_exit2(self, capsys, tmp_path, spec):
@@ -614,13 +615,12 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("argv", [
         ["tune", "--interval", "0.1,2", "--M", "1_0"],
         ["tune", "--interval", "0.1,2", "--M", "\u0663"],
-        ["guarantee", "--gains", "GAINS", "--set", "0.1:2", "--grid", "1_00"],
         ["search", "--set", "0.1:2", "--M", "2", "--budget", " 50"],
         ["search", "--set", "0.1:2", "--M", "2", "--seed-rng", "1_0"],
         ["simulate", "--graph", "GRAPH", "--gains", "GAINS", "--steps", "1_2"],
         ["simulate", "--graph", "GRAPH", "--gains", "GAINS", "--steps", "5",
          "--seed-rng", "\u0661"],
-    ], ids=["M", "M-arabic", "grid", "budget", "search-seed", "steps", "simulate-seed"])
+    ], ids=["M", "M-arabic", "budget", "search-seed", "steps", "simulate-seed"])
     def test_option_exit2(self, capsys, tmp_path, argv):
         paths = {"GAINS": write_gains(tmp_path, 2, 3.0, [-0.5]), "GRAPH": write_path3(tmp_path)}
         with pytest.raises(SystemExit) as exc:
@@ -767,6 +767,25 @@ class TestSpectrum:
             assert code == 3 and "edge (0, 1) has non-finite weight" in err
             assert out == ""
 
+    def test_overflowing_degree_exit3(self, capsys, tmp_path):
+        # Two finite weights of 1e308 give node 0 an infinite degree;
+        # spectrum blamed eigenvalue NaN and simulate "A, b and x0".
+        graph = tmp_path / "big.txt"
+        graph.write_text("0 1 1e308\n0 2 1e308\n")
+        gains = write_gains(tmp_path, 1, 0.5, [])
+        for argv in (["spectrum", "--graph", str(graph)],
+                     ["simulate", "--graph", str(graph), "--gains", gains, "--steps", "3"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (3, "", "error: Laplacian entry (0, 0) is inf, not finite\n")
+
+    def test_unresolved_gap_message_prints_floats(self, capsys, tmp_path):
+        # Under numpy 2 the message printed np.float64(2.8e-16).
+        graph = tmp_path / "bridge.txt"
+        graph.write_text("0 1 1\n1 2 1\n0 2 1\n3 4 1\n4 5 1\n3 5 1\n2 3 1e-17\n")
+        code, out, err = run(capsys, "spectrum", "--graph", str(graph))
+        assert code == 3 and out == "" and "resolution" in err
+        assert "np.float64" not in err
+
     def test_edgeless_graph_exit3(self, capsys, tmp_path):
         bad = tmp_path / "empty.txt"
         bad.write_text("# no edges\n")
@@ -795,11 +814,27 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
+def _subparsers() -> dict:
+    """Subcommand name -> its parser, from build_parser()."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def test_readme_names_only_existing_flags():
     # A flag the README names outside its Install block must be an option
     # of some subcommand, so a removed flag cannot stay documented.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     readme = re.sub(r"## Install\n.*?(?=\n## )", "", readme, flags=re.S)
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {o for p in sub.choices.values() for o in p._option_string_actions}
+    options = {o for p in _subparsers().values() for o in p._option_string_actions}
     assert set(re.findall(r"--[A-Za-z][\w-]*", readme)) - options == set()
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_option_is_read_by_its_command(command):
+    # A flag that is parsed and then ignored would accept any value and
+    # change nothing.
+    parser = _subparsers()[command]
+    source = inspect.getsource(parser.get_default("func"))
+    unread = [a.dest for a in parser._actions
+              if not isinstance(a, argparse._HelpAction) and f"args.{a.dest}" not in source]
+    assert unread == []

@@ -30,7 +30,7 @@ EXPORTS = {
     "memaccel.certify": {
         "ClaimCoeffs", "PartitionField", "Prop8Result", "WitnessReport",
         "claim6_witness", "gains_to_claim_coeffs", "large_radius_phase_check",
-        "p_tilde", "partition_field", "prop8_check", "witness_to_json",
+        "p_tilde", "partition_field", "prop8_check",
     },
     "memaccel.dynamics": {
         "DropSchedule", "IterationProblem", "SimTrace", "consensus_metrics",
@@ -200,11 +200,10 @@ def test_exit2_paths_load_no_numpy(files, argv):
     ["tune", "--interval", "1e308,1.7e308", "--M", "1"],
     ["guarantee", "--gains", "alpha0.json", "--set", "0.1:2"],
     ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--refine-tol", "-1"],
-    ["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--grid", "1"],
     ["guarantee", "--gains", "gains.json", "--set", ","],
     ["search", "--set", ",", "--M", "2"],
     ["search", "--set", "0.1:2", "--M", "2", "--seed-gains", "alpha0.json"],
-], ids=["inverted", "inf", "M0", "overflow", "alpha0", "refine-tol", "grid", "empty-set",
+], ids=["inverted", "inf", "M0", "overflow", "alpha0", "refine-tol", "empty-set",
         "search-empty-set", "search-seed-gains"])
 def test_exit3_argument_errors_load_no_numpy(files, argv):
     assert _run_cli(argv, files) == (3, ["memaccel.tuning"])
@@ -214,7 +213,7 @@ def test_exit3_argument_errors_load_no_numpy(files, argv):
     (["tune", "--interval", "0.1,2"], ["tuning"]),
     (["tune", "--interval", "0.1,2", "--M", "1"], ["tuning"]),
     (["tune", "--interval", "0.1,2", "--M", "4"], ["tuning"]),
-    (["guarantee", "--gains", "gains.json", "--set", "0.1:2", "--grid", "9"],
+    (["guarantee", "--gains", "gains.json", "--set", "0.1:2"],
      ["inspect", "numpy", "accel", "polyroots", "tuning"]),
     (["search", "--set", "0.1:2", "--M", "2", "--budget", "10"],
      ["inspect", "numpy", "accel", "polyroots", "tuning"]),

@@ -49,7 +49,7 @@ class TestNormalization:
 
     def test_zero_polynomial(self):
         p = RealPolynomial((0.0, 0.0))
-        assert p.is_zero
+        assert p.coeffs == (0.0,)
 
 
 class TestRoots:

@@ -302,3 +302,80 @@ class TestIntegerArguments:
 
         with pytest.raises(ValueError, match="node count must be an integer >= 0, got -1"):
             WeightedGraph(-1, ())
+
+
+class TestRealArguments:
+    """Every real argument of a public entry point rejects NaN, inf and
+    -inf with memaccel's own message, naming what is wrong; numpy's
+    "Array must not contain infs or NaNs" names nothing. Each entry is
+    (a valid value, a pattern of the message, the call)."""
+
+    @staticmethod
+    def _calls():
+        from memaccel import accel, certify, dynamics, polyroots, spectral
+
+        iv = SpectralInterval(0.1, 2.0)
+        g = Gains(M=2, alpha=1.0, betas=(-0.5,))
+        c = certify.ClaimCoeffs(M=2, nu=0.5, a=(0.1, 0.2))
+        fragile = dynamics.memory_fragility_example()
+        eye, zero, one = np.eye(2), np.zeros(2), np.ones(2)
+        finite = "must be finite"
+        return {
+            "Gains.alpha": (1.0, "gains must be finite", lambda v: Gains(M=1, alpha=v)),
+            "SpectralInterval.lo": (0.1, r"need 0 < lo <= hi < inf",
+                                    lambda v: SpectralInterval(v, 2.0)),
+            "SpectralSet.points": (1.0, "not strictly positive and finite",
+                                   lambda v: SpectralSet(points=(v,))),
+            "WeightedGraph.weight": (1.0, r"edge \(0, 1\) has non-finite weight",
+                                     lambda v: spectral.WeightedGraph(2, ((0, 1, v),))),
+            "load_edge_list.weight": (1.0, r"edge \(0, 1\) has non-finite weight",
+                                      lambda v: spectral.load_edge_list(f"0 1 {v}")),
+            "LaplacianMatrix.entries": (1.0, r"entry \(0, 0\) is .+, not finite", lambda v:
+                spectral.LaplacianMatrix(np.array([[v, -1.0], [-1.0, 1.0]]), 1)),
+            "nonzero_spectral_interval.eigs": (1.0, "eigenvalues must be finite and >= 0",
+                lambda v: spectral.nonzero_spectral_interval([0.0, v])),
+            "IterationProblem.A": (1.0, finite, lambda v:
+                dynamics.IterationProblem(np.diag([v, 1.0]), zero, one)),
+            "IterationProblem.b": (1.0, finite, lambda v:
+                dynamics.IterationProblem(eye, np.array([v, 0.0]), one)),
+            "IterationProblem.x0": (1.0, finite, lambda v:
+                dynamics.IterationProblem(eye, zero, np.array([v, 1.0]))),
+            "simulate_modal.lam": (1.0, "lam, b_mode and x0 must be finite",
+                                   lambda v: dynamics.simulate_modal(v, 0.0, g, 1.0, 5)),
+            "char_poly.lam": (1.0, "lambda must be finite", lambda v: accel.char_poly(g, v)),
+            "max_root_moduli.lambdas": (1.0, "lambda must be finite",
+                                        lambda v: accel.max_root_moduli(g, [0.5, v])),
+            "modal_angle.lam": (1.0, "outside", lambda v: accel.modal_angle(v, iv)),
+            "guarantee.refine_tol": (1e-2, "refine_tol must be finite and > 0",
+                                     lambda v: accel.guarantee(g, iv, refine_tol=v)),
+            "ClaimCoeffs.nu": (0.5, r"nu must lie in \(0, 1\)",
+                               lambda v: certify.ClaimCoeffs(M=2, nu=v, a=(0.1, 0.2))),
+            "ClaimCoeffs.a": (0.1, "coefficient a_0 = .+ is not finite",
+                              lambda v: certify.ClaimCoeffs(M=2, nu=0.5, a=(v, 0.2))),
+            "p_tilde.theta": (0.5, r"theta must lie in \[0, pi\]",
+                              lambda v: certify.p_tilde(c, v)),
+            "partition_field.re_range": (-2.0, "theta and window bounds must be finite",
+                lambda v: certify.partition_field(c, 0.5, re_range=(v, 2.0), resolution=32)),
+            "find_divergent_drop_schedule.drop_prob": (0.5, r"drop_prob must lie in \(0, 1\]",
+                lambda v: dynamics.find_divergent_drop_schedule(
+                    fragile[0], fragile[1], fragile[3], T=5, trials=1, drop_prob=v)),
+            "roots.coeffs": (1.0, "monic form .+ is not finite",
+                             lambda v: polyroots.roots(polyroots.RealPolynomial((v, 1.0)))),
+        }
+
+    ENTRIES = ["Gains.alpha", "SpectralInterval.lo", "SpectralSet.points",
+               "WeightedGraph.weight", "load_edge_list.weight", "LaplacianMatrix.entries",
+               "nonzero_spectral_interval.eigs", "IterationProblem.A", "IterationProblem.b",
+               "IterationProblem.x0", "simulate_modal.lam", "char_poly.lam",
+               "max_root_moduli.lambdas", "modal_angle.lam", "guarantee.refine_tol",
+               "ClaimCoeffs.nu", "ClaimCoeffs.a", "p_tilde.theta", "partition_field.re_range",
+               "find_divergent_drop_schedule.drop_prob", "roots.coeffs"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_non_finite_rejected(self, entry, value):
+        valid, message, call = self._calls()[entry]
+        call(valid)
+        with pytest.raises((ValueError, MemaccelError), match=message) as exc:
+            call(value)
+        assert "must not contain infs or NaNs" not in str(exc.value)
