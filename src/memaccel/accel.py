@@ -9,10 +9,12 @@ spectral-set types live in :mod:`memaccel.tuning` and are re-exported here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import polyroots
-from .errors import OutOfIntervalError
+from .errors import MemaccelError, OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
 from .tuning import (Gains, Record, SpectralInterval, SpectralSet, TuningResult,
                      _check_index, check_guarantee_args, tune_memoryless,
@@ -61,13 +63,29 @@ def mode_roots(g: Gains, lam: float) -> ComplexRootSet:
     return polyroots.roots(char_poly(g, lam))
 
 
+@contextmanager
+def _no_overflow(g: Gains, lambdas):
+    """numpy's overflow and invalid-value warnings in the block, raised as
+    one MemaccelError naming alpha and the largest |lambda|: no nu is
+    proven where a coefficient or a power of a root overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        lam = max(np.ravel(lambdas), key=abs)
+        raise MemaccelError(f"alpha*lambda or a power of it overflows for "
+                            f"alpha={g.alpha}, lambda={lam}") from None
+
+
 def max_root_moduli(g: Gains, lambdas) -> np.ndarray:
     """Max root modulus of the characteristic polynomial at each finite
-    lambda, computed in one batched companion-eigenvalue call."""
+    lambda, computed in one batched companion-eigenvalue call.
+    MemaccelError if alpha*lambda overflows."""
     finite = np.isfinite(lambdas)
     if not finite.all():
         raise ValueError(f"lambda must be finite, got {np.extract(~finite, lambdas)[0]}")
-    return polyroots.affine_max_roots(_char_q(g), g.M - 1, g.alpha, lambdas)[0]
+    with _no_overflow(g, lambdas):
+        return polyroots.affine_max_roots(_char_q(g), g.M - 1, g.alpha, lambdas)[0]
 
 
 def guarantee(
@@ -83,7 +101,9 @@ def guarantee(
     :func:`polyroots.affine_crossing` tests radii just above nu_lo, which
     certifies a flat or sampled maximum at once, and after a hit halves
     the bracket once before trying again. nu, the certified bound, is
-    never below the supremum. Values above 1 are reported as-is."""
+    never below the supremum. Values above 1 are reported as-is.
+    MemaccelError if alpha*lambda, or the power of a root the crossing
+    test evaluates, overflows."""
     s = check_guarantee_args(s, grid, refine_tol)
     q, k = _char_q(g), g.M - 1
 
@@ -109,17 +129,18 @@ def guarantee(
             nu_lo, worst = abs(root), lam
         return abs(root) > r
 
-    while nu - nu_lo > refine_tol:
-        r = nu_lo + min(1e-13 * nu_lo, refine_tol)
-        if not exceeded(r):
-            nu = r
-            break
-        # Halving first: nu_lo + nu overflows near the largest float.
-        r = 0.5 * nu_lo + 0.5 * nu
-        if not nu_lo < r < nu:
-            break
-        if not exceeded(r):
-            nu = r
+    with _no_overflow(g, lams):
+        while nu - nu_lo > refine_tol:
+            r = nu_lo + min(1e-13 * nu_lo, refine_tol)
+            if not exceeded(r):
+                nu = r
+                break
+            # Halving first: nu_lo + nu overflows near the largest float.
+            r = 0.5 * nu_lo + 0.5 * nu
+            if not nu_lo < r < nu:
+                break
+            if not exceeded(r):
+                nu = r
     if nu_lo > sampled:
         samples.append((worst, nu_lo))
     return GuaranteeReport(nu=nu, nu_lo=nu_lo, worst_lambda=worst, samples=tuple(sorted(samples)))
@@ -265,14 +286,13 @@ def search_gains(
     for _ in range(SEARCH_RESTARTS):
         run(x0 + rng.normal(0.0, 0.15, x0.size) * np.maximum(np.abs(x0), 0.3))
     for _ in range(SEARCH_POLISH_ROUNDS):
-        if best_x is None:
-            break
         run(best_x * (1.0 + 0.01 * rng.standard_normal(x0.size)))
 
-    seed_report = guarantee(seed, s)
-    if best_x is None:
-        return seed, seed_report
+    # The seed run evaluates the seed first, so best_x is set.
     g_best = Gains(M=M, alpha=float(best_x[0]), betas=tuple(best_x[1:]))
+    seed_report = guarantee(seed, s)
+    if g_best == seed:
+        return seed, seed_report
     best_report = guarantee(g_best, s)
     if best_report.nu < seed_report.nu:
         return g_best, best_report

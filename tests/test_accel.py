@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from memaccel.accel import (
     tune_memoryless,
     tune_theorem3,
 )
-from memaccel.errors import AlphaZeroError, OutOfIntervalError
+from memaccel.errors import AlphaZeroError, MemaccelError, OutOfIntervalError
 from memaccel.polyroots import max_modulus
 from memaccel.spectral import SpectralInterval, SpectralSet
 
@@ -165,6 +167,22 @@ class TestGuarantee:
         # with modulus sqrt(-beta1) everywhere on the interval.
         assert rep.nu == pytest.approx(np.sqrt(0.1), rel=1e-12)
         assert all(iv.contains(lam) for lam, _ in rep.samples)
+
+    @pytest.mark.parametrize("alpha", [1e308, 1e300])
+    def test_overflowing_alpha_lambda_raises(self, alpha):
+        # At alpha = 1e308, alpha * 10 overflowed to inf and numpy's
+        # eigenvalue solve raised LinAlgError after a RuntimeWarning. At
+        # 1e300 the crossing test's powers of the ~1e301 root overflowed,
+        # its candidates were lost, and an unproven nu = 1e301 came back
+        # with two RuntimeWarnings.
+        message = f"alpha*lambda or a power of it overflows for alpha={alpha}, lambda=10.0"
+        with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
+            guarantee(Gains(2, alpha, (-0.5,)), SpectralInterval(1.0, 10.0))
+
+    def test_max_root_moduli_overflow_raises(self):
+        message = "alpha*lambda or a power of it overflows for alpha=1e+308, lambda=10.0"
+        with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
+            max_root_moduli(Gains(2, 1e308, (-0.5,)), [1.0, 10.0])
 
 
 @st.composite
@@ -357,6 +375,9 @@ class TestModalAngle:
         with pytest.raises(OutOfIntervalError):
             modal_angle(2.0, REF_IV)
 
+    def test_single_eigenvalue_is_angle_zero(self):
+        assert modal_angle(2.0, SpectralInterval(2.0, 2.0)) == 0.0
+
     def test_matches_mode_root_angle(self):
         t = tune_theorem3(REF_IV)
         for lam in np.linspace(REF_IV.lo * 1.5, REF_IV.hi * 0.95, 7):
@@ -410,6 +431,34 @@ class TestSearchGains:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="^empty spectral set$"):
             search_gains(SpectralSet(), M=2, budget=5)
+
+    def test_seed_of_another_memory_order_rejected(self):
+        with pytest.raises(ValueError, match="^seed has M=2, expected 3$"):
+            search_gains(SpectralSet(points=(1.0,)), M=3, seed=Gains(2, 1.0, (-0.5,)), budget=5)
+
+    @pytest.mark.parametrize("s, seed, budget, returns_seed", [
+        (SpectralSet.from_interval(REF_IV), None, 150, True),
+        (SpectralSet(points=(0.5, 1.5)), Gains(2, 0.5, (0.0,)), 30, False),
+    ], ids=["returns-seed", "improves"])
+    def test_one_full_grid_report_per_distinct_candidate(self, monkeypatch, s, seed, budget,
+                                                         returns_seed):
+        # The seed and the search's best point each get one default-grid
+        # report; a best point that is the seed reuses the seed's.
+        full_grid = []
+        orig = accel.guarantee
+
+        def counted(g, s, **kwargs):
+            if "grid" not in kwargs:
+                full_grid.append(g)
+            return orig(g, s, **kwargs)
+
+        monkeypatch.setattr(accel, "guarantee", counted)
+        g, rep = search_gains(s, M=2, seed=seed, budget=budget)
+        if seed is None:
+            seed = tune_theorem3(s.hull(), M=2).gains
+        assert (g == seed) == returns_seed
+        assert full_grid == ([seed] if returns_seed else [seed, g])
+        assert rep == orig(g, s)
 
     def test_deterministic(self):
         s = SpectralSet(points=(0.5, 1.5))

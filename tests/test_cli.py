@@ -147,6 +147,13 @@ class TestGuarantee:
         assert lines[0] == "lambda,max_root_modulus"
         assert len(lines) >= 2002
 
+    @pytest.mark.parametrize("alpha", [1e308, 1e300])
+    def test_overflowing_alpha_lambda_exit3(self, capsys, tmp_path, alpha):
+        gains = write_gains(tmp_path, 2, alpha, [-0.5])
+        code, out, err = run(capsys, "guarantee", "--gains", gains, "--set", "1:10")
+        message = f"alpha*lambda or a power of it overflows for alpha={alpha}, lambda=10.0"
+        assert code == 3 and out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec", ["2:1", "0.1:inf", "0:1", "nan:1"])
     def test_invalid_set_interval_exit2(self, capsys, tmp_path, spec):
         gains = write_gains(tmp_path, 2, 3.0, [-0.5])
@@ -276,6 +283,16 @@ class TestSearch:
         assert d["gains"]["M"] == 2
         assert d["report"]["nu"] <= 0.5 + 1e-6
 
+    def test_samples_csv(self, capsys, tmp_path):
+        csv = tmp_path / "s.csv"
+        code, out, _ = run(capsys, "search", "--set", "1:3", "--M", "2", "--budget", "20",
+                           "--samples-csv", str(csv))
+        lines = csv.read_text().strip().splitlines()
+        assert code == 0 and lines[0] == "lambda,max_root_modulus"
+        # The report's default-grid curve, whose peak is its nu_lo.
+        assert len(lines) >= 2002
+        peak = max(float(line.split(",")[1]) for line in lines[1:])
+        assert format(peak, ".12g") == format(json.loads(out)["report"]["nu_lo"], ".12g")
 
     def test_memoryless_without_seed_file(self, capsys):
         code, out, err = run(capsys, "search", "--set", "0.1:2", "--M", "1",

@@ -152,6 +152,12 @@ class TestIterationProblem:
         with pytest.raises(ValueError, match="finite"):
             IterationProblem(L, np.zeros(3), np.array([np.inf, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("b, x0", [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4))],
+                             ids=["b", "x0"])
+    def test_length_other_than_n_rejected(self, b, x0):
+        with pytest.raises(ValueError, match="^b and x0 must match the dimension of A$"):
+            IterationProblem(laplacian(PATH3).entries, b, x0)
+
     @pytest.mark.xfail(strict=True, raises=IncompatibleBiasError,
                        reason="ROADMAP Known defect 2: the 1e-9 ||A|| kernel threshold "
                               "takes lambda_2 = 6.7e-11's eigenvector for a kernel vector")

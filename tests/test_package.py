@@ -46,9 +46,12 @@ EXPORTS = {
 }
 SUBMODULES = ("accel", "certify", "dynamics", "errors", "polyroots", "spectral", "tuning")
 # A numpy-free path loads neither dataclasses nor inspect (which
-# dataclasses imports); numpy imports inspect itself.
-WATCHED = ("dataclasses", "inspect", "numpy", "memaccel.accel", "memaccel.certify",
-           "memaccel.dynamics", "memaccel.polyroots", "memaccel.spectral", "memaccel.tuning")
+# dataclasses imports); numpy imports inspect itself. numpy.random loads
+# only on first use: search draws its restart jitter from it, and
+# simulate its default --x0.
+WATCHED = ("dataclasses", "inspect", "numpy", "numpy.random", "memaccel.accel",
+           "memaccel.certify", "memaccel.dynamics", "memaccel.polyroots", "memaccel.spectral",
+           "memaccel.tuning")
 # The numpy-free scalar layer, and the modules that re-export its names.
 TUNING = {
     "Gains": ("memaccel.accel",), "TuningResult": ("memaccel.accel",),
@@ -216,14 +219,16 @@ def test_exit3_argument_errors_load_no_numpy(files, argv):
     (["guarantee", "--gains", "gains.json", "--set", "0.1:2"],
      ["inspect", "numpy", "accel", "polyroots", "tuning"]),
     (["search", "--set", "0.1:2", "--M", "2", "--budget", "10"],
-     ["inspect", "numpy", "accel", "polyroots", "tuning"]),
+     ["inspect", "numpy", "random", "accel", "polyroots", "tuning"]),
     (["spectrum", "--graph", "graph.txt"], ["inspect", "numpy", "spectral", "tuning"]),
     (["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "3"],
-     ["inspect", "numpy", "dynamics", "spectral", "tuning"]),
+     ["inspect", "numpy", "random", "dynamics", "spectral", "tuning"]),
+    (["simulate", "--graph", "graph.txt", "--gains", "gains.json", "--steps", "3",
+      "--x0", "1,0,-1"], ["inspect", "numpy", "dynamics", "spectral", "tuning"]),
     (["certify", "--gains", "gains.json", "--interval", "0.1,2"],
      ["inspect", "numpy", "certify", "polyroots", "tuning"]),
 ], ids=["tune", "tune-M1", "tune-M4", "guarantee", "search", "spectrum", "simulate",
-        "certify"])
+        "simulate-x0", "certify"])
 def test_subcommand_imports_only_what_it_runs(files, argv, loaded):
     expected = [m for m in WATCHED if m.split(".")[-1] in loaded]
     assert _run_cli(argv, files) == (0, expected)

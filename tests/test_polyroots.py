@@ -51,6 +51,9 @@ class TestNormalization:
         p = RealPolynomial((0.0, 0.0))
         assert p.coeffs == (0.0,)
 
+    def test_no_coefficients_is_the_zero_polynomial(self):
+        assert RealPolynomial(()).coeffs == (0.0,)
+
 
 class TestRoots:
     def test_factored_quadratic(self):
@@ -115,6 +118,13 @@ class TestPolish:
         assert r.roots[1] == pytest.approx(-1e-8, rel=1e-12, abs=0.0)
         for z, res in zip(r.roots, r.residuals):
             assert res <= residual_tolerance(p.coeffs, abs(z))
+
+    def test_spent_budget_raises(self, monkeypatch):
+        # test_repairs_companion_start's polynomial needs the polish.
+        monkeypatch.setattr(polyroots, "MAX_POLISH_ITERS", 0)
+        with pytest.raises(NoConvergenceError,
+                           match="^residual contract unreachable in 0 iterations$"):
+            roots(RealPolynomial((1.0, 1e8, 1.0)))
 
     def test_overflowing_residual_is_a_miss(self):
         # |p(z)| and its tolerance both overflow at the root near -1e11;

@@ -171,6 +171,19 @@ class TestNonzeroScan:
             np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: WeightedGraph(2, ((0, 2, 1.0),)), ValueError, r"edge \(0, 2\) out of range for n=2"),
+    (lambda: WeightedGraph(2, ((1, 1, 1.0),)), ValueError, "self-loop at node 1"),
+    (lambda: LaplacianMatrix(np.zeros((2, 3)), 1), ValueError, "Laplacian must be square"),
+    (lambda: LaplacianMatrix(np.zeros((2, 2)), 3), ValueError, "3 components for n=2 nodes"),
+    (lambda: load_edge_list("0 1 1\n-1 2 1"), ParseError, "line 2: cannot parse '-1 2 1'"),
+], ids=["edge-out-of-range", "self-loop", "not-square", "components-out-of-range",
+        "negative-index"])
+def test_malformed_graph_rejected(build, error, match):
+    with pytest.raises(error, match=f"^{match}$"):
+        build()
+
+
 class TestLaplacianMatrix:
     def test_one_sided_entry_rejected(self):
         a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
@@ -350,6 +363,10 @@ class TestSpectralSet:
     def test_hull(self):
         s = SpectralSet(intervals=(SpectralInterval(0.0122, 0.0182),), points=(0.9878,))
         assert s.hull() == SpectralInterval(0.0122, 0.9878)
+
+    def test_empty_set_has_no_hull(self):
+        with pytest.raises(ValueError, match="^empty spectral set has no hull$"):
+            SpectralSet().hull()
 
 
 class TestRandomGraphProperties:
