@@ -17,7 +17,7 @@ from . import polyroots
 from .errors import MemaccelError, OutOfIntervalError
 from .polyroots import ComplexRootSet, RealPolynomial
 from .tuning import (Gains, Record, SpectralInterval, SpectralSet, TuningResult,
-                     _check_index, check_guarantee_args, tune_memoryless,
+                     _beta_sum, _check_index, check_guarantee_args, tune_memoryless,
                      tune_theorem3)
 
 DEFAULT_GRID = 2001
@@ -44,8 +44,8 @@ class GuaranteeReport(Record):
 
 def _char_q(g: Gains) -> np.ndarray:
     """Low-to-high coefficients of :func:`char_poly` at lambda = 0; the
-    z^{M-1} coefficient grows by alpha*lambda."""
-    return np.array([*(-b for b in g.betas[::-1]), sum(g.betas) - 1.0, 1.0])
+    z^{M-1} coefficient grows by alpha*lambda. MemaccelError if sum(betas) overflows."""
+    return np.array([*(-b for b in g.betas[::-1]), _beta_sum(g) - 1.0, 1.0])
 
 
 def char_poly(g: Gains, lam: float) -> RealPolynomial:

@@ -10,6 +10,7 @@ match) for inspection.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import polyroots
 from .errors import BetaTildeMinusOneError, MemaccelError
 from .polyroots import RealPolynomial
-from .tuning import Gains, Record, SpectralInterval, _check_index, _real, tune_theorem3
+from .tuning import Gains, Record, SpectralInterval, _beta_sum, _check_index, _real, tune_theorem3
 
 WITNESS_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-9
@@ -100,19 +101,19 @@ class PartitionField(Record):
 def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     """Normalized coefficient vector of the gains relative to the optimal
     tuning of the interval; the optimal tuning itself maps to zero. M < 2
-    raises ValueError, and a single-point interval, nu* = 0, MemaccelError."""
+    raises ValueError; a single-point interval or overflowing beta sums, MemaccelError."""
     _check_index("memory order M", g.M, 2)
     t = tune_theorem3(iv, M=g.M)
     if t.degenerate:
         raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point, where nu* = 0")
     ratio = t.alpha_star / g.alpha
     M = g.M
-    betas = g.betas  # beta_1 .. beta_{M-1}
     bt = np.zeros(M)
     # Cumulative sums of beta_{M-1}, beta_{M-2}, ... from the top index,
     # added in sequence.
-    bt[:M - 2] = ratio * np.cumsum(betas[::-1])[:M - 2]
-    bt[M - 2] = ratio * sum(betas) - t.beta1_star
+    tops = list(itertools.accumulate(g.betas[::-1]))
+    bt[M - 2] = ratio * _beta_sum(g, *tops) - t.beta1_star
+    bt[:M - 2] = ratio * np.array(tops[:M - 2])
     bt[M - 1] = ratio - 1.0
     if abs(bt[M - 1] + 1.0) < 1e-12:
         raise BetaTildeMinusOneError(

@@ -130,6 +130,8 @@ class DropSchedule(Record):
         object.__setattr__(self, "cuts", cuts)
 
     def laplacian_at(self, t: int) -> np.ndarray:
+        """Dense Laplacian at step t, its dropped links removed: the
+        reference that _force's drop scatter is tested against."""
         dropped = self.drops.get(t, frozenset())
         kept = tuple(
             (i, j, w)
@@ -140,7 +142,8 @@ class DropSchedule(Record):
 
 
 class SimTrace(Record):
-    """States x(0..T) with residuals, disagreement metrics and flags."""
+    """States x(0..T) with residuals, disagreement metrics and flags;
+    after a divergence, states has diverged_at + 1 rows."""
 
     states: np.ndarray          # (T+1, n)
     residuals: np.ndarray       # (T+1,) of ||A x - b||_2
@@ -165,9 +168,7 @@ def consensus_metrics(x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size < 1:
         raise ValueError("need at least one component")
-    m = x.mean(axis=-1)
-    rms = np.sqrt(np.mean((x - m[..., None]) ** 2, axis=-1))
-    return x.max(axis=-1) - x.min(axis=-1), rms, m
+    return x.max(axis=-1) - x.min(axis=-1), x.std(axis=-1), x.mean(axis=-1)
 
 
 def simulate(
@@ -191,8 +192,7 @@ def simulate(
     residuals = []
     states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
     residuals.append(_norm(p.b - _matvec(p, states[-1])))
-    xs = np.asarray(states)
-    return SimTrace(xs, np.array(residuals), *consensus_metrics(xs), diverged_at)
+    return SimTrace(states, np.array(residuals), *consensus_metrics(states), diverged_at)
 
 
 def _norm(f) -> float:
@@ -238,25 +238,23 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
     _check_index("T", T, 1)
     if not np.isfinite([lam, b_mode, x0]).all():
         raise ValueError(f"lam, b_mode and x0 must be finite, got {lam}, {b_mode}, {x0}")
-    states, _ = _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)
-    return np.asarray(states)
+    return _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)[0]
 
 
 def _recur(x0, g: Gains, T: int, force, limit: float):
-    """States x(0..) of x(t+1) = x(t) + alpha force(t, x(t))
-    + sum_m beta_m (x(t-m) - x(t)) with constant history x(s) = x0 for
-    s <= 0. Stops after T steps, or early once ||x|| exceeds limit.
-    Returns (states, the step t whose x(t) exceeded limit or None)."""
-    x = x0
-    states = [x]
+    """Rows x(0..T), in one array allocated up front, of x(t+1) = x(t) +
+    alpha force(t, x(t)) + sum_m beta_m (x(t-m) - x(t)), x(s) = x0 for
+    s <= 0. Stops after T steps, or once ||x|| exceeds limit with a copy of
+    the rows so far. Returns (states, the first t with ||x(t)|| > limit or None)."""
+    states = np.empty((T + 1,) + np.shape(x0))
+    states[0] = x = x0
     for t in range(T):
         nxt = x + g.alpha * force(t, x)
         for m, beta in enumerate(g.betas, start=1):
             nxt = nxt + beta * (states[max(t - m, 0)] - x)
-        x = nxt
-        states.append(x)
+        states[t + 1] = x = nxt
         if np.linalg.norm(x) > limit:
-            return states, t + 1
+            return states[:t + 2].copy(), t + 1
     return states, None
 
 

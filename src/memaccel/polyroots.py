@@ -55,14 +55,6 @@ class ComplexRootSet(Record):
         return len(self.roots)
 
 
-def eval_poly(p: RealPolynomial, z):
-    """Evaluate p at z (scalar or array, real or complex) by Horner."""
-    acc = np.polyval(p.coeffs[::-1], np.asarray(z))
-    if np.ndim(acc) == 0:
-        return complex(acc) if np.iscomplexobj(acc) else float(acc)
-    return acc
-
-
 def trim_noise(coeffs) -> np.ndarray:
     """coeffs with every coefficient at or below rounding of the largest,
     eps * max|c_i|, set to 0. Such a coefficient is noise; at the top it

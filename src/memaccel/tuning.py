@@ -32,6 +32,14 @@ def _check_index(name: str, v, least: int):
         raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
+def _beta_sum(g: Gains, *partials: float) -> float:
+    """sum(g.betas); MemaccelError naming the betas if it or one of partials is inf."""
+    total = sum(g.betas)
+    if not all(map(math.isfinite, (total, *partials))):
+        raise MemaccelError(f"the sum of the betas overflows for betas={g.betas}")
+    return total
+
+
 def _real(name: str, v) -> float:
     """float(v) for a real number v, a numpy one included, and inf for
     an integer too large for a float; a bool, a string, None or any

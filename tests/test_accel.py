@@ -168,21 +168,35 @@ class TestGuarantee:
         assert rep.nu == pytest.approx(np.sqrt(0.1), rel=1e-12)
         assert all(iv.contains(lam) for lam, _ in rep.samples)
 
-    @pytest.mark.parametrize("alpha", [1e308, 1e300])
-    def test_overflowing_alpha_lambda_raises(self, alpha):
+    @pytest.mark.parametrize("g, message", [
+        pytest.param(Gains(2, alpha, (-0.5,)), "alpha*lambda or a power of it overflows "
+                     f"for alpha={alpha}, lambda=10.0", id=str(alpha))
+        for alpha in (1e308, 1e300)
+    ] + [pytest.param(Gains(3, 1.0, (1e308, 1e308)),
+                      "the sum of the betas overflows for betas=(1e+308, 1e+308)", id="beta-sum")])
+    def test_overflowing_alpha_lambda_raises(self, g, message):
         # At alpha = 1e308, alpha * 10 overflowed to inf and numpy's
         # eigenvalue solve raised LinAlgError after a RuntimeWarning. At
         # 1e300 the crossing test's powers of the ~1e301 root overflowed,
         # its candidates were lost, and an unproven nu = 1e301 came back
-        # with two RuntimeWarnings.
-        message = f"alpha*lambda or a power of it overflows for alpha={alpha}, lambda=10.0"
+        # with two RuntimeWarnings. Finite betas whose sum overflows made
+        # an inf coefficient with no warning, and then the same LinAlgError.
         with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
-            guarantee(Gains(2, alpha, (-0.5,)), SpectralInterval(1.0, 10.0))
+            guarantee(g, SpectralInterval(1.0, 10.0))
 
     def test_max_root_moduli_overflow_raises(self):
         message = "alpha*lambda or a power of it overflows for alpha=1e+308, lambda=10.0"
         with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
             max_root_moduli(Gains(2, 1e308, (-0.5,)), [1.0, 10.0])
+
+    def test_overflowing_beta_sum_raises(self):
+        # char_poly returned an inf coefficient, and max_root_moduli raised
+        # numpy's LinAlgError.
+        g = Gains(3, 1.0, (1e308, 1e308))
+        message = "the sum of the betas overflows for betas=(1e+308, 1e+308)"
+        for call in (lambda: char_poly(g, 1.0), lambda: max_root_moduli(g, [1.0])):
+            with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 @st.composite

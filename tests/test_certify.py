@@ -22,7 +22,7 @@ from memaccel.certify import (
     prop8_check,
 )
 from memaccel.errors import BetaTildeMinusOneError, MemaccelError
-from memaccel.polyroots import RealPolynomial, eval_poly, residual_tolerance, trim_noise
+from memaccel.polyroots import RealPolynomial, residual_tolerance, trim_noise
 from memaccel.polyroots import roots as proots
 from memaccel.spectral import SpectralInterval
 
@@ -115,16 +115,16 @@ class TestGainsToClaimCoeffs:
             pz = char_poly(g, lam)
             pt = p_tilde(c, theta)
             for z in proots(pz).roots:
-                val = eval_poly(pt, z / c.nu)
+                val = np.polyval(pt.coeffs[::-1], z / c.nu)
                 # p_tilde(z/nu) = char_poly(z) / (scale * nu^{M-1}) up to sign
                 assert abs(val) <= 1e-7 * max(
-                    1.0, abs(eval_poly(pz, z)) / (abs(scale) * c.nu ** (M - 1))
+                    1.0, abs(np.polyval(pz.coeffs[::-1], z)) / (abs(scale) * c.nu ** (M - 1))
                 ) + 1e-7
 
     @staticmethod
     def _nested_sum_coeffs(g, iv):
         """gains_to_claim_coeffs' a with each cumulative beta sum taken
-        afresh by a nested loop, the reference for its one cumsum."""
+        afresh by a nested loop, the reference for its running sums."""
         t = tune_theorem3(iv, M=g.M)
         ratio, M, betas = t.alpha_star / g.alpha, g.M, g.betas
         bt = np.zeros(M)
@@ -163,6 +163,16 @@ class TestGainsToClaimCoeffs:
                 Gains(M=2, alpha=t.gains.alpha * 1e14, betas=t.gains.betas), REF_IV
             )
 
+    @pytest.mark.parametrize("betas", [(1e308, 1e308), (-1e308, 1e308, 1e308)],
+                             ids=["from-beta1", "from-top"])
+    def test_overflowing_beta_sums_raise(self, betas):
+        # The sum from beta_1 overflows in the first case, only the one from
+        # beta_{M-1} down in the second; each leaked numpy's "overflow
+        # encountered in accumulate".
+        message = f"the sum of the betas overflows for betas={betas}"
+        with pytest.raises(MemaccelError, match=f"^{re.escape(message)}$"):
+            gains_to_claim_coeffs(Gains(len(betas) + 1, 1.0, betas), SpectralInterval(1.0, 10.0))
+
 
 class TestDegenerateInterval:
     @pytest.mark.parametrize("M", [2, 3])
@@ -196,7 +206,7 @@ class TestPTilde:
         p = p_tilde(c, theta)
         for y in rng.standard_normal(5) + 1j * rng.standard_normal(5):
             expect = p1_eval(c, y, theta) - p2_eval(c, y)
-            assert eval_poly(p, y) == pytest.approx(expect, abs=1e-10)
+            assert np.polyval(p.coeffs[::-1], y) == pytest.approx(expect, abs=1e-10)
 
     def test_theta_out_of_range(self):
         c = ClaimCoeffs(M=2, nu=0.5, a=(0.0, 0.0))
@@ -269,7 +279,7 @@ class TestWitness:
             assert 0.0 <= w.theta <= np.pi
             # the reported root really is a root of the test polynomial
             p = p_tilde(c, w.theta)
-            assert abs(eval_poly(p, w.root)) <= residual_tolerance(
+            assert abs(np.polyval(p.coeffs[::-1], w.root)) <= residual_tolerance(
                 p.coeffs, abs(w.root)
             ) * 1e3
 
@@ -284,7 +294,8 @@ class TestWitness:
         assert w.modulus >= 1.0 - WITNESS_TOL
         assert 0.0 <= w.theta <= np.pi
         p = p_tilde(c, w.theta)
-        assert abs(eval_poly(p, w.root)) <= residual_tolerance(p.coeffs, abs(w.root)) * 1e3
+        assert abs(np.polyval(p.coeffs[::-1], w.root)) <= residual_tolerance(
+            p.coeffs, abs(w.root)) * 1e3
 
 
 class TestPartitionField:

@@ -147,11 +147,21 @@ class TestGuarantee:
         assert lines[0] == "lambda,max_root_modulus"
         assert len(lines) >= 2002
 
-    @pytest.mark.parametrize("alpha", [1e308, 1e300])
-    def test_overflowing_alpha_lambda_exit3(self, capsys, tmp_path, alpha):
-        gains = write_gains(tmp_path, 2, alpha, [-0.5])
-        code, out, err = run(capsys, "guarantee", "--gains", gains, "--set", "1:10")
-        message = f"alpha*lambda or a power of it overflows for alpha={alpha}, lambda=10.0"
+    @pytest.mark.parametrize("gains, argv, message", [
+        pytest.param((2, alpha, [-0.5]), ("guarantee", "--set", "1:10"),
+                     f"alpha*lambda or a power of it overflows for alpha={alpha}, lambda=10.0",
+                     id=str(alpha))
+        for alpha in (1e308, 1e300)
+    ] + [
+        pytest.param((3, 1.0, [1e308, 1e308]), (command, option, value),
+                     "the sum of the betas overflows for betas=(1e+308, 1e+308)",
+                     id=f"beta-sum-{command}")
+        for command, option, value in (("guarantee", "--set", "1:10"),
+                                       ("certify", "--interval", "1,10"))
+    ])
+    def test_overflowing_alpha_lambda_exit3(self, capsys, tmp_path, gains, argv, message):
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--gains", write_gains(tmp_path, *gains), *rest)
         assert code == 3 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("spec", ["2:1", "0.1:inf", "0:1", "nan:1"])
@@ -812,14 +822,18 @@ class TestSpectrum:
     def test_impossible_allocation_exit3(self, capsys, tmp_path):
         # 5e6 nodes ask for a 182 TiB Laplacian, more than a 48-bit
         # address space maps, so the allocation fails before any page is
-        # touched; it was a MemoryError traceback and exit 1.
+        # touched; it was a MemoryError traceback and exit 1. 1e12 steps on
+        # three nodes ask for a 22 TiB trajectory, allocated before the
+        # first step; the run went on until it was killed.
         graph = tmp_path / "huge.txt"
         graph.write_text("0 4999999 1\n")
         gains = write_gains(tmp_path, 1, 0.5, [])
         for argv in (["spectrum", "--graph", str(graph)],
-                     ["simulate", "--graph", str(graph), "--gains", gains, "--steps", "3"]):
+                     ["simulate", "--graph", str(graph), "--gains", gains, "--steps", "3"],
+                     ["simulate", "--graph", write_path3(tmp_path), "--gains", gains,
+                      "--steps", "1000000000000"]):
             code, out, err = run(capsys, *argv)
-            assert code == 3 and err.startswith("error: ")
+            assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
             assert out == ""
 
 

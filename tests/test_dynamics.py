@@ -415,6 +415,16 @@ class TestDropRobustness:
         assert np.linalg.norm(tr.states[72]) > limit
         assert np.all(np.linalg.norm(tr.states[:72], axis=1) <= limit)
 
+    def test_diverged_trace_owns_its_states(self):
+        # The run writes into T + 1 = 401 preallocated rows; a trace that
+        # stops at step 72 keeps a copy of the 73 it wrote, not a view that
+        # holds all 401.
+        graph, gains, schedule, x0 = memory_fragility_example()
+        prob = IterationProblem(laplacian(graph).entries, np.zeros(graph.n), x0)
+        tr = simulate(prob, gains, T=400, drops=schedule)
+        assert tr.states.base is None and tr.states.shape == (73, graph.n)
+        assert {len(a) for a in (tr.residuals, tr.spread, tr.rms, tr.mean)} == {73}
+
     def test_randomized_search_reproduces_fixture(self):
         graph, gains, schedule, x0 = memory_fragility_example()
         found = find_divergent_drop_schedule(graph, gains, x0, T=400,

@@ -12,7 +12,6 @@ from memaccel.polyroots import (
     affine_crossing,
     affine_max_roots,
     companion_eigvals,
-    eval_poly,
     max_modulus,
     residual_tolerance,
     roots,
@@ -22,23 +21,25 @@ from memaccel.errors import DegreeZeroError, EmptyRootSetError, NoConvergenceErr
 
 
 class TestEval:
+    """coeffs are low-to-high: reversed, they are np.polyval's."""
+
     def test_pure_imaginary_quadratic(self):
         # (0.8i)^2 + 0.64 = -0.64 + 0.64
         p = RealPolynomial((0.64, 0.0, 1.0))
-        assert eval_poly(p, 0.8j) == pytest.approx(0.0)
+        assert np.polyval(p.coeffs[::-1], 0.8j) == pytest.approx(0.0)
 
     def test_factored_quadratic_at_root(self):
         p = RealPolynomial((2.0, -3.0, 1.0))  # (z-1)(z-2)
-        assert eval_poly(p, 1.0) == 0.0
+        assert np.polyval(p.coeffs[::-1], 1.0) == 0.0
 
     def test_constant(self):
         p = RealPolynomial((1.0,))
-        assert eval_poly(p, 5 + 2j) == 1.0
+        assert np.polyval(p.coeffs[::-1], 5 + 2j) == 1.0
 
     def test_vectorized(self):
         p = RealPolynomial((2.0, -3.0, 1.0))
         z = np.array([1.0, 2.0, 0.0])
-        np.testing.assert_allclose(eval_poly(p, z), [0.0, 0.0, 2.0])
+        np.testing.assert_allclose(np.polyval(p.coeffs[::-1], z), [0.0, 0.0, 2.0])
 
 
 class TestNormalization:
@@ -72,7 +73,7 @@ class TestRoots:
         r = roots(p)
         assert len(r) == 6
         for z in r.roots:
-            assert abs(eval_poly(p, z)) <= residual_tolerance(p.coeffs, abs(z))
+            assert abs(np.polyval(p.coeffs[::-1], z)) <= residual_tolerance(p.coeffs, abs(z))
 
     def test_constant_rejected(self):
         with pytest.raises(DegreeZeroError):
@@ -113,7 +114,8 @@ class TestPolish:
         # small root of z^2 + 1e8 z + 1; the Aberth polish repairs it.
         p = RealPolynomial((1.0, 1e8, 1.0))
         start = companion_eigvals(np.array([p.coeffs]))[0].astype(complex)
-        assert np.any(np.abs(eval_poly(p, start)) > residual_tolerance(p.coeffs, start))
+        residual = np.abs(np.polyval(p.coeffs[::-1], start))
+        assert np.any(residual > residual_tolerance(p.coeffs, start))
         r = roots(p)
         assert r.roots[1] == pytest.approx(-1e-8, rel=1e-12, abs=0.0)
         for z, res in zip(r.roots, r.residuals):
