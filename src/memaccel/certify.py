@@ -239,29 +239,22 @@ def partition_field(
     )
 
 
-def large_radius_phase_check(
-    c: ClaimCoeffs,
-    theta_grid: int = 512,
-    phase_grid: int = 512,
-) -> tuple[bool, tuple[float, float] | None]:
-    """Verify that Real(P1/P2) stays negative on the circle |y| = R for
-    all sampled angles, so no phase match exists at large radius; R = 10 (1 + b)
-    for b the larger of the Cauchy root bounds of P1 and P2.
-    Requires a positive leading coefficient, and integer grids >= 2 so
-    that theta = 0 and theta = pi are both sampled. Returns (ok,
-    violating (theta, phase) sample or None)."""
-    _check_index("theta_grid", theta_grid, 2)
-    _check_index("phase_grid", phase_grid, 2)
+def large_radius_phase_check(c: ClaimCoeffs) -> tuple[bool, tuple[float, float] | None]:
+    """Verify that Real(P1/P2) stays negative on the circle |y| = R at
+    512 phases for each of 512 angles theta from 0 to pi, both included,
+    so no phase match exists at large radius; R = 10 (1 + b) for b the
+    larger of the Cauchy root bounds of P1 and P2. Requires a positive
+    leading coefficient. Returns (ok, violating (theta, phase) sample or None)."""
     if c.a[-1] <= 0:
         raise ValueError("check requires a_{M-1} > 0")
     bound1 = 3.0  # Cauchy bound of P1: coefficients within [-2, 2]
     p2c = _p2_coeffs(c)
     bound2 = 1.0 + max(abs(v) for v in p2c[:-1]) / abs(p2c[-1])
     R = 10.0 * (1.0 + max(bound1, bound2))
-    phis = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     y = R * np.exp(1j * phis)
     v2 = p2_eval(c, y)
-    for theta in np.linspace(0.0, np.pi, theta_grid):
+    for theta in np.linspace(0.0, np.pi, 512):
         ratio = p1_eval(c, y, theta) / v2
         bad = np.flatnonzero(ratio.real >= 0)
         if bad.size:

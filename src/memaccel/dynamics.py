@@ -234,18 +234,20 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
     """Scalar mode recursion at eigenvalue lam; returns x(0..T).
 
     Runs the recursion of :func:`simulate` without its divergence abort,
-    so diagonal systems match it coordinate-wise, bit for bit."""
+    so diagonal systems match it coordinate-wise, bit for bit. A mode
+    that overflows returns inf and nan rows, with no warning."""
     _check_index("T", T, 1)
     if not np.isfinite([lam, b_mode, x0]).all():
         raise ValueError(f"lam, b_mode and x0 must be finite, got {lam}, {b_mode}, {x0}")
-    return _recur(float(x0), g, T, lambda t, x: b_mode - lam * x, np.inf)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _recur(float(x0), g, T, lambda t, x: b_mode - lam * x)[0]
 
 
-def _recur(x0, g: Gains, T: int, force, limit: float):
+def _recur(x0, g: Gains, T: int, force, limit: float | None = None):
     """Rows x(0..T), in one array allocated up front, of x(t+1) = x(t) +
     alpha force(t, x(t)) + sum_m beta_m (x(t-m) - x(t)), x(s) = x0 for
-    s <= 0. Stops after T steps, or once ||x|| exceeds limit with a copy of
-    the rows so far. Returns (states, the first t with ||x(t)|| > limit or None)."""
+    s <= 0. Stops after T steps, or once ||x|| exceeds a given limit with a
+    copy of the rows so far. Returns (states, the first t with ||x(t)|| > limit or None)."""
     states = np.empty((T + 1,) + np.shape(x0))
     states[0] = x = x0
     for t in range(T):
@@ -253,7 +255,7 @@ def _recur(x0, g: Gains, T: int, force, limit: float):
         for m, beta in enumerate(g.betas, start=1):
             nxt = nxt + beta * (states[max(t - m, 0)] - x)
         states[t + 1] = x = nxt
-        if np.linalg.norm(x) > limit:
+        if limit is not None and np.linalg.norm(x) > limit:
             return states[:t + 2].copy(), t + 1
     return states, None
 
@@ -274,8 +276,8 @@ def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Render the trace as CSV: ``t,residual,spread,rms,mean``."""
-    rows = (f"{t},{trace.residuals[t]:.12g},{trace.spread[t]:.12g},"
-            f"{trace.rms[t]:.12g},{trace.mean[t]:.12g}\n" for t in range(trace.T + 1))
+    cols = zip(*(a.tolist() for a in (trace.residuals, trace.spread, trace.rms, trace.mean)))
+    rows = (f"{t},{r:.12g},{s:.12g},{d:.12g},{m:.12g}\n" for t, (r, s, d, m) in enumerate(cols))
     return "t,residual,spread,rms,mean\n" + "".join(rows)
 
 

@@ -114,18 +114,23 @@ def affine_crossing(q, k: int, slope: float, lo: float, hi: float, r: float):
     K = max(k, 1)
     j = np.arange(q.size)
     c = q * r ** (j - k)
-    p = np.bincount(np.r_[K + j - k, K - j + k], np.r_[c, -c], minlength=2 * K + 1)
+    p = np.bincount(np.concatenate((K + j - k, K - j + k)), np.concatenate((c, -c)),
+                    minlength=2 * K + 1)
     w = np.array([1.0 + 0j, -1.0])
     # Noise at the low end adds only a root near 0, off the circle too.
-    p = np.trim_zeros(trim_noise(p))
-    if p.size > 1:
-        w = np.r_[w, companion_eigvals(p[None, :])[0]]
+    p = trim_noise(p)
+    nz = np.flatnonzero(p)
+    if nz.size and nz[-1] > nz[0]:
+        w = np.concatenate((w, companion_eigvals(p[None, nz[0]:nz[-1] + 1])[0]))
     w = w[w != 0]  # a root that rounds to 0 has no angle to project
     z = r * w / np.abs(w)
-    cand = -(np.polyval(q[::-1], z) / z**k).real / slope
+    qz = np.zeros_like(z)  # q(z) by Horner's rule, as np.polyval evaluates it
+    for qj in q[::-1]:
+        qz = qz * z + qj
+    cand = -(qz / z**k).real / slope
     cand = cand[(cand > lo) & (cand < hi)]
-    s = np.sort(np.r_[lo, cand, hi])
-    s = np.r_[s, 0.5 * s[:-1] + 0.5 * s[1:]]
+    s = np.sort(np.concatenate(([lo], cand, [hi])))
+    s = np.concatenate((s, 0.5 * s[:-1] + 0.5 * s[1:]))
     moduli, top = affine_max_roots(q, k, slope, s)
     i = int(moduli.argmax())
     return float(s[i]), complex(top[i]), s.size

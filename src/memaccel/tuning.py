@@ -56,6 +56,17 @@ def _real(name: str, v) -> float:
         return math.inf
 
 
+def _equal(a, b) -> bool:
+    """a is b or a == b, as one bool, the way a tuple compares its items;
+    where either is an array with ndim >= 1, the shapes and then the
+    entries decide, so distinct arrays never raise."""
+    if a is b:
+        return True
+    if getattr(a, "ndim", 0) or getattr(b, "ndim", 0):
+        return getattr(a, "shape", None) == getattr(b, "shape", None) and bool((a == b).all())
+    return a == b
+
+
 class Record:
     """Immutable value object, the base of every record in the package.
 
@@ -66,7 +77,9 @@ class Record:
     one shared ``__init__`` (positional or keyword arguments), equality
     and hash by field, a ``Name(field=value, ...)`` repr, and assignment
     and deletion that raise AttributeError; to change a field, build a
-    new record.
+    new record. An array field (one with ``ndim`` >= 1) equals only an
+    array of the same shape and entries, so records holding arrays
+    compare without error; such a record is unhashable.
     """
 
     _fields: tuple[str, ...] = ()
@@ -106,7 +119,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_equal, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

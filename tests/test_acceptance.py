@@ -189,7 +189,7 @@ def test_criterion_08_witness_search_and_large_radius():
         a = rng.uniform(-0.5, 0.5, M)
         a[-1] = float(rng.uniform(0.05, 1.0))
         c = ClaimCoeffs(M=M, nu=float(rng.uniform(0.3, 0.9)), a=tuple(a))
-        ok, bad = large_radius_phase_check(c, theta_grid=64, phase_grid=64)
+        ok, bad = large_radius_phase_check(c)
         assert ok, bad
     _ok("criterion 8: 1000 witnesses found (modulus >= 1-1e-8), zero-vector "
         "boundary at 1 +- 1e-9, 100 large-radius phase checks")

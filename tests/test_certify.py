@@ -370,7 +370,7 @@ class TestLargeRadiusPhase:
             a = rng.uniform(-0.5, 0.5, M)
             a[-1] = float(rng.uniform(0.1, 1.0))
             c = ClaimCoeffs(M=M, nu=float(rng.uniform(0.3, 0.9)), a=tuple(a))
-            ok, bad = large_radius_phase_check(c, theta_grid=64, phase_grid=64)
+            ok, bad = large_radius_phase_check(c)
             assert ok and bad is None
 
     def test_nonpositive_leading_rejected(self):

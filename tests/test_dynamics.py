@@ -294,6 +294,13 @@ class TestSimulateModal:
         with pytest.raises(ValueError, match="must be finite"):
             simulate_modal(lam, b_mode, Gains(M=2, alpha=1.0, betas=(-0.5,)), x0, 3)
 
+    def test_overflowing_mode_is_silent(self):
+        # An unstable mode grows past the largest float; it warned once per
+        # step with 'overflow encountered' and then 'invalid value encountered'.
+        out = simulate_modal(50.0, 0.0, Gains(M=2, alpha=1.0, betas=(-0.5,)), 1.0, 400)
+        assert out.shape == (401,) and np.isfinite(out[:100]).all()
+        assert not np.isfinite(out[-1])
+
     def test_matches_vector_on_diagonal(self):
         lams = np.array([0.3, 1.1, 2.0])
         g = Gains(M=3, alpha=0.6, betas=(-0.3, 0.1))
@@ -360,6 +367,14 @@ class TestCsvExport:
         assert lines[0] == "t,residual,spread,rms,mean"
         assert len(lines) == 5
         assert lines[1].startswith("0,")
+
+    def test_rows_hold_each_step_at_12_digits(self):
+        tr = simulate(path3_problem(np.array([1e-300, 2.0, -3.0])),
+                      Gains(M=2, alpha=0.4, betas=(-0.1,)), T=30)
+        cols = (tr.residuals, tr.spread, tr.rms, tr.mean)
+        want = "".join(f"{t}," + ",".join(f"{c[t]:.12g}" for c in cols) + "\n"
+                       for t in range(31))
+        assert trace_to_csv(tr) == "t,residual,spread,rms,mean\n" + want
 
 
 class TestDropScheduleInput:

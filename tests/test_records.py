@@ -43,8 +43,6 @@ RECORDS = {
                              dict(theta=0.6)),
     spectral.WeightedGraph: (dict(n=3, edges=PATH3.edges), dict(n=4)),
     spectral.LaplacianMatrix: (dict(entries=L2, components=1), dict(components=2)),
-    # One-entry vectors compare to a plain bool, so the variant is unequal
-    # rather than ambiguous.
     dynamics.IterationProblem: (dict(A=np.array([[2.0]]), b=np.array([0.0]),
                                      x0=np.array([1.0])),
                                 dict(x0=np.array([2.0]))),
@@ -137,6 +135,48 @@ class TestRecord:
         for k in fields:
             np.testing.assert_equal(getattr(back, k), getattr(r, k))
         assert repr(back) == repr(r)
+        assert back == r
+
+
+# class -> fields with arrays of two or more entries as a function of
+# (n, the last entry of the first array field), so that n + 1 changes a shape
+ARRAY_RECORDS = {
+    dynamics.IterationProblem: lambda n, last: dict(
+        A=np.diag(np.r_[np.ones(n - 1), last]), b=np.zeros(n), x0=np.arange(n, dtype=float)),
+    spectral.LaplacianMatrix: lambda n, last: dict(
+        entries=spectral.laplacian(spectral.WeightedGraph(
+            n, tuple((i, i + 1, last if i == n - 2 else 1.0) for i in range(n - 1)))).entries,
+        components=1),
+    dynamics.SimTrace: lambda n, last: dict(
+        states=np.r_[np.zeros((n, 2)), [[0.0, last]]], residuals=np.ones(n + 1),
+        spread=np.ones(n + 1), rms=np.ones(n + 1), mean=np.ones(n + 1), diverged_at=None),
+    certify.PartitionField: lambda n, last: dict(
+        re=np.r_[np.zeros(n - 1), last], im=np.zeros(n), type_mask=np.zeros((n, n), int),
+        phase_match=np.zeros((n, n), bool), roots_p1=(1j, -1j), roots_p2=(2 + 0j,),
+        theta=0.5),
+}
+
+
+@pytest.mark.parametrize("cls", list(ARRAY_RECORDS), ids=lambda cls: cls.__name__)
+class TestArrayFields:
+    """Records whose fields are distinct arrays compare by shape and entries.
+    Comparing the field tuples raised 'The truth value of an array with more
+    than one element is ambiguous' for any two distinct arrays."""
+
+    def test_equal_copies_compare_equal(self, cls):
+        r, same = cls(**ARRAY_RECORDS[cls](3, 2.0)), cls(**ARRAY_RECORDS[cls](3, 2.0))
+        assert r == same and not r != same
+        assert pickle.loads(pickle.dumps(r)) == r
+
+    def test_changed_entry_compares_unequal(self, cls):
+        r = cls(**ARRAY_RECORDS[cls](3, 2.0))
+        assert r != cls(**ARRAY_RECORDS[cls](3, 3.0))
+        assert not r == cls(**ARRAY_RECORDS[cls](3, 3.0))
+
+    def test_changed_shape_compares_unequal(self, cls):
+        r = cls(**ARRAY_RECORDS[cls](3, 2.0))
+        assert r != cls(**ARRAY_RECORDS[cls](4, 2.0))
+        assert not r == cls(**ARRAY_RECORDS[cls](2, 2.0))
 
 
 class TestDerivedCaches:
@@ -146,7 +186,7 @@ class TestDerivedCaches:
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
-        return [dynamics.IterationProblem(A, b, x0) for _ in range(2)]
+        return [dynamics.IterationProblem(A.copy(), b, x0) for _ in range(2)]
 
     def _schedules(self):
         drops = {2: frozenset({(0, 1), (1, 2)})}
@@ -163,9 +203,10 @@ class TestDerivedCaches:
             dynamics.DropSchedule(PATH3, d.drops, cuts=d.cuts)
 
     def test_not_compared(self):
-        # Distinct arrays of two or more entries cannot be compared as a
-        # bool, so equality holds only if the caches are left out.
+        # A tuple of distinct arrays of two or more entries cannot be
+        # compared as a bool, so equality holds only if the caches are left out.
         p, q = self._problems()
+        assert p.A is not q.A
         assert p.nonzeros[1] is not q.nonzeros[1] and p.nonzeros[1].size > 1
         assert p == q
         d, e = self._schedules()

@@ -230,12 +230,6 @@ class TestIntegerArguments:
                 iv, M=2, budget=5, rng_seed=v)),
             "ClaimCoeffs.M": (2, "memory order M", 2,
                               lambda v: certify.ClaimCoeffs(M=v, nu=0.5, a=(0.1, 0.2))),
-            "large_radius_phase_check.theta_grid": (8, "theta_grid", 2, lambda v:
-                certify.large_radius_phase_check(certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)),
-                                                 theta_grid=v)),
-            "large_radius_phase_check.phase_grid": (8, "phase_grid", 2, lambda v:
-                certify.large_radius_phase_check(certify.ClaimCoeffs(2, 0.5, (0.1, 0.2)),
-                                                 phase_grid=v)),
             "find_divergent_drop_schedule.T": (5, "T", 1, lambda v:
                 dynamics.find_divergent_drop_schedule(*fragile, x0, T=v, trials=1)),
             "find_divergent_drop_schedule.trials": (1, "trials", 1, lambda v:
@@ -252,8 +246,7 @@ class TestIntegerArguments:
 
     ENTRIES = ["Gains.M", "tune_theorem3.M", "simulate.T", "simulate_modal.T", "guarantee.grid",
                "partition_field.resolution", "search_gains.M", "search_gains.budget",
-               "search_gains.rng_seed", "ClaimCoeffs.M", "large_radius_phase_check.theta_grid",
-               "large_radius_phase_check.phase_grid", "find_divergent_drop_schedule.T",
+               "search_gains.rng_seed", "ClaimCoeffs.M", "find_divergent_drop_schedule.T",
                "find_divergent_drop_schedule.trials", "find_divergent_drop_schedule.rng_seed",
                "WeightedGraph.n", "DropSchedule.step", "empirical_rate.burn_in"]
 
@@ -271,13 +264,6 @@ class TestIntegerArguments:
         message = f"{name} must be an integer >= {least}, got {least - 1}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(least - 1)
-
-    def test_zero_theta_grid_rejected(self):
-        # It returned (True, None) without testing a single angle.
-        from memaccel.certify import ClaimCoeffs, large_radius_phase_check
-
-        with pytest.raises(ValueError, match="theta_grid must be an integer >= 2"):
-            large_radius_phase_check(ClaimCoeffs(2, 0.5, (0.1, 0.2)), theta_grid=0)
 
     def test_zero_trials_rejected(self):
         # It reported that no divergent schedule exists after no trial.
