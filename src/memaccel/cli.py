@@ -22,10 +22,12 @@ checks search's ``--M`` and ``--budget``, after numpy. ``spectrum`` prints
 a graph's kernel eigenvalues, one per connected component, as exact 0;
 a graph with a non-finite edge weight, or whose spectral gap is below
 eigvalsh's resolution, exits 3. A numeric option left out takes the
-library's own default, which the parser does not restate: ``search``
-without ``--budget`` spends ``search_gains``' default budget, and
-``certify --field`` without ``--window`` samples ``partition_field``'s
-default window.
+library's own default, which the parser does not restate: ``tune``
+without ``--M`` takes ``tune_theorem3``'s M, ``search`` without
+``--budget`` or ``--seed-rng`` takes ``search_gains``' budget and seed,
+and ``certify --field`` without ``--window`` samples
+``partition_field``'s default window. ``simulate --seed-rng`` is the
+CLI's own, 0 by default: it seeds the default ``--x0``.
 
 File formats:
   gains file    JSON {"M": k, "alpha": a, "betas": [...]}
@@ -216,7 +218,7 @@ def _cmd_tune(args) -> int:
     lo, hi = _read("--interval", _numbers, args.interval, ",", 2)
     from . import tuning
 
-    t = tuning.tune_theorem3(tuning.SpectralInterval(lo, hi), M=args.M)
+    t = tuning.tune_theorem3(tuning.SpectralInterval(lo, hi), **_given(M=args.M))
     _emit({**_gains_dict(t.gains), "mu": t.mu, "nu_star": t.nu_star,
            "degenerate": t.degenerate}, args.output)
     return 0
@@ -245,8 +247,8 @@ def _cmd_search(args) -> int:
     s = check_guarantee_args(_spectral_set(items))
     from . import accel
 
-    g, rep = accel.search_gains(s, M=args.M, seed=seed, rng_seed=args.seed_rng,
-                                **_given(budget=args.budget))
+    g, rep = accel.search_gains(s, M=args.M, seed=seed,
+                                **_given(budget=args.budget, rng_seed=args.seed_rng))
     _emit({"gains": _gains_dict(g), "report": _report_dict(rep)}, args.output)
     if args.samples_csv:
         _write_samples_csv(rep, args.samples_csv)
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="closed-form optimal tuning for an interval")
     p.add_argument("--interval", required=True, metavar="LO,HI")
-    p.add_argument("--M", type=integer, default=2)
+    p.add_argument("--M", type=integer)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_tune)
 
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, metavar="SPEC")
     p.add_argument("--M", type=integer, required=True)
     p.add_argument("--budget", type=integer)
-    p.add_argument("--seed-rng", type=integer, default=0)
+    p.add_argument("--seed-rng", type=integer)
     p.add_argument("--seed-gains", metavar="FILE")
     p.add_argument("--samples-csv", metavar="FILE")
     p.add_argument("--output", "-o")

@@ -344,6 +344,37 @@ class TestLibraryDefaults:
         assert "budget" not in seen[0]
         assert seen[1]["budget"] == 7
 
+    def test_search_seed_rng(self, capsys, monkeypatch):
+        from memaccel import accel
+
+        seen, real = [], accel.search_gains
+
+        def search_gains(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **{**kwargs, "budget": 5})
+
+        monkeypatch.setattr(accel, "search_gains", search_gains)
+        base = ("search", "--set", "0.5:1.5", "--M", "2")
+        assert run(capsys, *base)[0] == 0
+        assert run(capsys, *base, "--seed-rng", "3")[0] == 0
+        assert "rng_seed" not in seen[0]
+        assert seen[1]["rng_seed"] == 3
+
+    def test_tune_m(self, capsys, monkeypatch):
+        from memaccel import tuning
+
+        seen, real = [], tuning.tune_theorem3
+
+        def tune_theorem3(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "tune_theorem3", tune_theorem3)
+        assert run(capsys, "tune", "--interval", REF)[0] == 0
+        assert run(capsys, "tune", "--interval", REF, "--M", "3")[0] == 0
+        assert "M" not in seen[0]
+        assert seen[1]["M"] == 3
+
     def test_certify_window(self, capsys, tmp_path, monkeypatch):
         from memaccel import certify
 

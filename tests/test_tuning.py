@@ -209,8 +209,6 @@ class TestIntegerArguments:
         g = Gains(M=2, alpha=1.0, betas=(-0.5,))
         p = dynamics.IterationProblem(np.diag([1.0, 2.0]), np.zeros(2), np.ones(2))
         c = certify.gains_to_claim_coeffs(g, iv)
-        fragile = dynamics.memory_fragility_example()[:2]
-        x0 = np.ones(fragile[0].n)
         path3 = spectral.WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
         trace = dynamics.simulate(p, Gains(M=1, alpha=0.5), 20)
         return {
@@ -230,13 +228,6 @@ class TestIntegerArguments:
                 iv, M=2, budget=5, rng_seed=v)),
             "ClaimCoeffs.M": (2, "memory order M", 2,
                               lambda v: certify.ClaimCoeffs(M=v, nu=0.5, a=(0.1, 0.2))),
-            "find_divergent_drop_schedule.T": (5, "T", 1, lambda v:
-                dynamics.find_divergent_drop_schedule(*fragile, x0, T=v, trials=1)),
-            "find_divergent_drop_schedule.trials": (1, "trials", 1, lambda v:
-                dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=v)),
-            "find_divergent_drop_schedule.rng_seed": (1, "rng_seed", 0, lambda v:
-                dynamics.find_divergent_drop_schedule(*fragile, x0, T=5, trials=1,
-                                                      rng_seed=v)),
             "WeightedGraph.n": (3, "node count", 0, lambda v: spectral.WeightedGraph(v, ())),
             "DropSchedule.step": (2, "drop step", 0, lambda v:
                 dynamics.DropSchedule(path3, {v: frozenset({(0, 1)})})),
@@ -246,9 +237,8 @@ class TestIntegerArguments:
 
     ENTRIES = ["Gains.M", "tune_theorem3.M", "simulate.T", "simulate_modal.T", "guarantee.grid",
                "partition_field.resolution", "search_gains.M", "search_gains.budget",
-               "search_gains.rng_seed", "ClaimCoeffs.M", "find_divergent_drop_schedule.T",
-               "find_divergent_drop_schedule.trials", "find_divergent_drop_schedule.rng_seed",
-               "WeightedGraph.n", "DropSchedule.step", "empirical_rate.burn_in"]
+               "search_gains.rng_seed", "ClaimCoeffs.M", "WeightedGraph.n", "DropSchedule.step",
+               "empirical_rate.burn_in"]
 
     @pytest.mark.parametrize("kind", ["float", "bool"])
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -264,14 +254,6 @@ class TestIntegerArguments:
         message = f"{name} must be an integer >= {least}, got {least - 1}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(least - 1)
-
-    def test_zero_trials_rejected(self):
-        # It reported that no divergent schedule exists after no trial.
-        from memaccel.dynamics import find_divergent_drop_schedule, memory_fragility_example
-
-        graph, gains, _, x0 = memory_fragility_example()
-        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-            find_divergent_drop_schedule(graph, gains, x0, trials=0)
 
     @pytest.mark.parametrize("burn_in", [-20, True])
     def test_negative_or_bool_burn_in_rejected(self, burn_in):
@@ -303,7 +285,6 @@ class TestRealArguments:
         iv = SpectralInterval(0.1, 2.0)
         g = Gains(M=2, alpha=1.0, betas=(-0.5,))
         c = certify.ClaimCoeffs(M=2, nu=0.5, a=(0.1, 0.2))
-        fragile = dynamics.memory_fragility_example()
         eye, zero, one = np.eye(2), np.zeros(2), np.ones(2)
         finite = "must be finite"
         return {
@@ -342,9 +323,6 @@ class TestRealArguments:
                               lambda v: certify.p_tilde(c, v)),
             "partition_field.re_range": (-2.0, "theta and window bounds must be finite",
                 lambda v: certify.partition_field(c, 0.5, re_range=(v, 2.0), resolution=32)),
-            "find_divergent_drop_schedule.drop_prob": (0.5, r"drop_prob must lie in \(0, 1\]",
-                lambda v: dynamics.find_divergent_drop_schedule(
-                    fragile[0], fragile[1], fragile[3], T=5, trials=1, drop_prob=v)),
             "roots.coeffs": (1.0, "monic form .+ is not finite",
                              lambda v: polyroots.roots(polyroots.RealPolynomial((v, 1.0)))),
         }
@@ -355,7 +333,7 @@ class TestRealArguments:
                "IterationProblem.x0", "simulate_modal.lam", "char_poly.lam",
                "max_root_moduli.lambdas", "modal_angle.lam", "guarantee.refine_tol",
                "ClaimCoeffs.nu", "ClaimCoeffs.a", "p_tilde.theta", "partition_field.re_range",
-               "find_divergent_drop_schedule.drop_prob", "roots.coeffs"]
+               "roots.coeffs"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("entry", ENTRIES)
