@@ -16,6 +16,7 @@ import numpy as np
 from memaccel import (
     Gains,
     IterationProblem,
+    consensus_metrics,
     empirical_rate,
     laplacian,
     memory_fragility_example,
@@ -56,6 +57,6 @@ tr_plain_d = simulate(prob, Gains(M=1, alpha=alpha0), T=400, drops=drop_schedule
 tr_fast_d = simulate(prob, t.gains, T=400, drops=drop_schedule)
 print("\nunder 50% random link drops:")
 print(f"  memoryless:  diverged = {tr_plain_d.diverged}, "
-      f"final spread = {tr_plain_d.spread[-1]:.2e}")
+      f"final spread = {consensus_metrics(tr_plain_d.states[-1])[0]:.2e}")
 print(f"  accelerated: diverged = {tr_fast_d.diverged} "
       f"(momentum tuned for the fixed graph destabilizes the varying one)")

@@ -143,14 +143,11 @@ class DropSchedule(Record):
 
 
 class SimTrace(Record):
-    """States x(0..T) with residuals, disagreement metrics and flags;
-    after a divergence, states has diverged_at + 1 rows."""
+    """States x(0..T) with residuals and flags; consensus_metrics(states)
+    gives spread, rms and mean. After a divergence, states has diverged_at + 1 rows."""
 
     states: np.ndarray          # (T+1, n)
     residuals: np.ndarray       # (T+1,) of ||A x - b||_2
-    spread: np.ndarray          # (T+1,) of max - min
-    rms: np.ndarray             # (T+1,) of rms deviation from the mean
-    mean: np.ndarray            # (T+1,)
     diverged_at: int | None = None  # first step t with ||x(t)|| over the limit
 
     @property
@@ -193,7 +190,7 @@ def simulate(
     residuals = []
     states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
     residuals.append(_norm(p.b - _matvec(p, states[-1])))
-    return SimTrace(states, np.array(residuals), *consensus_metrics(states), diverged_at)
+    return SimTrace(states, np.array(residuals), diverged_at)
 
 
 def _norm(f) -> float:
@@ -277,7 +274,7 @@ def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Render the trace as CSV: ``t,residual,spread,rms,mean``."""
-    cols = zip(*(a.tolist() for a in (trace.residuals, trace.spread, trace.rms, trace.mean)))
+    cols = zip(*(a.tolist() for a in (trace.residuals, *consensus_metrics(trace.states))))
     rows = (f"{t},{r:.12g},{s:.12g},{d:.12g},{m:.12g}\n" for t, (r, s, d, m) in enumerate(cols))
     return "t,residual,spread,rms,mean\n" + "".join(rows)
 
@@ -308,8 +305,8 @@ def _random_drops(graph: WeightedGraph, rng) -> DropSchedule:
     at each of the steps 0..DROP_STEPS-1."""
     edge_keys = [(min(i, j), max(i, j)) for i, j, _ in graph.edges]
     drops = {}
-    for t in range(DROP_STEPS):
-        mask = rng.random(len(edge_keys)) < DROP_PROB
+    # One draw for all steps: the masks and end state of one draw per step.
+    for t, mask in enumerate(rng.random((DROP_STEPS, len(edge_keys))) < DROP_PROB):
         if mask.any():
             drops[t] = frozenset(e for e, m in zip(edge_keys, mask) if m)
     return DropSchedule(graph, drops)

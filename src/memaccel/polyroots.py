@@ -176,14 +176,18 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
     # overflowing |p(z)| also overflows the tolerance, so test finiteness.
     cc = c.astype(complex)
 
-    def misses_contract(z):
+    def check_contract(z):
         res = np.abs(_eval_and_derivative(cc, z)[0])
-        return ~(np.isfinite(res) & (res <= residual_tolerance(c, z)))
+        return res, ~(np.isfinite(res) & (res <= residual_tolerance(c, z)))
 
-    for _ in range(MAX_POLISH_ITERS):
-        bad = misses_contract(z)
+    for i in range(MAX_POLISH_ITERS + 1):
+        res, bad = check_contract(z)
         if not np.any(bad):
             break
+        if i == MAX_POLISH_ITERS:
+            raise NoConvergenceError(
+                f"residual contract unreachable in {MAX_POLISH_ITERS} iterations"
+            )
         pv_m, dp_m = _eval_and_derivative(monic.astype(complex), z)
         newton = np.where(dp_m != 0, pv_m / np.where(dp_m != 0, dp_m, 1.0), 0.0)
         diff = z[:, None] - z[None, :]
@@ -197,15 +201,10 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
         # A non-finite root poisons every later Aberth step.
         if not np.isfinite(z).all():
             raise NoConvergenceError("polish produced a non-finite root")
-    else:
-        if np.any(misses_contract(z)):
-            raise NoConvergenceError(
-                f"residual contract unreachable in {MAX_POLISH_ITERS} iterations"
-            )
 
+    # The last check measured the final roots: sort its residuals with them.
     order = np.lexsort((z.imag, z.real))
-    z = z[order]
-    res = np.abs(_eval_and_derivative(cc, z)[0])
+    z, res = z[order], res[order]
     return ComplexRootSet(tuple(complex(v) for v in z), tuple(float(r) for r in res))
 
 

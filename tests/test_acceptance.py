@@ -29,6 +29,7 @@ from memaccel.dynamics import (
     DropSchedule,
     IterationProblem,
     SimTrace,
+    consensus_metrics,
     empirical_rate,
     memory_fragility_example,
     simulate,
@@ -227,8 +228,7 @@ def test_criterion_09_simulation_consistency():
         env = np.maximum.accumulate(tr.residuals[::-1])[::-1]
         above = np.flatnonzero(env > env[0] * 1e-12)
         k = max(int(above[-1]) + 1, 13) if above.size else 13
-        trimmed = SimTrace(states=tr.states[:k], residuals=env[:k], spread=tr.spread[:k],
-                           rms=tr.rms[:k], mean=tr.mean[:k], diverged_at=tr.diverged_at)
+        trimmed = SimTrace(states=tr.states[:k], residuals=env[:k], diverged_at=tr.diverged_at)
         assert empirical_rate(trimmed, burn_in=k // 2) <= t.nu_star + 0.02
     # average preservation, with and without drops
     for _ in range(10):
@@ -246,7 +246,8 @@ def test_criterion_09_simulation_consistency():
         for sched in (None, DropSchedule(graph, drops)):
             tr = simulate(IterationProblem(L, np.zeros(n), x0), g, T=50,
                           drops=sched)
-            np.testing.assert_allclose(tr.mean, tr.mean[0], rtol=1e-12, atol=1e-13)
+            mean = consensus_metrics(tr.states)[2]
+            np.testing.assert_allclose(mean, mean[0], rtol=1e-12, atol=1e-13)
     _ok("criterion 9: modal/vector agreement 1e-12, tuned rate within "
         "nu*+0.02 on 20 systems, average preserved to 1e-12 under drops")
 
@@ -268,7 +269,7 @@ def test_criterion_10_drop_robustness_pair():
             IterationProblem(L, np.zeros(n), rng.standard_normal(n)),
             Gains(M=1, alpha=alpha), T=40, drops=DropSchedule(graph, drops),
         )
-        assert np.all(np.diff(tr.spread) <= 1e-12)
+        assert np.all(np.diff(consensus_metrics(tr.states)[0]) <= 1e-12)
     graph, gains, schedule, x0 = memory_fragility_example()
     prob = IterationProblem(laplacian(graph).entries, np.zeros(graph.n), x0)
     tr = simulate(prob, gains, T=400, drops=schedule)

@@ -9,6 +9,7 @@ from memaccel.dynamics import (
     DIVERGENCE_FACTOR,
     DropSchedule,
     IterationProblem,
+    SimTrace,
     _force,
     consensus_metrics,
     empirical_rate,
@@ -196,14 +197,16 @@ class TestSimulate:
 
     def test_trace_lengths(self):
         tr = simulate(path3_problem(), Gains(M=1, alpha=0.5), T=20)
+        spread, rms, mean = consensus_metrics(tr.states)
         assert tr.T == 20
-        assert len(tr.residuals) == len(tr.spread) == len(tr.mean) == 21
+        assert len(tr.residuals) == len(spread) == len(rms) == len(mean) == 21
 
     def test_average_preserved(self):
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(3)
         tr = simulate(path3_problem(x0), Gains(M=3, alpha=0.4, betas=(-0.2, 0.05)), T=50)
-        np.testing.assert_allclose(tr.mean, tr.mean[0], rtol=1e-12, atol=1e-14)
+        mean = consensus_metrics(tr.states)[2]
+        np.testing.assert_allclose(mean, mean[0], rtol=1e-12, atol=1e-14)
 
     def test_drop_on_non_laplacian(self):
         sched = DropSchedule(PATH3, {0: frozenset({(0, 1)})})
@@ -273,7 +276,8 @@ class TestSimulate:
         sched = DropSchedule(PATH3, {t: frozenset({(0, 1)}) for t in range(0, 40, 3)})
         tr = simulate(path3_problem(x0), Gains(M=2, alpha=0.4, betas=(-0.1,)),
                       T=40, drops=sched)
-        np.testing.assert_allclose(tr.mean, tr.mean[0], rtol=1e-12, atol=1e-14)
+        mean = consensus_metrics(tr.states)[2]
+        np.testing.assert_allclose(mean, mean[0], rtol=1e-12, atol=1e-14)
 
 
 class TestSimulateModal:
@@ -315,11 +319,8 @@ class TestSimulateModal:
 
 class TestEmpiricalRate:
     def test_geometric_sequence(self):
-        states = np.zeros((41, 1))
-        tr = simulate(path3_problem(), Gains(M=1, alpha=0.5), T=1)
         # synthetic trace with exact geometric residuals
-        tr = tr.__class__(states=states, residuals=0.8 ** np.arange(41),
-                          spread=np.zeros(41), rms=np.zeros(41), mean=np.zeros(41))
+        tr = SimTrace(states=np.zeros((41, 1)), residuals=0.8 ** np.arange(41), diverged_at=None)
         assert empirical_rate(tr, burn_in=0) == pytest.approx(0.8, abs=1e-9)
 
     def test_all_zero_residuals(self):
@@ -351,13 +352,27 @@ class TestConsensusMetrics:
             consensus_metrics([])
 
     def test_trace_metrics_are_each_states_bit_for_bit(self):
-        # simulate takes the metrics of the whole state stack at once; each
-        # row must equal the metrics of that state alone.
+        # Readers take the metrics of a trace's whole state stack at once;
+        # each row must equal the metrics of that state alone.
         rng = np.random.default_rng(7)
         tr = simulate(path3_problem(rng.standard_normal(3)),
                       Gains(M=2, alpha=0.4, betas=(-0.1,)), T=25)
         rows = np.array([consensus_metrics(x) for x in tr.states])
-        assert np.array_equal(np.column_stack([tr.spread, tr.rms, tr.mean]), rows)
+        assert np.array_equal(np.column_stack(consensus_metrics(tr.states)), rows)
+
+    def test_simulate_leaves_metrics_to_readers(self, monkeypatch):
+        # A trace is states, residuals and diverged_at; spread, rms and
+        # mean are computed only by a reader that asks for them.
+        def fail(x):
+            raise AssertionError("simulate called consensus_metrics")
+
+        monkeypatch.setattr(dynamics, "consensus_metrics", fail)
+        assert SimTrace._fields == ("states", "residuals", "diverged_at")
+        sched = DropSchedule(PATH3, {0: frozenset({(0, 1)}), 3: frozenset({(1, 2)})})
+        for drops in (None, sched):
+            tr = simulate(path3_problem(), Gains(M=2, alpha=0.4, betas=(-0.1,)),
+                          T=10, drops=drops)
+            assert tr.T == 10 and len(tr.residuals) == 11
 
 
 class TestCsvExport:
@@ -371,7 +386,7 @@ class TestCsvExport:
     def test_rows_hold_each_step_at_12_digits(self):
         tr = simulate(path3_problem(np.array([1e-300, 2.0, -3.0])),
                       Gains(M=2, alpha=0.4, betas=(-0.1,)), T=30)
-        cols = (tr.residuals, tr.spread, tr.rms, tr.mean)
+        cols = (tr.residuals, *consensus_metrics(tr.states))
         want = "".join(f"{t}," + ",".join(f"{c[t]:.12g}" for c in cols) + "\n"
                        for t in range(31))
         assert trace_to_csv(tr) == "t,residual,spread,rms,mean\n" + want
@@ -412,7 +427,7 @@ class TestDropRobustness:
                     drops[t] = frozenset(e for e, m in zip(edge_keys, mask) if m)
             tr = simulate(path3_problem(x0), Gains(M=1, alpha=alpha), T=60,
                           drops=DropSchedule(PATH3, drops))
-            assert np.all(np.diff(tr.spread) <= 1e-12)
+            assert np.all(np.diff(consensus_metrics(tr.states)[0]) <= 1e-12)
 
     def test_fragility_fixture_diverges(self):
         graph, gains, schedule, x0 = memory_fragility_example()
@@ -438,7 +453,7 @@ class TestDropRobustness:
         prob = IterationProblem(laplacian(graph).entries, np.zeros(graph.n), x0)
         tr = simulate(prob, gains, T=400, drops=schedule)
         assert tr.states.base is None and tr.states.shape == (73, graph.n)
-        assert {len(a) for a in (tr.residuals, tr.spread, tr.rms, tr.mean)} == {73}
+        assert {len(a) for a in (tr.residuals, *consensus_metrics(tr.states))} == {73}
 
     def test_randomized_search_reproduces_fixture(self):
         graph, gains, schedule, x0 = memory_fragility_example()

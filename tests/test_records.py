@@ -48,8 +48,7 @@ RECORDS = {
                                 dict(x0=np.array([2.0]))),
     dynamics.DropSchedule: (dict(graph=PATH3, drops={0: frozenset({(0, 1)})}),
                             dict(drops={1: frozenset({(0, 1)})})),
-    dynamics.SimTrace: (dict(states=np.zeros((2, 1)), residuals=ZEROS, spread=ZEROS,
-                             rms=ZEROS, mean=ZEROS, diverged_at=None),
+    dynamics.SimTrace: (dict(states=np.zeros((2, 1)), residuals=ZEROS, diverged_at=None),
                         dict(diverged_at=1)),
 }
 
@@ -149,7 +148,7 @@ ARRAY_RECORDS = {
         components=1),
     dynamics.SimTrace: lambda n, last: dict(
         states=np.r_[np.zeros((n, 2)), [[0.0, last]]], residuals=np.ones(n + 1),
-        spread=np.ones(n + 1), rms=np.ones(n + 1), mean=np.ones(n + 1), diverged_at=None),
+        diverged_at=None),
     certify.PartitionField: lambda n, last: dict(
         re=np.r_[np.zeros(n - 1), last], im=np.zeros(n), type_mask=np.zeros((n, n), int),
         phase_match=np.zeros((n, n), bool), roots_p1=(1j, -1j), roots_p2=(2 + 0j,),
