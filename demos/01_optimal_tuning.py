@@ -22,7 +22,7 @@ print(f"memoryless: alpha = {alpha0:.4f}, worst factor mu = {mu:.4f}")
 print(f"  -> about {np.log(10) / -np.log(mu):.0f} iterations per decimal digit")
 
 t = tune_theorem3(iv)
-print(f"one memory slot: alpha* = {t.alpha_star:.4f}, beta1* = {t.beta1_star:.4f}")
+print(f"one memory slot: alpha* = {t.gains.alpha:.4f}, beta1* = {t.gains.betas[0]:.4f}")
 print(f"  worst factor nu* = {t.nu_star:.4f}")
 print(f"  -> about {np.log(10) / -np.log(t.nu_star):.0f} iterations per decimal digit")
 

@@ -32,23 +32,23 @@ t = tune_theorem3(iv)
 c_opt = gains_to_claim_coeffs(t.gains, iv)
 w = claim6_witness(c_opt)
 print(f"optimal tuning -> a = {tuple(round(v, 12) for v in c_opt.a)}")
-print(f"  boundary witness: modulus {w.modulus:.9f} at theta = {w.theta:.4f}")
+print(f"  boundary witness: modulus {abs(w.root):.9f} at theta = {w.theta:.4f}")
 
 # Perturb the gains and the witness certifies they are no better.
 rng = np.random.default_rng(0)
 print("\nperturbed candidates:")
 for _ in range(5):
-    g = Gains(M=2, alpha=t.alpha_star * float(rng.uniform(0.7, 1.3)),
-              betas=(t.beta1_star + float(rng.uniform(-0.3, 0.3)),))
+    g = Gains(M=2, alpha=t.gains.alpha * float(rng.uniform(0.7, 1.3)),
+              betas=(t.gains.betas[0] + float(rng.uniform(-0.3, 0.3)),))
     c = gains_to_claim_coeffs(g, iv)
     w = claim6_witness(c)
     print(f"  alpha={g.alpha:7.4f} beta1={g.betas[0]:7.4f} -> "
-          f"witness theta={w.theta:.4f}, root modulus={w.modulus:.6f}")
+          f"witness theta={w.theta:.4f}, root modulus={abs(w.root):.6f}")
 
 # No witness can hide at large radius: the two polynomial factors stay
 # out of phase far from the origin.
 c = gains_to_claim_coeffs(
-    Gains(M=3, alpha=t.alpha_star * 0.9, betas=(t.beta1_star + 0.1, 0.05)), iv
+    Gains(M=3, alpha=t.gains.alpha * 0.9, betas=(t.gains.betas[0] + 0.1, 0.05)), iv
 )
 ok, _ = large_radius_phase_check(c)
 print(f"\nlarge-radius phase check: {'passed' if ok else 'FAILED'}")

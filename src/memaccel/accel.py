@@ -31,10 +31,13 @@ SEARCH_REFINE_TOL = 1e-7
 
 
 class GuaranteeReport(Record):
-    """Worst-case guarantee over a spectral set: nu is a certified upper
-    bound of the largest root modulus, nu_lo <= nu the modulus attained at
-    worst_lambda, and nu - nu_lo <= refine_tol; samples holds the sampled
-    curve (lambda, max root modulus) and the attained point."""
+    """Worst-case guarantee over a spectral set: nu bounds the largest root
+    modulus from above, nu_lo <= nu is the modulus attained at worst_lambda,
+    and nu - nu_lo <= refine_tol; samples holds the sampled curve (lambda,
+    max root modulus) and the attained point. nu is no proof yet at a double
+    root (tune_theorem3's gains on [0.01, 1] give 0.8181818278085041, below
+    the supremum 0.81818182967641317) or on isolated points (eigvals' rounded
+    modulus): ROADMAP Known defects 1 and 6, which items 13 and 1 close."""
 
     nu: float
     nu_lo: float
@@ -100,10 +103,10 @@ def guarantee(
     curve and a first attained nu_lo. Then over the intervals
     :func:`polyroots.affine_crossing` tests radii just above nu_lo, which
     certifies a flat or sampled maximum at once, and after a hit halves
-    the bracket once before trying again. nu, the certified bound, is
-    never below the supremum. Values above 1 are reported as-is.
-    MemaccelError if alpha*lambda, or the power of a root the crossing
-    test evaluates, overflows."""
+    the bracket once before trying again. nu is below the supremum only in
+    GuaranteeReport's known cases, a double root and isolated points.
+    Values above 1 are reported as-is. MemaccelError if alpha*lambda, or
+    the power of a root the crossing test evaluates, overflows."""
     s = check_guarantee_args(s, grid, refine_tol)
     q, k = _char_q(g), g.M - 1
 
@@ -156,7 +159,7 @@ def modal_angle(lam: float, iv: SpectralInterval) -> float:
     if t.degenerate:
         return 0.0
     # Root sum is 2*nu*cos(theta) = 1 - alpha*lam - beta1.
-    c = (1.0 - t.alpha_star * lam - t.beta1_star) / (2.0 * t.nu_star)
+    c = (1.0 - t.gains.alpha * lam - t.gains.betas[0]) / (2.0 * t.nu_star)
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 

@@ -62,14 +62,16 @@ class Prop8Result(Record):
 
 
 class WitnessReport(Record):
-    """Certificate angle whose test polynomial has a root of modulus
-    >= 1 - WITNESS_TOL, if found."""
+    """Angle theta with the largest test-polynomial root evaluated, that
+    root and the angles scanned; found when |root| >= 1 - WITNESS_TOL."""
 
-    found: bool
     theta: float
     root: complex
-    modulus: float
     scanned: int
+
+    @property
+    def found(self) -> bool:
+        return abs(self.root) >= 1.0 - WITNESS_TOL
 
 
 class PartitionField(Record):
@@ -106,19 +108,19 @@ def gains_to_claim_coeffs(g: Gains, iv: SpectralInterval) -> ClaimCoeffs:
     t = tune_theorem3(iv, M=g.M)
     if t.degenerate:
         raise MemaccelError(f"interval [{iv.lo}, {iv.hi}] is a single point, where nu* = 0")
-    ratio = t.alpha_star / g.alpha
+    ratio = t.gains.alpha / g.alpha
     M = g.M
     bt = np.zeros(M)
     # Cumulative sums of beta_{M-1}, beta_{M-2}, ... from the top index,
     # added in sequence.
     tops = list(itertools.accumulate(g.betas[::-1]))
-    bt[M - 2] = ratio * _beta_sum(g, *tops) - t.beta1_star
+    bt[M - 2] = ratio * _beta_sum(g, *tops) - t.gains.betas[0]
     bt[:M - 2] = ratio * np.array(tops[:M - 2])
     bt[M - 1] = ratio - 1.0
     if abs(bt[M - 1] + 1.0) < 1e-12:
-        raise BetaTildeMinusOneError(
-            "normalized leading coefficient hit -1 (inconsistent input)"
-        )
+        raise BetaTildeMinusOneError(f"normalized leading coefficient hit -1: alpha*/alpha = "
+                                     f"{ratio} is below the 1e-12 bound for alpha={g.alpha}, "
+                                     f"alpha*={t.gains.alpha}")
     nu = t.nu_star
     a = tuple(bt[m] * nu ** (m - M + 1) for m in range(M))
     return ClaimCoeffs(M=M, nu=nu, a=a)
@@ -176,8 +178,7 @@ def claim6_witness(c: ClaimCoeffs) -> WitnessReport:
     ``scanned`` counts the angles whose roots were computed."""
     cos_t, root, scanned = polyroots.affine_crossing(_p_tilde_q(c), c.M - 1, -2.0, -1.0, 1.0,
                                                      1.0 - WITNESS_TOL)
-    return WitnessReport(found=abs(root) >= 1.0 - WITNESS_TOL, theta=float(np.arccos(cos_t)),
-                         root=root, modulus=abs(root), scanned=scanned)
+    return WitnessReport(theta=float(np.arccos(cos_t)), root=root, scanned=scanned)
 
 
 def p1_eval(c: ClaimCoeffs, y, theta: float):

@@ -3,7 +3,8 @@
 Subcommands: tune, guarantee, search, simulate, certify, spectrum.
 All numeric output is printed with 12 significant digits and runs are
 fully deterministic for a fixed --seed-rng. A guarantee report gives
-the certified bound nu and the attained nu_lo <= nu at worst_lambda.
+the bound nu, no proof yet at a double root or on isolated points
+(``accel.GuaranteeReport``), and the attained nu_lo <= nu at worst_lambda.
 Exit codes: 0 success, 2 usage or parse error (a malformed number, a
 set item outside (0, inf), a non-finite --field or --window bound),
 3 domain error, a gains or drops file of the wrong JSON shape, or an
@@ -305,7 +306,7 @@ def _cmd_certify(args) -> int:
         "prop8": {"kind": p8.kind, "root": p8.root} if p8.root is not None
         else {"kind": p8.kind},
         "witness": {"found": w.found, "theta": w.theta, "root": w.root,
-                    "modulus": w.modulus, "scanned": w.scanned},
+                    "modulus": abs(w.root), "scanned": w.scanned},
     }
     _emit(payload, args.output)
     return 0

@@ -89,5 +89,5 @@ class AlphaZeroError(MemaccelError):
 
 
 class BetaTildeMinusOneError(MemaccelError):
-    """Normalized leading coefficient hit -1; only possible for
-    inconsistent input (would need infinite alpha)."""
+    """Normalized leading coefficient hit -1: alpha*/alpha is below 1e-12
+    in magnitude, as for finite gains whose alpha is 1e13 times alpha*."""

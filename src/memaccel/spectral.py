@@ -54,11 +54,10 @@ class WeightedGraph(Record):
 
 class LaplacianMatrix(Record):
     """Dense, finite, symmetric Laplacian; rows sum to zero by construction.
-    ``components`` is the number of connected components of its graph,
-    which is the dimension of its kernel."""
+    ``components``, the connected components of its off-diagonal nonzero
+    pattern, is its kernel's dimension (Fiedler 1973); a cache, not a field."""
 
     entries: np.ndarray
-    components: int
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -71,9 +70,9 @@ class LaplacianMatrix(Record):
         # Equal to array_equal(a, a.T): an entry whose mirror is zero is in the pattern.
         if not np.array_equal(v, a[c, r]):
             raise ValueError("Laplacian must be exactly symmetric")
-        if not min(a.shape[0], 1) <= self.components <= a.shape[0]:
-            raise ValueError(f"{self.components} components for n={a.shape[0]} nodes")
+        low = r > c
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "components", _components(a.shape[0], r[low], c[low]))
 
 
 def load_edge_list(text: str) -> WeightedGraph:
@@ -100,9 +99,8 @@ def load_edge_list(text: str) -> WeightedGraph:
 
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     """L[j][j] = sum of incident weights, L[j][k] = -w_jk. Its kernel has
-    one dimension per connected component of the positive-weight edges
-    (Fiedler 1973), counted by union-find: zero eigenvalues are counted,
-    not guessed."""
+    one dimension per connected component of the positive-weight edges,
+    which LaplacianMatrix counts: zero eigenvalues are counted, not guessed."""
     a = np.zeros((g.n, g.n))
     e = np.array(g.edges, dtype=float).reshape(-1, 3)
     i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
@@ -111,7 +109,7 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     # The weighted degrees: one bincount over i0, j0, i1, j1, ... adds the
     # weights in edge order, as a loop over the edges would.
     np.fill_diagonal(a, np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n))
-    return LaplacianMatrix(a, _components(g.n, i[w > 0], j[w > 0]))
+    return LaplacianMatrix(a)
 
 
 def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -234,9 +234,11 @@ class TuningResult(Record):
     gains: Gains
     mu: float
     nu_star: float
-    alpha_star: float
-    beta1_star: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """The interval is a single point: mu == 0, a deadbeat tuning."""
+        return self.mu == 0.0
 
 
 def check_guarantee_args(s: SpectralSet | SpectralInterval, grid: int | None = None,
@@ -259,14 +261,14 @@ def tune_memoryless(iv: SpectralInterval) -> tuple[float, float]:
     """Optimal memoryless gain: alpha balancing the interval endpoints,
     with worst contraction factor mu; :func:`tune_theorem3` at M = 1."""
     t = tune_theorem3(iv, M=1)
-    return t.alpha_star, t.mu
+    return t.gains.alpha, t.mu
 
 
 def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
     """Optimal single-memory tuning for the interval at an integer M >= 1;
     memory slots beyond the first get zero gain, and M = 1, without one,
     gives the memoryless optimum nu* = mu. At lo == hi the formulas give
-    the deadbeat limit alpha = 1 / lo, flagged. MemaccelError if lo + hi
+    the deadbeat limit alpha = 1 / lo, degenerate. MemaccelError if lo + hi
     or alpha overflows."""
     _check_index("memory order M", M, 1)
     mu = (iv.hi - iv.lo) / (iv.hi + iv.lo)
@@ -282,4 +284,4 @@ def tune_theorem3(iv: SpectralInterval, M: int = 2) -> TuningResult:
     if not (math.isfinite(iv.hi + iv.lo) and math.isfinite(alpha)):
         raise MemaccelError(f"lo + hi or alpha overflows for [{iv.lo}, {iv.hi}]")
     gains = Gains(M=M, alpha=alpha, betas=((beta1,) + (0.0,) * (M - 2))[:M - 1])
-    return TuningResult(gains, mu, nu_star, alpha, beta1, degenerate=mu == 0.0)
+    return TuningResult(gains, mu, nu_star)

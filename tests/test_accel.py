@@ -355,8 +355,8 @@ class TestTuneMemoryless:
 class TestTuneTheorem3:
     def test_reference(self):
         t = tune_theorem3(REF_IV)
-        assert t.alpha_star == pytest.approx(3.2800, abs=1e-3)
-        assert t.beta1_star == pytest.approx(-0.6400, abs=1e-3)
+        assert t.gains.alpha == pytest.approx(3.2800, abs=1e-3)
+        assert t.gains.betas[0] == pytest.approx(-0.6400, abs=1e-3)
         assert t.nu_star == pytest.approx(0.8000, abs=1e-4)
         assert t.mu == pytest.approx(0.9756, abs=1e-6)
 
@@ -364,12 +364,12 @@ class TestTuneTheorem3:
         mu = 0.9756
         t = tune_theorem3(SpectralInterval(1 - mu, 1 + mu))
         assert t.nu_star == pytest.approx(1 / mu - np.sqrt(1 / mu**2 - 1), abs=1e-12)
-        assert np.sqrt(-t.beta1_star) == pytest.approx(t.nu_star, abs=1e-12)
+        assert np.sqrt(-t.gains.betas[0]) == pytest.approx(t.nu_star, abs=1e-12)
 
     def test_degenerate(self):
         t = tune_theorem3(SpectralInterval(1.0, 1.0))
         assert t.degenerate
-        assert (t.alpha_star, t.beta1_star, t.nu_star) == (1.0, 0.0, 0.0)
+        assert (t.gains.alpha, t.gains.betas, t.nu_star) == (1.0, (0.0,), 0.0)
 
     def test_extra_slots_zero(self):
         t = tune_theorem3(REF_IV, M=5)

@@ -72,8 +72,8 @@ def _random_connected_graph(rng, n):
 def test_criterion_01_closed_form_reproduction():
     t = tune_theorem3(REF_IV)
     assert t.mu == pytest.approx(0.9756, abs=1e-6)
-    assert t.alpha_star == pytest.approx(3.2800, abs=1e-3)
-    assert t.beta1_star == pytest.approx(-0.6400, abs=1e-3)
+    assert t.gains.alpha == pytest.approx(3.2800, abs=1e-3)
+    assert t.gains.betas[0] == pytest.approx(-0.6400, abs=1e-3)
     assert t.nu_star == pytest.approx(0.8000, abs=1e-4)
     _ok("criterion 1: closed-form tuning reproduces mu/alpha/beta1/nu "
         "to 1e-6/1e-3/1e-3/1e-4")
@@ -182,9 +182,9 @@ def test_criterion_08_witness_search_and_large_radius():
         c = ClaimCoeffs(M=M, nu=float(rng.uniform(0.2, 0.95)), a=tuple(a))
         w = claim6_witness(c)
         assert w.found
-        assert w.modulus >= 1.0 - 1e-8
+        assert abs(w.root) >= 1.0 - 1e-8
     boundary = claim6_witness(ClaimCoeffs(M=3, nu=0.8, a=(0.0, 0.0, 0.0)))
-    assert boundary.modulus == pytest.approx(1.0, abs=1e-9)
+    assert abs(boundary.root) == pytest.approx(1.0, abs=1e-9)
     for _ in range(100):
         M = int(rng.integers(2, 6))
         a = rng.uniform(-0.5, 0.5, M)

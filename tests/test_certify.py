@@ -10,6 +10,7 @@ from memaccel.accel import Gains, tune_theorem3
 from memaccel.certify import (
     WITNESS_TOL,
     ClaimCoeffs,
+    WitnessReport,
     claim6_witness,
     gains_to_claim_coeffs,
     large_radius_phase_check,
@@ -110,8 +111,8 @@ class TestGainsToClaimCoeffs:
             # reconstruct lambda from any theta via the angle bijection and
             # confirm y = z/nu maps roots of one polynomial to the other
             theta = float(rng.uniform(0.05, np.pi - 0.05))
-            lam = (1.0 - t.beta1_star - 2.0 * t.nu_star * np.cos(theta)) / t.alpha_star
-            scale = g.alpha / t.alpha_star
+            lam = (1.0 - t.gains.betas[0] - 2.0 * t.nu_star * np.cos(theta)) / t.gains.alpha
+            scale = g.alpha / t.gains.alpha
             pz = char_poly(g, lam)
             pt = p_tilde(c, theta)
             for z in proots(pz).roots:
@@ -126,11 +127,11 @@ class TestGainsToClaimCoeffs:
         """gains_to_claim_coeffs' a with each cumulative beta sum taken
         afresh by a nested loop, the reference for its running sums."""
         t = tune_theorem3(iv, M=g.M)
-        ratio, M, betas = t.alpha_star / g.alpha, g.M, g.betas
+        ratio, M, betas = t.gains.alpha / g.alpha, g.M, g.betas
         bt = np.zeros(M)
         for k in range(M - 2):
             bt[k] = ratio * sum(betas[M - m - 2] for m in range(k + 1))
-        bt[M - 2] = ratio * sum(betas) - t.beta1_star
+        bt[M - 2] = ratio * sum(betas) - t.gains.betas[0]
         bt[M - 1] = ratio - 1.0
         return tuple(bt[m] * t.nu_star ** (m - M + 1) for m in range(M))
 
@@ -151,9 +152,9 @@ class TestGainsToClaimCoeffs:
     def test_beta_tilde_minus_one_rejected(self):
         t = tune_theorem3(REF_IV, M=2)
         g = Gains(M=2, alpha=-t.gains.alpha, betas=t.gains.betas)
-        # ratio alpha*/alpha = -1 so the leading normalized coefficient is -2;
-        # force the degenerate -1 case instead with alpha* / alpha -> inf? Use
-        # the guard directly: ratio - 1 == -1 requires alpha -> inf.
+        # alpha*/alpha = -1 makes the leading normalized coefficient
+        # alpha*/alpha - 1 = -2. It reads -1 once alpha*/alpha is below
+        # 1e-12, which finite gains reach: alpha = 1e14 alpha* below.
         c = gains_to_claim_coeffs(g, REF_IV)
         assert c.a[-1] == pytest.approx(
             (-1.0 - 1.0) * t.nu_star ** (2 - 2), abs=1e-12
@@ -162,6 +163,17 @@ class TestGainsToClaimCoeffs:
             gains_to_claim_coeffs(
                 Gains(M=2, alpha=t.gains.alpha * 1e14, betas=t.gains.betas), REF_IV
             )
+
+    def test_beta_tilde_minus_one_names_its_cause(self):
+        # alpha* = 2.309 on [0.1, 1], so alpha = 1e13 is past the bound and
+        # 1e12 is not; the message read "(inconsistent input)".
+        iv = SpectralInterval(0.1, 1.0)
+        alpha_star = tune_theorem3(iv).gains.alpha
+        message = (f"normalized leading coefficient hit -1: alpha*/alpha = {alpha_star / 1e13} "
+                   f"is below the 1e-12 bound for alpha={1e13}, alpha*={alpha_star}")
+        with pytest.raises(BetaTildeMinusOneError, match=f"^{re.escape(message)}$"):
+            gains_to_claim_coeffs(Gains(2, 1e13, (-0.5,)), iv)
+        assert gains_to_claim_coeffs(Gains(2, 1e12, (-0.5,)), iv).a[-1] > -1.0
 
     @pytest.mark.parametrize("betas", [(1e308, 1e308), (-1e308, 1e308, 1e308)],
                              ids=["from-beta1", "from-top"])
@@ -238,11 +250,19 @@ class TestProp8:
 
 
 class TestWitness:
+    @pytest.mark.parametrize("modulus, found", [
+        (1.0 - WITNESS_TOL, True), (np.nextafter(1.0 - WITNESS_TOL, 0.0), False),
+        (1.5, True), (0.5, False),
+    ], ids=["at-tol", "below-tol", "outside", "inside"])
+    def test_found_follows_root(self, modulus, found):
+        # A stored flag could contradict the root, as found=True at |root| = 0.5.
+        assert WitnessReport(theta=0.5, root=complex(0.0, modulus), scanned=3).found is found
+
     def test_zero_vector_boundary_modulus(self):
         c = ClaimCoeffs(M=2, nu=0.8, a=(0.0, 0.0))
         w = claim6_witness(c)
         assert w.found
-        assert w.modulus == pytest.approx(1.0, abs=1e-8)
+        assert abs(w.root) == pytest.approx(1.0, abs=1e-8)
 
     def test_unit_circle_root_witnessed(self):
         # The perturbation y^2 - 1 has roots +-1 on the unit circle; the
@@ -250,7 +270,7 @@ class TestWitness:
         c = ClaimCoeffs(M=3, nu=0.5, a=(-1.0, 0.0, 1.0))
         w = claim6_witness(c)
         assert w.found
-        assert w.modulus >= 1.0 - 1e-8
+        assert abs(w.root) >= 1.0 - 1e-8
 
     @settings(max_examples=300, deadline=None)
     @given(unit_circle_perturbations())
@@ -259,13 +279,13 @@ class TestWitness:
         # that root is a root of the test polynomial, of modulus 1.
         w = claim6_witness(c)
         assert w.found
-        assert w.modulus >= 1.0 - WITNESS_TOL
+        assert abs(w.root) >= 1.0 - WITNESS_TOL
 
     def test_leading_below_minus_one_case(self):
         c = ClaimCoeffs(M=2, nu=0.5, a=(0.0, -2.0))
         w = claim6_witness(c)
         assert w.found
-        assert w.modulus >= 1.0 - 1e-8
+        assert abs(w.root) >= 1.0 - 1e-8
 
     def test_random_nonzero_vectors_all_witnessed(self):
         rng = np.random.default_rng(12)
@@ -275,7 +295,7 @@ class TestWitness:
                 continue
             w = claim6_witness(c)
             assert w.found, f"no witness for {c}"
-            assert w.modulus >= 1.0 - 1e-8
+            assert abs(w.root) >= 1.0 - 1e-8
             assert 0.0 <= w.theta <= np.pi
             # the reported root really is a root of the test polynomial
             p = p_tilde(c, w.theta)
@@ -291,7 +311,7 @@ class TestWitness:
         c = ClaimCoeffs(M=M, nu=nu, a=tuple(a))
         w = claim6_witness(c)
         assert w.found
-        assert w.modulus >= 1.0 - WITNESS_TOL
+        assert abs(w.root) >= 1.0 - WITNESS_TOL
         assert 0.0 <= w.theta <= np.pi
         p = p_tilde(c, w.theta)
         assert abs(np.polyval(p.coeffs[::-1], w.root)) <= residual_tolerance(

@@ -64,7 +64,7 @@ class TestTune:
         t = tune_theorem3(SpectralInterval(*map(float, interval.split(","))), M=1)
         code, out, _ = run(capsys, "tune", "--interval", interval, "--M", "1")
         d = json.loads(out)
-        assert code == 0 and (d["M"], d["alpha"], d["betas"]) == (1, t.alpha_star, [])
+        assert code == 0 and (d["M"], d["alpha"], d["betas"]) == (1, t.gains.alpha, [])
         assert d["mu"] == d["nu_star"] == float(format(t.mu, ".12g"))
         assert d["degenerate"] is t.degenerate
 

@@ -24,9 +24,8 @@ RECORDS = {
     tuning.SpectralSet: (dict(intervals=(tuning.SpectralInterval(0.1, 0.2),), points=(1.0,)),
                          dict(points=(1.5,))),
     tuning.Gains: (dict(M=2, alpha=0.5, betas=(-0.1,)), dict(alpha=0.6)),
-    tuning.TuningResult: (dict(gains=tuning.Gains(2, 0.5, (-0.1,)), mu=0.5, nu_star=0.27,
-                               alpha_star=0.5, beta1_star=-0.1, degenerate=False),
-                          dict(degenerate=True)),
+    tuning.TuningResult: (dict(gains=tuning.Gains(2, 0.5, (-0.1,)), mu=0.5, nu_star=0.27),
+                          dict(mu=0.0)),
     accel.GuaranteeReport: (dict(nu=0.5, nu_lo=0.49, worst_lambda=1.0, samples=((1.0, 0.49),)),
                             dict(nu=0.6)),
     polyroots.RealPolynomial: (dict(coeffs=(1.0, -2.0, 1.0)), dict(coeffs=(1.0, 2.0))),
@@ -34,15 +33,14 @@ RECORDS = {
                                dict(residuals=(0.0, 1e-16))),
     certify.ClaimCoeffs: (dict(M=2, nu=0.5, a=(0.1, 0.2)), dict(nu=0.4)),
     certify.Prop8Result: (dict(kind="unit_circle_root", root=1j), dict(root=-1j)),
-    certify.WitnessReport: (dict(found=True, theta=0.5, root=1 + 0j, modulus=1.0, scanned=3),
-                            dict(scanned=4)),
+    certify.WitnessReport: (dict(theta=0.5, root=1 + 0j, scanned=3), dict(scanned=4)),
     certify.PartitionField: (dict(re=np.array([-1.0, 1.0]), im=np.array([-1.0, 1.0]),
                                   type_mask=np.zeros((2, 2), int),
                                   phase_match=np.zeros((2, 2), bool),
                                   roots_p1=(1j, -1j), roots_p2=(2 + 0j,), theta=0.5),
                              dict(theta=0.6)),
     spectral.WeightedGraph: (dict(n=3, edges=PATH3.edges), dict(n=4)),
-    spectral.LaplacianMatrix: (dict(entries=L2, components=1), dict(components=2)),
+    spectral.LaplacianMatrix: (dict(entries=L2), dict(entries=2 * L2)),
     dynamics.IterationProblem: (dict(A=np.array([[2.0]]), b=np.array([0.0]),
                                      x0=np.array([1.0])),
                                 dict(x0=np.array([2.0]))),
@@ -62,6 +60,10 @@ def _hash_or_none(values):
 
 def test_every_record_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
+    # Every field too, in order: adding, dropping or reordering one is a
+    # deliberate edit of RECORDS.
+    assert {cls: tuple(fields) for cls, (fields, _) in RECORDS.items()} == {
+        cls: cls._fields for cls in RECORDS}
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
@@ -144,8 +146,7 @@ ARRAY_RECORDS = {
         A=np.diag(np.r_[np.ones(n - 1), last]), b=np.zeros(n), x0=np.arange(n, dtype=float)),
     spectral.LaplacianMatrix: lambda n, last: dict(
         entries=spectral.laplacian(spectral.WeightedGraph(
-            n, tuple((i, i + 1, last if i == n - 2 else 1.0) for i in range(n - 1)))).entries,
-        components=1),
+            n, tuple((i, i + 1, last if i == n - 2 else 1.0) for i in range(n - 1)))).entries),
     dynamics.SimTrace: lambda n, last: dict(
         states=np.r_[np.zeros((n, 2)), [[0.0, last]]], residuals=np.ones(n + 1),
         diverged_at=None),
@@ -179,9 +180,10 @@ class TestArrayFields:
 
 
 class TestDerivedCaches:
-    """``IterationProblem.nonzeros`` and ``.solution_scale`` and
-    ``DropSchedule.cuts`` are set by ``__post_init__`` and are not fields:
-    they stay out of ``__init__``, ``==`` and repr, and survive a pickle."""
+    """``IterationProblem.nonzeros`` and ``.solution_scale``,
+    ``DropSchedule.cuts`` and ``LaplacianMatrix.components`` are set by
+    ``__post_init__`` and are not fields: they stay out of ``__init__``,
+    ``==`` and repr, and survive a pickle."""
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
@@ -200,6 +202,8 @@ class TestDerivedCaches:
         d, _ = self._schedules()
         with pytest.raises(TypeError, match="unexpected argument 'cuts'"):
             dynamics.DropSchedule(PATH3, d.drops, cuts=d.cuts)
+        with pytest.raises(TypeError, match="unexpected argument 'components'"):
+            spectral.LaplacianMatrix(p.A, components=1)
 
     def test_not_compared(self):
         # A tuple of distinct arrays of two or more entries cannot be
@@ -217,6 +221,7 @@ class TestDerivedCaches:
         d, _ = self._schedules()
         assert "nonzeros" not in repr(p) and "cuts" not in repr(d)
         assert "solution_scale" not in repr(p)
+        assert "components" not in repr(spectral.laplacian(PATH3))
 
     def test_survive_pickle(self):
         p, _ = self._problems()
@@ -225,6 +230,8 @@ class TestDerivedCaches:
         np.testing.assert_equal(back.nonzeros, p.nonzeros)
         assert back.solution_scale == p.solution_scale
         np.testing.assert_equal(pickle.loads(pickle.dumps(d)).cuts, d.cuts)
+        two = spectral.LaplacianMatrix(np.zeros((2, 2)))
+        assert pickle.loads(pickle.dumps(two)).components == two.components == 2
 
 
 # field -> (the name its message gives, a record with value v in that field)

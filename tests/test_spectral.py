@@ -174,32 +174,44 @@ class TestNonzeroScan:
 @pytest.mark.parametrize("build, error, match", [
     (lambda: WeightedGraph(2, ((0, 2, 1.0),)), ValueError, r"edge \(0, 2\) out of range for n=2"),
     (lambda: WeightedGraph(2, ((1, 1, 1.0),)), ValueError, "self-loop at node 1"),
-    (lambda: LaplacianMatrix(np.zeros((2, 3)), 1), ValueError, "Laplacian must be square"),
-    (lambda: LaplacianMatrix(np.zeros((2, 2)), 3), ValueError, "3 components for n=2 nodes"),
+    (lambda: LaplacianMatrix(np.zeros((2, 3))), ValueError, "Laplacian must be square"),
     (lambda: load_edge_list("0 1 1\n-1 2 1"), ParseError, "line 2: cannot parse '-1 2 1'"),
-], ids=["edge-out-of-range", "self-loop", "not-square", "components-out-of-range",
-        "negative-index"])
+], ids=["edge-out-of-range", "self-loop", "not-square", "negative-index"])
 def test_malformed_graph_rejected(build, error, match):
     with pytest.raises(error, match=f"^{match}$"):
         build()
 
 
 class TestLaplacianMatrix:
+    def test_counts_its_own_kernel(self):
+        # A caller could pass components=2 for the 4-node path, which gave
+        # the interval [2, 3.414] and nu* = 0.1329 in place of 0.4142.
+        L = LaplacianMatrix(laplacian(load_edge_list("0 1 1\n1 2 1\n2 3 1")).entries)
+        assert L.components == 1
+        t = tune_theorem3(nonzero_spectral_interval(symmetric_eigenvalues(L)))
+        assert t.nu_star == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
+
+    def test_components_is_not_an_argument(self):
+        a = laplacian(load_edge_list("0 1 1\n1 2 1\n2 3 1")).entries
+        with pytest.raises(TypeError):
+            LaplacianMatrix(a, 2)
+
     def test_one_sided_entry_rejected(self):
         a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
         a[0, 2] = -1.0
         with pytest.raises(ValueError, match="exactly symmetric"):
-            LaplacianMatrix(a, 1)
+            LaplacianMatrix(a)
 
     def test_nan_rejected(self):
         a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
         a[1, 1] = np.nan
         with pytest.raises(ValueError, match=r"entry \(1, 1\) is nan, not finite"):
-            LaplacianMatrix(a, 1)
+            LaplacianMatrix(a)
 
     def test_signed_zero_pair_accepted(self):
         a = np.array([[1.0, -1.0, -0.0], [-1.0, 1.0, 0.0], [0.0, -0.0, 0.0]])
-        assert LaplacianMatrix(a, 2).entries.shape == (3, 3)
+        L = LaplacianMatrix(a)
+        assert L.entries.shape == (3, 3) and L.components == 2
 
     @settings(max_examples=300, deadline=None)
     @given(special_matrices(square=True), st.booleans())
@@ -209,12 +221,12 @@ class TestLaplacianMatrix:
             a = np.triu(a) + np.triu(a, 1).T
         if not np.isfinite(a).all():
             with pytest.raises(ValueError, match="not finite"):
-                LaplacianMatrix(a, min(len(a), 1))
+                LaplacianMatrix(a)
         elif np.array_equal(a, a.T):
-            LaplacianMatrix(a, min(len(a), 1))
+            LaplacianMatrix(a)
         else:
             with pytest.raises(ValueError, match="exactly symmetric"):
-                LaplacianMatrix(a, min(len(a), 1))
+                LaplacianMatrix(a)
 
 
 class TestEigenvalues:

@@ -14,6 +14,7 @@ from memaccel.tuning import (
     Gains,
     SpectralInterval,
     SpectralSet,
+    TuningResult,
     check_guarantee_args,
     tune_memoryless,
     tune_theorem3,
@@ -49,9 +50,8 @@ class TestBitIdentity:
     def test_theorem3_matches_numpy_formula(self, iv, M):
         lo, hi = iv
         t = tune_theorem3(SpectralInterval(lo, hi), M=M)
-        got = (t.alpha_star, t.gains.betas, t.mu, t.nu_star, t.degenerate)
+        got = (t.gains.alpha, t.gains.betas, t.mu, t.nu_star, t.degenerate)
         assert got == reference_theorem3(lo, hi, M)
-        assert t.gains.alpha == t.alpha_star
 
     @settings(max_examples=300, deadline=None)
     @given(intervals)
@@ -66,12 +66,18 @@ class TestBitIdentity:
         t = tune_theorem3(SpectralInterval(lo, hi), M=1)
         alpha, mu = reference_memoryless(lo, hi)
         assert t.gains == Gains(1, alpha)
-        assert (t.alpha_star, t.mu, t.nu_star, t.beta1_star) == (alpha, mu, mu, 0.0)
+        assert (t.gains.alpha, t.gains.betas, t.mu, t.nu_star) == (alpha, (), mu, mu)
         assert t.degenerate is (lo == hi)
 
     def test_degenerate_interval(self):
         t = tune_theorem3(SpectralInterval(3.0, 3.0))
-        assert t.degenerate and t.alpha_star == 1.0 / 3.0
+        assert t.degenerate and t.gains.alpha == 1.0 / 3.0
+
+    def test_degenerate_follows_mu(self):
+        # A stored flag could contradict mu: degenerate=True with mu = 0.5.
+        g = Gains(2, 0.5, (-0.1,))
+        assert TuningResult(g, 0.0, 0.0).degenerate is True
+        assert TuningResult(g, 0.5, 0.27).degenerate is False
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("lo", [3.0, 1e-300, 7e307])
@@ -79,10 +85,10 @@ class TestBitIdentity:
         # The deadbeat limit comes from the formula itself: 2 / (2 lo) is
         # 1 / lo bit for bit, and beta1 is +0.0.
         t = tune_theorem3(SpectralInterval(lo, lo), M=M)
-        assert t.degenerate and t.alpha_star == t.gains.alpha == 1.0 / lo
-        assert (t.mu, t.nu_star, t.beta1_star) == (0.0, 0.0, 0.0)
-        assert math.copysign(1.0, t.beta1_star) == 1.0
+        assert t.degenerate and t.gains.alpha == 1.0 / lo
+        assert (t.mu, t.nu_star) == (0.0, 0.0)
         assert t.gains.betas == (0.0,) * (M - 1)
+        assert all(math.copysign(1.0, b) == 1.0 for b in t.gains.betas)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True).filter(lambda a: a != 0),
@@ -298,7 +304,7 @@ class TestRealArguments:
             "load_edge_list.weight": (1.0, r"edge \(0, 1\) has non-finite weight",
                                       lambda v: spectral.load_edge_list(f"0 1 {v}")),
             "LaplacianMatrix.entries": (1.0, r"entry \(0, 0\) is .+, not finite", lambda v:
-                spectral.LaplacianMatrix(np.array([[v, -1.0], [-1.0, 1.0]]), 1)),
+                spectral.LaplacianMatrix(np.array([[v, -1.0], [-1.0, 1.0]]))),
             "nonzero_spectral_interval.eigs": (1.0, "eigenvalues must be finite and >= 0",
                 lambda v: spectral.nonzero_spectral_interval([0.0, v])),
             "IterationProblem.A": (1.0, finite, lambda v:
