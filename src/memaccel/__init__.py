@@ -43,7 +43,7 @@ _EXPORTS = {
         "simulate_modal",
         "trace_to_csv",
     ),
-    "polyroots": ("ComplexRootSet", "RealPolynomial", "max_modulus", "roots"),
+    "polyroots": ("ComplexRootSet", "RealPolynomial", "roots"),
     "spectral": (
         "LaplacianMatrix",
         "WeightedGraph",

@@ -86,8 +86,8 @@ class IterationProblem(Record):
                 raise IncompatibleBiasError("b has a component in the kernel of A")
             # (A/d)^+ (b/d) = A^+ b; a solution past the largest float is inf.
             with np.errstate(over="ignore"):
-                solution_scale = max(np.linalg.norm((v[:, ~kernel].T @ u) / w[~kernel]),
-                                     np.linalg.norm(u) / norm_A)
+                solution_scale = max(_norm((v[:, ~kernel].T @ u) / w[~kernel]),
+                                     _norm(u) / norm_A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x0", x0)
@@ -166,7 +166,17 @@ def consensus_metrics(x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size < 1:
         raise ValueError("need at least one component")
-    return x.max(axis=-1) - x.min(axis=-1), x.std(axis=-1), x.mean(axis=-1)
+    with np.errstate(over="ignore"):
+        rms = x.std(axis=-1)
+    big = np.isinf(rms) & np.isfinite(x).all(axis=-1)
+    if big.any():
+        # Squares past the largest float: redo those states divided by
+        # their largest |entry|, and scale back.
+        m = np.abs(x[big]).max(axis=-1)
+        rms = np.array(rms)
+        rms[big] = m * (x[big] / m[:, None]).std(axis=-1)
+        rms = rms[()]
+    return x.max(axis=-1) - x.min(axis=-1), rms, x.mean(axis=-1)
 
 
 def simulate(
@@ -186,17 +196,26 @@ def simulate(
         raise DropOnNonLaplacianError(
             "drop schedule requires A to be the Laplacian of its graph"
         )
-    limit = DIVERGENCE_FACTOR * max(np.linalg.norm(p.x0), p.solution_scale)
     residuals = []
-    states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
-    residuals.append(_norm(p.b - _matvec(p, states[-1])))
+    # _norm redoes a sum of squares that overflows, scaled: the warning is noise.
+    with np.errstate(over="ignore"):
+        limit = DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale)
+        states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
+        residuals.append(_norm(p.b - _matvec(p, states[-1])))
     return SimTrace(states, np.array(residuals), diverged_at)
 
 
 def _norm(f) -> float:
     """||f||_2 summed as np.linalg.norm(stack, axis=1) sums each row, so a
-    residual taken from one state equals the stacked one bit for bit."""
-    return np.sqrt(np.add.reduce(f * f))
+    residual taken from one state equals the stacked one bit for bit. If
+    the sum of squares overflows while every entry is finite, it is taken
+    again on f / max|f_i| and scaled back; the caller holds off numpy's
+    overflow warning, once per run."""
+    s = np.sqrt(np.add.reduce(f * f))
+    if s == np.inf and np.isfinite(f).all():
+        m = np.abs(f).max()
+        return m * _norm(f / m)
+    return s
 
 
 def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
@@ -253,7 +272,7 @@ def _recur(x0, g: Gains, T: int, force, limit: float | None = None):
         for m, beta in enumerate(g.betas, start=1):
             nxt = nxt + beta * (states[max(t - m, 0)] - x)
         states[t + 1] = x = nxt
-        if limit is not None and np.linalg.norm(x) > limit:
+        if limit is not None and _norm(x) > limit:
             return states[:t + 2].copy(), t + 1
     return states, None
 

@@ -13,10 +13,6 @@ class NoConvergenceError(MemaccelError):
     """An iterative numerical routine exhausted its budget."""
 
 
-class EmptyRootSetError(MemaccelError):
-    """An operation requiring at least one root got an empty set."""
-
-
 class ParseError(MemaccelError):
     """Malformed text input; carries the text and where it was read, the
     line_no of a file's line or the command-line option."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeZeroError, EmptyRootSetError, NoConvergenceError
+from .errors import DegreeZeroError, NoConvergenceError
 from .tuning import Record, _real
 
 ROOT_RESIDUAL_TOL = 1e-9
@@ -207,9 +207,3 @@ def roots(p: RealPolynomial) -> ComplexRootSet:
     z, res = z[order], res[order]
     return ComplexRootSet(tuple(complex(v) for v in z), tuple(float(r) for r in res))
 
-
-def max_modulus(r: ComplexRootSet) -> float:
-    """Largest root modulus of the set."""
-    if len(r) == 0:
-        raise EmptyRootSetError("empty root set")
-    return max(abs(z) for z in r.roots)

@@ -53,26 +53,33 @@ class WeightedGraph(Record):
 
 
 class LaplacianMatrix(Record):
-    """Dense, finite, symmetric Laplacian; rows sum to zero by construction.
-    ``components``, the connected components of its off-diagonal nonzero
-    pattern, is its kernel's dimension (Fiedler 1973); a cache, not a field."""
+    """Dense Laplacian of a graph: L[j][j] = sum of incident weights,
+    L[j][k] = -w_jk, so it is symmetric and its rows sum to zero.
+    ``entries``, the n x n array, and ``components``, the connected
+    components of the positive-weight edges, which is the kernel's
+    dimension (Fiedler 1973), are caches, not fields."""
 
-    entries: np.ndarray
+    graph: WeightedGraph
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("Laplacian must be square")
-        r, c, v = _nonzeros(a)
-        if not np.isfinite(v).all():  # a degree can overflow from finite weights
-            k = np.isfinite(v).argmin()
-            raise ValueError(f"Laplacian entry ({r[k]}, {c[k]}) is {v[k]}, not finite")
-        # Equal to array_equal(a, a.T): an entry whose mirror is zero is in the pattern.
-        if not np.array_equal(v, a[c, r]):
-            raise ValueError("Laplacian must be exactly symmetric")
-        low = r > c
+        g = self.graph
+        if not isinstance(g, WeightedGraph):
+            raise TypeError(f"LaplacianMatrix takes a WeightedGraph, got {type(g).__name__}")
+        a = np.zeros((g.n, g.n))
+        e = np.array(g.edges, dtype=float).reshape(-1, 3)
+        i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+        a[i, j] -= w
+        a[j, i] -= w
+        # The weighted degrees: one bincount over i0, j0, i1, j1, ... adds the
+        # weights in edge order, as a loop over the edges would.
+        degree = np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n)
+        if not np.isfinite(degree).all():  # finite weights can sum past the largest float
+            k = np.isfinite(degree).argmin()
+            raise ValueError(f"Laplacian entry ({k}, {k}) is {degree[k]}, not finite")
+        np.fill_diagonal(a, degree)
+        joined = w > 0
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "components", _components(a.shape[0], r[low], c[low]))
+        object.__setattr__(self, "components", _components(g.n, i[joined], j[joined]))
 
 
 def load_edge_list(text: str) -> WeightedGraph:
@@ -98,24 +105,16 @@ def load_edge_list(text: str) -> WeightedGraph:
 
 
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    """L[j][j] = sum of incident weights, L[j][k] = -w_jk. Its kernel has
-    one dimension per connected component of the positive-weight edges,
-    which LaplacianMatrix counts: zero eigenvalues are counted, not guessed."""
-    a = np.zeros((g.n, g.n))
-    e = np.array(g.edges, dtype=float).reshape(-1, 3)
-    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
-    a[i, j] -= w
-    a[j, i] -= w
-    # The weighted degrees: one bincount over i0, j0, i1, j1, ... adds the
-    # weights in edge order, as a loop over the edges would.
-    np.fill_diagonal(a, np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n))
-    return LaplacianMatrix(a)
+    """The Laplacian of g, which counts its own kernel: zero eigenvalues
+    are counted, not guessed."""
+    return LaplacianMatrix(g)
 
 
 def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, col, value) of the nonzero entries of a 2-D array, in the
     row-major order of np.nonzero, from one stride-1 scan of C-ordered
-    data. NaN and inf count as nonzero, +0.0 and -0.0 as zero."""
+    data. NaN and inf count as nonzero, +0.0 and -0.0 as zero.
+    IterationProblem checks and keeps its matrix A with it."""
     a = np.ascontiguousarray(a)
     flat = np.flatnonzero(a.ravel() != 0)
     r, c = np.divmod(flat, a.shape[1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -270,6 +272,26 @@ class TestSimulate:
         assert p.solution_scale == np.inf
         assert simulate(p, Gains(M=1, alpha=1.0), 3).diverged_at is None
 
+    def test_norms_past_1e154_do_not_overflow(self):
+        # Known defect 5: squaring 1e200 overflowed, so solution_scale read
+        # inf, every residual inf, no divergence could be flagged, and 11
+        # RuntimeWarnings leaked. The states round by up to 2^t eps of the
+        # residual, so the residuals are |b - x(t)| exactly and 0.5^t 1e200
+        # within that rounding.
+        p = IterationProblem(np.eye(2), np.array([1e200, 0.0]), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = simulate(p, Gains(1, 0.5), 5)
+            diverging = simulate(p, Gains(1, 2.5), 100)
+        assert p.solution_scale == 1e200
+        assert tr.diverged_at is None
+        np.testing.assert_array_equal(tr.residuals, 1e200 - tr.states[:, 0])
+        np.testing.assert_allclose(tr.residuals, 1e200 * 0.5 ** np.arange(6), rtol=2e-15)
+        # x(t) - b = (-1.5)^t b crosses the limit 1e6 ||b|| at t = 35.
+        norms = 1e200 * np.linalg.norm(diverging.states / 1e200, axis=1)
+        assert diverging.diverged_at == diverging.T == 35
+        assert norms[-1] > DIVERGENCE_FACTOR * 1e200 >= norms[-2]
+
     def test_average_preserved_under_drops(self):
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(3)
@@ -350,6 +372,14 @@ class TestConsensusMetrics:
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError):
             consensus_metrics([])
+
+    def test_rms_past_1e154_does_not_overflow(self):
+        # Known defect 5: std squared the deviations and read inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert consensus_metrics([1e200, -1e200]) == (2e200, 1e200, 0.0)
+            spread, rms, mean = consensus_metrics(np.array([[1e200, -1e200], [0.0, 2.0]]))
+        np.testing.assert_array_equal(rms, [1e200, 1.0])
 
     def test_trace_metrics_are_each_states_bit_for_bit(self):
         # Readers take the metrics of a trace's whole state stack at once;

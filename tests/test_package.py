@@ -37,7 +37,7 @@ EXPORTS = {
         "empirical_rate", "find_divergent_drop_schedule",
         "memory_fragility_example", "simulate", "simulate_modal", "trace_to_csv",
     },
-    "memaccel.polyroots": {"ComplexRootSet", "RealPolynomial", "max_modulus", "roots"},
+    "memaccel.polyroots": {"ComplexRootSet", "RealPolynomial", "roots"},
     "memaccel.spectral": {
         "LaplacianMatrix", "SpectralInterval", "SpectralSet", "WeightedGraph",
         "laplacian", "load_edge_list", "nonzero_spectral_interval",

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from memaccel import polyroots
 from memaccel.polyroots import (
-    ComplexRootSet,
     RealPolynomial,
     affine_crossing,
     affine_max_roots,
     companion_eigvals,
-    max_modulus,
     residual_tolerance,
     roots,
     trim_noise,
 )
-from memaccel.errors import DegreeZeroError, EmptyRootSetError, NoConvergenceError
+from memaccel.errors import DegreeZeroError, NoConvergenceError
 
 
 class TestEval:
@@ -65,7 +63,7 @@ class TestRoots:
         r = roots(RealPolynomial((0.64, 0.0, 1.0)))
         np.testing.assert_allclose(sorted(z.imag for z in r.roots), [-0.8, 0.8],
                                    atol=1e-12)
-        assert max_modulus(r) == pytest.approx(0.8, abs=1e-12)
+        assert max(abs(z) for z in r.roots) == pytest.approx(0.8, abs=1e-12)
 
     def test_degree_six_residual_oracle(self):
         rng = np.random.default_rng(42)
@@ -159,18 +157,6 @@ class TestTrimNoise:
         np.testing.assert_array_equal(trim_noise([0.0, 0.0]), [0.0, 0.0])
 
 
-class TestMaxModulus:
-    def test_real_roots(self):
-        assert max_modulus(ComplexRootSet((1 + 0j, 2 + 0j), (0.0, 0.0))) == 2.0
-
-    def test_zero_root(self):
-        assert max_modulus(ComplexRootSet((0j,), (0.0,))) == 0.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyRootSetError):
-            max_modulus(ComplexRootSet((), ()))
-
-
 class TestProperties:
     N_RANDOM = 10_000
 
@@ -213,7 +199,8 @@ class TestAffineFamily:
         for si, m, z in zip(s, moduli, top):
             c = q.copy()
             c[k] += slope * si
-            assert m == pytest.approx(max_modulus(roots(RealPolynomial(tuple(c)))), rel=1e-12)
+            r = roots(RealPolynomial(tuple(c)))
+            assert m == pytest.approx(max(abs(z) for z in r.roots), rel=1e-12)
             assert abs(z) == m
 
     @pytest.mark.parametrize("slope", [0.7, -0.7])

@@ -15,7 +15,6 @@ from memaccel import accel, certify, dynamics, polyroots, spectral, tuning
 from memaccel.tuning import Record
 
 PATH3 = spectral.WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
-L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 ZEROS = np.zeros(2)
 
 # class -> (fields of an instance, in declaration order; one changed field)
@@ -40,7 +39,7 @@ RECORDS = {
                                   roots_p1=(1j, -1j), roots_p2=(2 + 0j,), theta=0.5),
                              dict(theta=0.6)),
     spectral.WeightedGraph: (dict(n=3, edges=PATH3.edges), dict(n=4)),
-    spectral.LaplacianMatrix: (dict(entries=L2), dict(entries=2 * L2)),
+    spectral.LaplacianMatrix: (dict(graph=PATH3), dict(graph=spectral.WeightedGraph(2, ()))),
     dynamics.IterationProblem: (dict(A=np.array([[2.0]]), b=np.array([0.0]),
                                      x0=np.array([1.0])),
                                 dict(x0=np.array([2.0]))),
@@ -144,9 +143,6 @@ class TestRecord:
 ARRAY_RECORDS = {
     dynamics.IterationProblem: lambda n, last: dict(
         A=np.diag(np.r_[np.ones(n - 1), last]), b=np.zeros(n), x0=np.arange(n, dtype=float)),
-    spectral.LaplacianMatrix: lambda n, last: dict(
-        entries=spectral.laplacian(spectral.WeightedGraph(
-            n, tuple((i, i + 1, last if i == n - 2 else 1.0) for i in range(n - 1)))).entries),
     dynamics.SimTrace: lambda n, last: dict(
         states=np.r_[np.zeros((n, 2)), [[0.0, last]]], residuals=np.ones(n + 1),
         diverged_at=None),
@@ -155,6 +151,13 @@ ARRAY_RECORDS = {
         phase_match=np.zeros((n, n), bool), roots_p1=(1j, -1j), roots_p2=(2 + 0j,),
         theta=0.5),
 }
+
+
+def test_array_records_are_the_records_with_array_fields():
+    # A record whose sample holds an array runs the array-equality tests below.
+    assert set(ARRAY_RECORDS) == {
+        cls for cls, (fields, _) in RECORDS.items()
+        if any(isinstance(v, np.ndarray) for v in fields.values())}
 
 
 @pytest.mark.parametrize("cls", list(ARRAY_RECORDS), ids=lambda cls: cls.__name__)
@@ -181,9 +184,9 @@ class TestArrayFields:
 
 class TestDerivedCaches:
     """``IterationProblem.nonzeros`` and ``.solution_scale``,
-    ``DropSchedule.cuts`` and ``LaplacianMatrix.components`` are set by
-    ``__post_init__`` and are not fields: they stay out of ``__init__``,
-    ``==`` and repr, and survive a pickle."""
+    ``DropSchedule.cuts`` and ``LaplacianMatrix.entries`` and
+    ``.components`` are set by ``__post_init__`` and are not fields: they
+    stay out of ``__init__``, ``==`` and repr, and survive a pickle."""
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
@@ -202,8 +205,11 @@ class TestDerivedCaches:
         d, _ = self._schedules()
         with pytest.raises(TypeError, match="unexpected argument 'cuts'"):
             dynamics.DropSchedule(PATH3, d.drops, cuts=d.cuts)
+        L = spectral.laplacian(PATH3)
+        with pytest.raises(TypeError, match="unexpected argument 'entries'"):
+            spectral.LaplacianMatrix(PATH3, entries=L.entries)
         with pytest.raises(TypeError, match="unexpected argument 'components'"):
-            spectral.LaplacianMatrix(p.A, components=1)
+            spectral.LaplacianMatrix(PATH3, components=1)
 
     def test_not_compared(self):
         # A tuple of distinct arrays of two or more entries cannot be
@@ -215,13 +221,16 @@ class TestDerivedCaches:
         d, e = self._schedules()
         assert d.cuts[2][0] is not e.cuts[2][0] and d.cuts[2][0].size > 1
         assert d == e
+        L, M = spectral.laplacian(PATH3), spectral.laplacian(PATH3)
+        assert L.entries is not M.entries and L == M
 
     def test_not_in_repr(self):
         p, _ = self._problems()
         d, _ = self._schedules()
         assert "nonzeros" not in repr(p) and "cuts" not in repr(d)
         assert "solution_scale" not in repr(p)
-        assert "components" not in repr(spectral.laplacian(PATH3))
+        r = repr(spectral.laplacian(PATH3))
+        assert "entries" not in r and "components" not in r
 
     def test_survive_pickle(self):
         p, _ = self._problems()
@@ -230,8 +239,10 @@ class TestDerivedCaches:
         np.testing.assert_equal(back.nonzeros, p.nonzeros)
         assert back.solution_scale == p.solution_scale
         np.testing.assert_equal(pickle.loads(pickle.dumps(d)).cuts, d.cuts)
-        two = spectral.LaplacianMatrix(np.zeros((2, 2)))
-        assert pickle.loads(pickle.dumps(two)).components == two.components == 2
+        two = spectral.LaplacianMatrix(spectral.WeightedGraph(2, ()))
+        back = pickle.loads(pickle.dumps(two))
+        assert back.components == two.components == 2
+        np.testing.assert_array_equal(back.entries, two.entries)
 
 
 # field -> (the name its message gives, a record with value v in that field)

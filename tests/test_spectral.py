@@ -18,6 +18,7 @@ from memaccel.spectral import (
     SpectralInterval,
     SpectralSet,
     WeightedGraph,
+    _components,
     _nonzeros,
     laplacian,
     load_edge_list,
@@ -174,59 +175,82 @@ class TestNonzeroScan:
 @pytest.mark.parametrize("build, error, match", [
     (lambda: WeightedGraph(2, ((0, 2, 1.0),)), ValueError, r"edge \(0, 2\) out of range for n=2"),
     (lambda: WeightedGraph(2, ((1, 1, 1.0),)), ValueError, "self-loop at node 1"),
-    (lambda: LaplacianMatrix(np.zeros((2, 3))), ValueError, "Laplacian must be square"),
+    (lambda: LaplacianMatrix(np.zeros((2, 2))), TypeError,
+     "LaplacianMatrix takes a WeightedGraph, got ndarray"),
     (lambda: load_edge_list("0 1 1\n-1 2 1"), ParseError, "line 2: cannot parse '-1 2 1'"),
-], ids=["edge-out-of-range", "self-loop", "not-square", "negative-index"])
+], ids=["edge-out-of-range", "self-loop", "not-a-graph", "negative-index"])
 def test_malformed_graph_rejected(build, error, match):
     with pytest.raises(error, match=f"^{match}$"):
         build()
 
 
 class TestLaplacianMatrix:
+    PATH4 = load_edge_list("0 1 1\n1 2 1\n2 3 1")
+
     def test_counts_its_own_kernel(self):
         # A caller could pass components=2 for the 4-node path, which gave
         # the interval [2, 3.414] and nu* = 0.1329 in place of 0.4142.
-        L = LaplacianMatrix(laplacian(load_edge_list("0 1 1\n1 2 1\n2 3 1")).entries)
+        L = LaplacianMatrix(self.PATH4)
         assert L.components == 1
         t = tune_theorem3(nonzero_spectral_interval(symmetric_eigenvalues(L)))
         assert t.nu_star == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
 
     def test_components_is_not_an_argument(self):
-        a = laplacian(load_edge_list("0 1 1\n1 2 1\n2 3 1")).entries
         with pytest.raises(TypeError):
-            LaplacianMatrix(a, 2)
+            LaplacianMatrix(self.PATH4, 2)
 
-    def test_one_sided_entry_rejected(self):
-        a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
-        a[0, 2] = -1.0
-        with pytest.raises(ValueError, match="exactly symmetric"):
-            LaplacianMatrix(a)
+    def test_array_is_not_a_graph(self):
+        # Known defect 7: this array is no Laplacian, yet its nonzero
+        # pattern counted 1 component, so symmetric_eigenvalues zeroed its
+        # eigenvalue 0.382 and nonzero_spectral_interval gave [2.618, 2.618].
+        with pytest.raises(TypeError, match="WeightedGraph"):
+            LaplacianMatrix(np.array([[2.0, -1.0], [-1.0, 1.0]]))
 
     def test_nan_rejected(self):
-        a = laplacian(load_edge_list("0 1 1\n1 2 1")).entries.copy()
-        a[1, 1] = np.nan
-        with pytest.raises(ValueError, match=r"entry \(1, 1\) is nan, not finite"):
-            LaplacianMatrix(a)
+        # WeightedGraph takes only finite weights, so the one non-finite
+        # entry left is a degree whose weights sum past the largest float.
+        for n, edges, k in [(3, ((0, 1, 1e308), (0, 2, 1e308)), 0),
+                            (4, ((0, 3, 1.0), (1, 2, 1e308), (2, 3, 1e308), (0, 2, 1.0)), 2)]:
+            with pytest.raises(ValueError, match=_overflow(k)):
+                LaplacianMatrix(WeightedGraph(n, edges))
 
     def test_signed_zero_pair_accepted(self):
-        a = np.array([[1.0, -1.0, -0.0], [-1.0, 1.0, 0.0], [0.0, -0.0, 0.0]])
-        L = LaplacianMatrix(a)
-        assert L.entries.shape == (3, 3) and L.components == 2
+        # A zero weight, of either sign, joins nothing.
+        for zero in (0.0, -0.0):
+            L = LaplacianMatrix(WeightedGraph(3, ((0, 1, 1.0), (1, 2, zero))))
+            assert L.entries.shape == (3, 3) and L.components == 2
+            np.testing.assert_array_equal(L.entries, [[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 
     @settings(max_examples=300, deadline=None)
-    @given(special_matrices(square=True), st.booleans())
-    def test_symmetry_predicate_is_array_equal(self, a, symmetrize):
-        # Accepted iff array_equal(a, a.T) and every entry is finite.
-        if symmetrize:
-            a = np.triu(a) + np.triu(a, 1).T
-        if not np.isfinite(a).all():
-            with pytest.raises(ValueError, match="not finite"):
-                LaplacianMatrix(a)
-        elif np.array_equal(a, a.T):
-            LaplacianMatrix(a)
-        else:
-            with pytest.raises(ValueError, match="exactly symmetric"):
-                LaplacianMatrix(a)
+    @given(st.data())
+    def test_entries_and_kernel_from_the_edges(self, data):
+        # Isolated nodes, disconnected graphs, zero and subnormal weights
+        # and degrees that overflow from two weights of 1e308.
+        n = data.draw(st.integers(0, 30))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = (data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60))
+                  if pairs else [])
+        weight = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, 1e308]),
+                           st.floats(-10, 3).map(lambda e: 10.0 ** e))
+        edges = tuple((j, i, data.draw(weight)) if data.draw(st.booleans())
+                      else (i, j, data.draw(weight)) for i, j in chosen)
+        g = WeightedGraph(n, edges)
+        with np.errstate(over="ignore"):
+            ref = _loop_laplacian(g)
+        degree = ref.diagonal()
+        if not np.isfinite(degree).all():
+            k = np.isfinite(degree).argmin()
+            with pytest.raises(ValueError, match=_overflow(k)):
+                LaplacianMatrix(g)
+            return
+        L = LaplacianMatrix(g)
+        assert L.entries.dtype == ref.dtype and L.entries.shape == (n, n)
+        assert L.entries.tobytes() == ref.tobytes()
+        assert L.entries.tobytes() == L.entries.T.copy().tobytes()
+        # The kernel count of the nonzero pattern: components over its
+        # strict lower triangle.
+        r, c, _ = _nonzeros(L.entries)
+        assert L.components == _components(n, r[r > c], c[r > c])
 
 
 class TestEigenvalues:
@@ -424,6 +448,11 @@ class TestRandomGraphProperties:
         else:
             iv = nonzero_spectral_interval(eigs)
             assert (iv.lo, iv.hi) == (raw[c], raw[-1])
+
+
+def _overflow(k):
+    """The message for a degree at node k that overflows."""
+    return rf"^Laplacian entry \({k}, {k}\) is inf, not finite$"
 
 
 def _loop_laplacian(g):

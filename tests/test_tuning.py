@@ -303,8 +303,6 @@ class TestRealArguments:
                                      lambda v: spectral.WeightedGraph(2, ((0, 1, v),))),
             "load_edge_list.weight": (1.0, r"edge \(0, 1\) has non-finite weight",
                                       lambda v: spectral.load_edge_list(f"0 1 {v}")),
-            "LaplacianMatrix.entries": (1.0, r"entry \(0, 0\) is .+, not finite", lambda v:
-                spectral.LaplacianMatrix(np.array([[v, -1.0], [-1.0, 1.0]]))),
             "nonzero_spectral_interval.eigs": (1.0, "eigenvalues must be finite and >= 0",
                 lambda v: spectral.nonzero_spectral_interval([0.0, v])),
             "IterationProblem.A": (1.0, finite, lambda v:
@@ -334,7 +332,7 @@ class TestRealArguments:
         }
 
     ENTRIES = ["Gains.alpha", "SpectralInterval.lo", "SpectralSet.points",
-               "WeightedGraph.weight", "load_edge_list.weight", "LaplacianMatrix.entries",
+               "WeightedGraph.weight", "load_edge_list.weight",
                "nonzero_spectral_interval.eigs", "IterationProblem.A", "IterationProblem.b",
                "IterationProblem.x0", "simulate_modal.lam", "char_poly.lam",
                "max_root_moduli.lambdas", "modal_angle.lam", "guarantee.refine_tol",
