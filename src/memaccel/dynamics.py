@@ -42,7 +42,7 @@ class IterationProblem(Record):
     when y is nearly in the kernel itself. Every tolerance is relative,
     with no absolute floor, so scaling A and b by s > 0 changes no
     decision: the check divides A and b by the largest entry of either
-    first, so that no norm underflows or overflows.
+    first, and no norm, solution_scale's included, under- or overflows.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
     nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), so the
@@ -148,7 +148,7 @@ class SimTrace(Record):
 
     states: np.ndarray          # (T+1, n)
     residuals: np.ndarray       # (T+1,) of ||A x - b||_2
-    diverged_at: int | None = None  # first step t with ||x(t)|| over the limit
+    diverged_at: int | None = None  # first step t with ||x(t)|| not <= the limit
 
     @property
     def T(self) -> int:
@@ -159,24 +159,16 @@ class SimTrace(Record):
         return self.diverged_at is not None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def consensus_metrics(x):
     """(spread, rms deviation from mean, mean) of a state vector, or of
     each state of a stack along its last axis; the spread max - min is
-    the classic switching-network Lyapunov function."""
+    the classic switching-network Lyapunov function. For a finite state
+    none over- or underflows, and no numpy warning escapes."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size < 1:
         raise ValueError("need at least one component")
-    with np.errstate(over="ignore"):
-        rms = x.std(axis=-1)
-    big = np.isinf(rms) & np.isfinite(x).all(axis=-1)
-    if big.any():
-        # Squares past the largest float: redo those states divided by
-        # their largest |entry|, and scale back.
-        m = np.abs(x[big]).max(axis=-1)
-        rms = np.array(rms)
-        rms[big] = m * (x[big] / m[:, None]).std(axis=-1)
-        rms = rms[()]
-    return x.max(axis=-1) - x.min(axis=-1), rms, x.mean(axis=-1)
+    return _rescaled(lambda x: (x.max(-1) - x.min(-1), x.std(-1), x.mean(-1)), x)
 
 
 def simulate(
@@ -187,42 +179,55 @@ def simulate(
 ) -> SimTrace:
     """Run x(t+1) = x(t) + alpha (b - A_t x(t)) + sum_m beta_m (x(t-m) - x(t))
     for T steps with constant history, where A_t is A with the scheduled
-    links removed. Aborts with the diverged flag once ||x|| exceeds 1e6
-    times the larger of ||x0|| and p.solution_scale, so that a solve from
-    x0 = 0 is measured against its solution. With b = 0 the limit is
-    1e6 ||x0||; from x0 = 0, x stays 0 and is never flagged."""
+    links removed. Aborts with the diverged flag once x is not finite or
+    ||x|| exceeds 1e6 times the larger of ||x0|| and p.solution_scale,
+    capped at the largest float, so that a solve from x0 = 0 is measured
+    against its solution. With b = 0 the limit is 1e6 ||x0||; from x0 =
+    0, x stays 0 and is never flagged. No norm over- or underflows, and
+    no numpy warning escapes."""
     _check_index("T", T, 1)
     if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
         raise DropOnNonLaplacianError(
             "drop schedule requires A to be the Laplacian of its graph"
         )
     residuals = []
-    # _norm redoes a sum of squares that overflows, scaled: the warning is noise.
-    with np.errstate(over="ignore"):
-        limit = DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = min(DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale), np.finfo(float).max)
         states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
         residuals.append(_norm(p.b - _matvec(p, states[-1])))
     return SimTrace(states, np.array(residuals), diverged_at)
 
 
 def _norm(f) -> float:
-    """||f||_2 summed as np.linalg.norm(stack, axis=1) sums each row, so a
-    residual taken from one state equals the stacked one bit for bit. If
-    the sum of squares overflows while every entry is finite, it is taken
-    again on f / max|f_i| and scaled back; the caller holds off numpy's
-    overflow warning, once per run."""
-    s = np.sqrt(np.add.reduce(f * f))
-    if s == np.inf and np.isfinite(f).all():
-        m = np.abs(f).max()
-        return m * _norm(f / m)
-    return s
+    """||f||_2 of a vector, or of each row of a stack, summed as
+    np.linalg.norm(stack, axis=1) sums each row, so that a residual
+    taken from one state equals the stacked one bit for bit."""
+    return _rescaled(lambda f: (np.sqrt(np.add.reduce(f * f, axis=-1)),), f)[0]
+
+
+def _rescaled(fn, x):
+    """fn(x) for a row function fn that is positively homogeneous, fn(c x)
+    = c fn(x) for c > 0, and maps each row of x's last axis to a tuple of
+    values; callers hold off over and invalid warnings. A finite row with a
+    value not finite, or below 2^-480 where its squares can round as
+    subnormals, is redone on ldexp(row, -e), 2^e > max |row|, and scaled
+    back by ldexp(., e): exact, so other rows keep their bits; in range, one pass."""
+    out = fn(x)
+    if x.ndim == 1 and all(2.0 ** -480 <= abs(v) < np.inf for v in out):
+        return out
+    out, rows = np.stack(out), x.reshape(-1, x.shape[-1])
+    wide = np.flatnonzero(~((abs(out) >= 2.0 ** -480) & (abs(out) < np.inf)).all(axis=0))
+    wide = wide[np.isfinite(rows[wide]).all(axis=-1)]
+    e = np.frexp(np.abs(rows[wide]).max(axis=-1))[1]
+    out.reshape(len(out), -1)[:, wide] = np.ldexp(fn(np.ldexp(rows[wide], -e[:, None])), e)
+    return tuple(out)
 
 
 def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
     """A @ x from A's diagonal and off-diagonal nonzeros (i, j, a_ij):
     diag * x plus a scatter of a_ij x_j onto row i, O(n + nnz(A))."""
     diag, i, j, a = p.nonzeros
-    return diag * x + np.bincount(i, a * x[j], len(x))
+    return diag * x + np.bincount(i, a * x.take(j), len(x))
 
 
 def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
@@ -263,29 +268,29 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
 def _recur(x0, g: Gains, T: int, force, limit: float | None = None):
     """Rows x(0..T), in one array allocated up front, of x(t+1) = x(t) +
     alpha force(t, x(t)) + sum_m beta_m (x(t-m) - x(t)), x(s) = x0 for
-    s <= 0. Stops after T steps, or once ||x|| exceeds a given limit with a
-    copy of the rows so far. Returns (states, the first t with ||x(t)|| > limit or None)."""
+    s <= 0. Stops after T steps, or once ||x|| is not <= a given limit with a
+    copy of the rows so far. Returns (states, that first t or None)."""
     states = np.empty((T + 1,) + np.shape(x0))
     states[0] = x = x0
     for t in range(T):
         nxt = x + g.alpha * force(t, x)
         for m, beta in enumerate(g.betas, start=1):
-            nxt = nxt + beta * (states[max(t - m, 0)] - x)
+            nxt += beta * (states[max(t - m, 0)] - x)
         states[t + 1] = x = nxt
-        if limit is not None and _norm(x) > limit:
+        if limit is not None and not _norm(x) <= limit:
             return states[:t + 2].copy(), t + 1
     return states, None
 
 
 def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
     """Exponentiated least-squares slope of log residual vs t over
-    [burn_in, T]. Requires an integer burn_in >= 0 and at least 10
-    positive residuals after it."""
+    [burn_in, T] through the finite positive residuals, skipping 0, inf
+    and nan. Requires an integer burn_in >= 0 and 10 such residuals after it."""
     _check_index("burn_in", burn_in, 0)
     res = trace.residuals[burn_in:]
-    pos = res > 0
+    pos = (res > 0) & (res < np.inf)
     if pos.sum() < 10:
-        raise NoDecayError("fewer than 10 positive residuals after burn-in")
+        raise NoDecayError("fewer than 10 finite positive residuals after burn-in")
     t = np.flatnonzero(pos) + burn_in
     slope = np.polyfit(t, np.log(res[pos]), 1)[0]
     return float(np.exp(slope))

@@ -480,6 +480,20 @@ class TestSimulate:
         assert err == "warning: divergence detected at step 10, run aborted early\n"
         assert len(out.strip().splitlines()) == 1 + 11
 
+    def test_state_past_largest_float_flagged_without_numpy_warning(self, capsys, tmp_path):
+        # x0 = (1e308, -1e308) on one unit edge: A x0 overflows to (inf, -inf),
+        # so x(1) = (-inf, inf). It printed NaN rows to step 3, four numpy
+        # RuntimeWarnings and no divergence warning; the run is flagged at
+        # step 1. Tier-1 turns any numpy warning into an error.
+        graph = tmp_path / "edge.txt"
+        graph.write_text("0 1 1.0\n")
+        gains = write_gains(tmp_path, 2, 0.5, [-0.1])
+        code, out, err = run(capsys, "simulate", "--graph", str(graph), "--gains", gains,
+                             "--steps", "3", "--x0", "1e308,-1e308")
+        assert code == 0
+        assert err == "warning: divergence detected at step 1, run aborted early\n"
+        assert out == "t,residual,spread,rms,mean\n0,inf,inf,1e+308,0\n1,inf,inf,nan,nan\n"
+
     def test_wrong_x0_length_exit2(self, capsys, tmp_path):
         graph = write_path3(tmp_path)
         gains = write_gains(tmp_path, 1, 0.5, [])

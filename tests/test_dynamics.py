@@ -13,6 +13,7 @@ from memaccel.dynamics import (
     IterationProblem,
     SimTrace,
     _force,
+    _norm,
     consensus_metrics,
     empirical_rate,
     find_divergent_drop_schedule,
@@ -267,7 +268,8 @@ class TestSimulate:
 
     def test_solution_past_largest_float_gives_no_limit(self):
         # ||A^+ b|| = 1e310 overflows to inf without a RuntimeWarning, so
-        # the run has no finite limit and is not flagged.
+        # the limit is the largest float, and the run, whose states stay
+        # finite, is not flagged.
         p = IterationProblem(np.array([[1e-300]]), np.array([1e10]), np.zeros(1))
         assert p.solution_scale == np.inf
         assert simulate(p, Gains(M=1, alpha=1.0), 3).diverged_at is None
@@ -291,6 +293,24 @@ class TestSimulate:
         norms = 1e200 * np.linalg.norm(diverging.states / 1e200, axis=1)
         assert diverging.diverged_at == diverging.T == 35
         assert norms[-1] > DIVERGENCE_FACTOR * 1e200 >= norms[-2]
+
+    @pytest.mark.parametrize("b, x0, size", [((1e-200, 0.0), (0.0, 0.0), 1e-200),
+                                             ((0.0, 0.0), (1e-300, 1e-300), 2 ** 0.5 * 1e-300)])
+    def test_norms_below_1e_minus_154_do_not_underflow(self, b, x0, size):
+        # The mirror of Known defect 5: squares of 1e-200 and 1e-300 flushed
+        # to 0, so solution_scale and every residual read 0.0 and
+        # empirical_rate raised NoDecayError on a run converging at rate 0.5.
+        p = IterationProblem(np.eye(2), np.array(b), np.array(x0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = simulate(p, Gains(1, 0.5), 12)
+        assert p.solution_scale == b[0]
+        assert tr.diverged_at is None
+        # Each residual is the norm of b - x(t), whose rounding is the states'.
+        np.testing.assert_array_equal(
+            tr.residuals, np.hypot(*(np.array(b) - tr.states).T))
+        np.testing.assert_allclose(tr.residuals, size * 0.5 ** np.arange(13), rtol=1e-12)
+        assert empirical_rate(tr) == pytest.approx(0.5, abs=1e-13)
 
     def test_average_preserved_under_drops(self):
         rng = np.random.default_rng(1)
@@ -345,6 +365,14 @@ class TestEmpiricalRate:
         tr = SimTrace(states=np.zeros((41, 1)), residuals=0.8 ** np.arange(41), diverged_at=None)
         assert empirical_rate(tr, burn_in=0) == pytest.approx(0.8, abs=1e-9)
 
+    def test_non_finite_residuals_skipped(self):
+        # A flagged run can end on an inf residual; it made the fit nan.
+        tr = SimTrace(states=np.zeros((13, 1)), residuals=np.append(0.5 ** np.arange(12), np.inf))
+        assert empirical_rate(tr) == pytest.approx(0.5, abs=1e-13)
+        tr = SimTrace(states=np.zeros((13, 1)), residuals=np.append(0.5 ** np.arange(9), [np.inf] * 4))
+        with pytest.raises(NoDecayError, match="finite positive"):
+            empirical_rate(tr)
+
     def test_all_zero_residuals(self):
         tr = simulate(path3_problem(np.zeros(3)), Gains(M=1, alpha=0.5), T=20)
         with pytest.raises(NoDecayError):
@@ -380,6 +408,18 @@ class TestConsensusMetrics:
             assert consensus_metrics([1e200, -1e200]) == (2e200, 1e200, 0.0)
             spread, rms, mean = consensus_metrics(np.array([[1e200, -1e200], [0.0, 2.0]]))
         np.testing.assert_array_equal(rms, [1e200, 1.0])
+
+    def test_metrics_near_the_float_limits(self):
+        # The mean of (1.7e308, 1.7e308) summed to inf, the spread of
+        # (1.7e308, -1.7e308) warned while it overflowed, and the rms of
+        # (1e-320, -1e-320) squared to 0. 3.4e308 is past the largest float.
+        rows = [[1.7e308, 1.7e308], [1.7e308, -1.7e308], [1e-320, -1e-320]]
+        want = [(0.0, 0.0, 1.7e308), (np.inf, 1.7e308, 0.0), (2e-320, 1e-320, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [consensus_metrics(x) for x in rows] == want
+            stacked = consensus_metrics(np.array(rows + [[0.0, 2.0]]))
+        assert np.array_equal(np.column_stack(stacked), np.array(want + [(2.0, 1.0, 1.0)]))
 
     def test_trace_metrics_are_each_states_bit_for_bit(self):
         # Readers take the metrics of a trace's whole state stack at once;
@@ -665,6 +705,14 @@ def symmetric_problems(draw):
     return A, A @ draw(vec), draw(vec), draw(vec)
 
 
+def rescaled_norms(v):
+    """Row 2-norms that cannot underflow or overflow: np.linalg.norm of each
+    row times 2^-e, with 2^e above its largest |entry|, multiplied back by
+    2^e. A power of two scales exactly, so no rounding is added."""
+    e = np.frexp(np.abs(v).max(axis=1))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -e[:, None]), axis=1), e)
+
+
 class TestEdgeArrayProduct:
     @settings(max_examples=200, deadline=None)
     @given(symmetric_problems())
@@ -679,8 +727,8 @@ class TestEdgeArrayProduct:
         assert np.all(np.abs(_force(prob, None, [])(0, x) - (b - A @ x)) <= tol)
         tr = simulate(prob, Gains(M=2, alpha=0.05, betas=(-0.1,)), T=5)
         xs = tr.states
-        ref = np.linalg.norm(xs @ A.T - b, axis=1)
-        tol = 1e-12 * np.linalg.norm(np.abs(xs) @ np.abs(A).T + np.abs(b), axis=1)
+        ref = rescaled_norms(xs @ A.T - b)
+        tol = 1e-12 * rescaled_norms(np.abs(xs) @ np.abs(A).T + np.abs(b))
         assert np.all(np.abs(tr.residuals - ref) <= tol)
 
     @settings(max_examples=200, deadline=None)
@@ -696,3 +744,52 @@ class TestEdgeArrayProduct:
         else:
             with pytest.raises(ValueError, match="symmetric"):
                 IterationProblem(A, np.zeros(n), np.zeros(n))
+
+
+def stays_normal(k, *arrays, margin=0):
+    """True if every nonzero entry, as it is and times 2^k, is a normal
+    float with margin binary orders to spare on either side, so that
+    scaling by powers of two within that margin is exact."""
+    a = np.abs(np.concatenate([np.ravel(v) for v in arrays]))
+    e = np.frexp(a[a > 0])[1]
+    return bool(np.isfinite(a).all()) and all(
+        e.min(initial=0) + s - margin >= -1021 and e.max(initial=0) + s + margin <= 1024
+        for s in (0, k))
+
+
+class TestPowerOfTwoScaling:
+    # Norms and metrics are positively homogeneous, and a power of two
+    # scales a float exactly. So wherever the results stay normal, scaling
+    # the input by 2^k scales them by 2^k bit for bit: an over- or
+    # underflowing sum of squares, or a rescale that rounds, breaks it.
+    vectors = st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors, st.integers(-1000, 1000))
+    def test_norm_and_metrics_commute_with_ldexp(self, x, k):
+        x = np.array(x)
+        # _norm's callers hold off numpy's overflow warning, as simulate does.
+        with np.errstate(over="ignore"):
+            norm, scaled = _norm(x), _norm(np.ldexp(x, k))
+        metrics = consensus_metrics(x)
+        assume(stays_normal(k, norm, metrics))
+        assert scaled == np.ldexp(norm, k)
+        assert consensus_metrics(np.ldexp(x, k)) == tuple(np.ldexp(metrics, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=4),
+           st.integers(-1000, 1000))
+    def test_diagonal_run_commutes_with_ldexp(self, modes, k):
+        # Each mode's force b - lam x and memory step are its own, so the
+        # run at b 2^k, x0 2^k is the run at k = 0 times 2^k wherever its
+        # states, residuals and forces stay normal; 2^80 of margin covers
+        # the forces, which cancel to a few ulps of the states.
+        lam, b, x0 = (np.array(c) for c in zip(*modes))
+        g = tune_theorem3(SpectralInterval(0.5, 2.0)).gains
+        base = simulate(IterationProblem(np.diag(lam), b, x0), g, 30)
+        assume(stays_normal(k, base.states, base.residuals, b, x0, margin=80))
+        run = simulate(IterationProblem(np.diag(lam), np.ldexp(b, k), np.ldexp(x0, k)), g, 30)
+        assert base.diverged_at is run.diverged_at is None
+        assert np.array_equal(run.states, np.ldexp(base.states, k))
+        assert np.array_equal(run.residuals, np.ldexp(base.residuals, k))
