@@ -181,8 +181,8 @@ def claim6_witness(c: ClaimCoeffs) -> WitnessReport:
     return WitnessReport(theta=float(np.arccos(cos_t)), root=root, scanned=scanned)
 
 
-def p1_eval(c: ClaimCoeffs, y, theta: float):
-    """(y - e^{i theta})(y - e^{-i theta}) y^{M-2}."""
+def p1_eval(c: ClaimCoeffs, y, theta):
+    """(y - e^{i theta})(y - e^{-i theta}) y^{M-2}; theta may be an array."""
     y = np.asarray(y, dtype=complex)
     return (y * y - 2.0 * np.cos(theta) * y + 1.0) * y ** (c.M - 2)
 
@@ -254,12 +254,10 @@ def large_radius_phase_check(c: ClaimCoeffs) -> tuple[bool, tuple[float, float] 
     R = 10.0 * (1.0 + max(bound1, bound2))
     phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     y = R * np.exp(1j * phis)
-    v2 = p2_eval(c, y)
-    for theta in np.linspace(0.0, np.pi, 512):
-        ratio = p1_eval(c, y, theta) / v2
-        bad = np.flatnonzero(ratio.real >= 0)
-        if bad.size:
-            return False, (float(theta), float(phis[bad[0]]))
+    thetas = np.linspace(0.0, np.pi, 512)
+    bad = np.argwhere((p1_eval(c, y, thetas[:, None]) / p2_eval(c, y)).real >= 0)
+    if bad.size:
+        return False, (float(thetas[bad[0, 0]]), float(phis[bad[0, 1]]))
     return True, None
 
 

@@ -53,6 +53,8 @@ class IterationProblem(Record):
     of a solution: max(||A^+ b||, ||b|| / ||A||_2), 0.0 for b = 0. The
     second term counts only where a kernel part of b passed as rounding.
     Both are caches, not fields: no argument, not in ``==``, hash or repr.
+    A, b and x0 are stored read-only, b and x0 as copies and A as given
+    only when it is read-only and owns its data, as ``L.entries`` does.
     """
 
     A: np.ndarray
@@ -60,7 +62,10 @@ class IterationProblem(Record):
     x0: np.ndarray
 
     def __post_init__(self):
-        A, b, x0 = (np.asarray(m, dtype=float) for m in (self.A, self.b, self.x0))
+        A = np.asarray(self.A, dtype=float)
+        if not A.flags.owndata or A is self.A and A.flags.writeable:  # a converted A is new
+            A = A.copy()
+        b, x0 = np.array(self.b, dtype=float), np.array(self.x0, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
             raise ValueError("A must be square and nonempty")
         # NaN and inf are nonzero, so checking the nonzeros checks all of A.
@@ -88,9 +93,9 @@ class IterationProblem(Record):
             with np.errstate(over="ignore"):
                 solution_scale = max(_norm((v[:, ~kernel].T @ u) / w[~kernel]),
                                      _norm(u) / norm_A)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "x0", x0)
+        for name, m in (("A", A), ("b", b), ("x0", x0)):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
         object.__setattr__(self, "nonzeros", (A.diagonal().copy(), i, j, a))
         object.__setattr__(self, "solution_scale", float(solution_scale))
 
@@ -101,9 +106,10 @@ class DropSchedule(Record):
     Tied to the graph whose Laplacian the simulation runs on; every
     referenced edge must exist there. Steps are integers >= 0 and node
     indices integers: a float or a bool raises ValueError, not a
-    truncation. Each step's dropped edges are also kept as arrays
-    (i, j, w), sorted by edge, for the simulator in ``cuts``, a cache
-    that, like ``IterationProblem.nonzeros``, is not a field.
+    truncation. Both are stored as plain ints, each edge as (i, j) with
+    i < j as in ``graph.edges``. Each step's dropped edges are also kept
+    as arrays (i, j, w), sorted by edge, for the simulator in ``cuts``, a
+    cache that, like ``IterationProblem.nonzeros``, is not a field.
     """
 
     graph: WeightedGraph
@@ -111,22 +117,20 @@ class DropSchedule(Record):
     drops: dict[int, frozenset[tuple[int, int]]] = {}
 
     def __post_init__(self):
-        weight = {(min(i, j), max(i, j)): w for i, j, w in self.graph.edges}
+        weight = {(i, j): w for i, j, w in self.graph.edges}
         canon, cuts = {}, {}
         for t, edges in self.drops.items():
             _check_index("drop step", t, 0)
             for i, j in edges:
                 if not (_is_index(i) and _is_index(j)):
                     raise ValueError(f"dropped edge ({i!r}, {j!r}): node index not an integer")
-            es = frozenset((min(i, j), max(i, j)) for i, j in edges)
-            for e in es:
-                if e not in weight:
-                    raise ValueError(f"dropped edge {e} not in graph")
+            es = frozenset((int(i), int(j)) if i < j else (int(j), int(i)) for i, j in edges)
+            if not weight.keys() >= es:
+                raise ValueError(f"dropped edge {min(es - weight.keys())} not in graph")
             canon[int(t)] = es
             if es:
                 keys = sorted(es)
-                ij = np.array(keys)
-                cuts[int(t)] = (ij[:, 0], ij[:, 1], np.array([weight[e] for e in keys]))
+                cuts[int(t)] = (*np.array(keys).T, np.array([weight[e] for e in keys]))
         object.__setattr__(self, "drops", canon)
         object.__setattr__(self, "cuts", cuts)
 
@@ -134,11 +138,7 @@ class DropSchedule(Record):
         """Dense Laplacian at step t, its dropped links removed: the
         reference that _force's drop scatter is tested against."""
         dropped = self.drops.get(t, frozenset())
-        kept = tuple(
-            (i, j, w)
-            for i, j, w in self.graph.edges
-            if (min(i, j), max(i, j)) not in dropped
-        )
+        kept = tuple(e for e in self.graph.edges if e[:2] not in dropped)
         return laplacian(WeightedGraph(self.graph.n, kept)).entries
 
 
@@ -187,9 +187,7 @@ def simulate(
     no numpy warning escapes."""
     _check_index("T", T, 1)
     if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
-        raise DropOnNonLaplacianError(
-            "drop schedule requires A to be the Laplacian of its graph"
-        )
+        raise DropOnNonLaplacianError("drop schedule requires A to be the Laplacian of its graph")
     residuals = []
     with np.errstate(over="ignore", invalid="ignore"):
         limit = min(DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale), np.finfo(float).max)
@@ -227,7 +225,9 @@ def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
     """A @ x from A's diagonal and off-diagonal nonzeros (i, j, a_ij):
     diag * x plus a scatter of a_ij x_j onto row i, O(n + nnz(A))."""
     diag, i, j, a = p.nonzeros
-    return diag * x + np.bincount(i, a * x.take(j), len(x))
+    w = x.take(j)
+    w *= a
+    return diag * x + np.bincount(i, w, len(x))
 
 
 def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
@@ -315,8 +315,7 @@ def find_divergent_drop_schedule(
     np.random.default_rng(0). Returns the first schedule whose run sets
     the diverged flag, or None."""
     rng = np.random.default_rng(0)
-    L = laplacian(graph).entries
-    prob = IterationProblem(L, np.zeros(graph.n), np.asarray(x0, dtype=float))
+    prob = IterationProblem(laplacian(graph).entries, np.zeros(graph.n), x0)
     for _ in range(DROP_TRIALS):
         schedule = _random_drops(graph, rng)
         if simulate(prob, g, DROP_STEPS, drops=schedule).diverged:
@@ -327,12 +326,11 @@ def find_divergent_drop_schedule(
 def _random_drops(graph: WeightedGraph, rng) -> DropSchedule:
     """Drop every edge of graph independently with probability DROP_PROB
     at each of the steps 0..DROP_STEPS-1."""
-    edge_keys = [(min(i, j), max(i, j)) for i, j, _ in graph.edges]
     drops = {}
     # One draw for all steps: the masks and end state of one draw per step.
-    for t, mask in enumerate(rng.random((DROP_STEPS, len(edge_keys))) < DROP_PROB):
+    for t, mask in enumerate(rng.random((DROP_STEPS, len(graph.edges))) < DROP_PROB):
         if mask.any():
-            drops[t] = frozenset(e for e, m in zip(edge_keys, mask) if m)
+            drops[t] = frozenset(e[:2] for e, m in zip(graph.edges, mask) if m)
     return DropSchedule(graph, drops)
 
 

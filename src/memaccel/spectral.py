@@ -27,14 +27,17 @@ from .tuning import Record, SpectralInterval, SpectralSet, _check_index, _is_ind
 class WeightedGraph(Record):
     """Undirected weighted graph; one stored entry per unordered pair.
     The node count is an integer >= 0, node indices are integers and a
-    weight is real (``tuning._real``); anything else raises ValueError."""
+    weight is real (``tuning._real``); anything else raises ValueError.
+    Each edge is stored as (i, j, float w) with i < j plain ints, so
+    (1, 0, 1) and (0, 1, 1.0) make equal graphs; the input order is kept,
+    as it orders the sum of each degree in LaplacianMatrix."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
         _check_index("node count", self.n, 0)
-        seen = set()
+        seen = {}
         for i, j, w in self.edges:
             if not (_is_index(i) and _is_index(j)):
                 raise ValueError(f"edge ({i!r}, {j!r}) has a node index that is not an integer")
@@ -42,22 +45,25 @@ class WeightedGraph(Record):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
-            if not math.isfinite(_real("edge weight", w)):
+            x = _real("edge weight", w)
+            if not math.isfinite(x):
                 raise MemaccelError(f"edge ({i}, {j}) has non-finite weight {w}")
             if w < 0:
                 raise NegativeWeightError(i, j, w)
-            key = (min(i, j), max(i, j))
+            key = (int(i), int(j)) if i < j else (int(j), int(i))
             if key in seen:
                 raise DuplicateEdgeError(*key)
-            seen.add(key)
+            seen[key] = x
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "edges", tuple((i, j, w) for (i, j), w in seen.items()))
 
 
 class LaplacianMatrix(Record):
     """Dense Laplacian of a graph: L[j][j] = sum of incident weights,
     L[j][k] = -w_jk, so it is symmetric and its rows sum to zero.
-    ``entries``, the n x n array, and ``components``, the connected
-    components of the positive-weight edges, which is the kernel's
-    dimension (Fiedler 1973), are caches, not fields."""
+    ``entries``, the read-only n x n array, and ``components``, the
+    connected components of the positive-weight edges, which is the
+    kernel's dimension (Fiedler 1973), are caches, not fields."""
 
     graph: WeightedGraph
 
@@ -77,6 +83,7 @@ class LaplacianMatrix(Record):
             k = np.isfinite(degree).argmin()
             raise ValueError(f"Laplacian entry ({k}, {k}) is {degree[k]}, not finite")
         np.fill_diagonal(a, degree)
+        a.flags.writeable = False
         joined = w > 0
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "components", _components(g.n, i[joined], j[joined]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from memaccel import certify
 from memaccel.accel import Gains, tune_theorem3
 from memaccel.certify import (
     WITNESS_TOL,
@@ -397,3 +398,20 @@ class TestLargeRadiusPhase:
         c = ClaimCoeffs(M=2, nu=0.5, a=(0.3, -0.2))
         with pytest.raises(ValueError):
             large_radius_phase_check(c)
+
+    def test_first_violation_in_theta_then_phase_order(self, monkeypatch):
+        # Flip P1's sign from the 300th angle on at phases 40 and 7: the
+        # check passes without the flip, so those are its only violations,
+        # and it reports the first angle's first phase.
+        c = ClaimCoeffs(M=3, nu=0.5, a=(0.1, -0.2, 0.5))
+        assert large_radius_phase_check(c) == (True, None)
+        thetas = np.linspace(0.0, np.pi, 512)
+        phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+
+        def flipped(c, y, theta, p1=certify.p1_eval):
+            v = p1(c, y, theta)
+            return np.where((np.asarray(theta) >= thetas[300]) & np.isin(np.arange(512), (40, 7)),
+                            -v, v)
+
+        monkeypatch.setattr(certify, "p1_eval", flipped)
+        assert large_radius_phase_check(c) == (False, (thetas[300], phis[7]))

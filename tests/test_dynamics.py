@@ -1,4 +1,6 @@
+import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,10 +89,33 @@ class TestIterationProblem:
         IterationProblem(L, np.zeros(3), np.array([1.0, 0.0, -1.0]))
 
     def test_nan_in_A_rejected(self):
-        L = laplacian(PATH3).entries
+        L = laplacian(PATH3).entries.copy()
         L[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             IterationProblem(L, np.zeros(3), np.zeros(3))
+
+    def test_shared_arrays_are_read_only(self):
+        # A write into L.entries changed p.A under p.nonzeros, and a write
+        # into x0 after construction moved the run's start.
+        L = laplacian(PATH3)
+        x0 = np.array([1.0, 0.0, -1.0])
+        p = IterationProblem(L.entries, np.zeros(3), x0)
+        assert p.A is L.entries  # shared, never copied
+        for m in (L.entries, p.A, p.b, p.x0):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0] = 99
+        x0[:] = 5
+        assert L == laplacian(PATH3)
+        np.testing.assert_array_equal(p.nonzeros[0], [1.0, 2.0, 1.0])
+        tr = simulate(p, Gains(1, 0.3), 3)
+        assert tr.states[0].tolist() == [1.0, 0.0, -1.0]
+        assert simulate(p, Gains(1, 0.3), 3, drops=DropSchedule(PATH3, {})) == tr
+
+    def test_writeable_A_is_copied(self):
+        A = laplacian(PATH3).entries.copy()
+        p = IterationProblem(A, np.zeros(3), np.zeros(3))
+        A[0, 0] = 99
+        assert p.A is not A and p.A[0, 0] == 1.0 and not p.A.flags.writeable
 
     def test_nan_in_b_rejected(self):
         L = laplacian(PATH3).entries
@@ -100,7 +125,7 @@ class TestIterationProblem:
     @pytest.mark.parametrize("k, value", [((0, 0), np.inf), ((0, 1), np.nan),
                                           ((1, 0), -np.inf), ((1, 2), np.nan)])
     def test_non_finite_entry_anywhere_rejected(self, k, value):
-        L = laplacian(PATH3).entries
+        L = laplacian(PATH3).entries.copy()
         L[k] = value
         with pytest.raises(ValueError, match="finite"):
             IterationProblem(L, np.zeros(3), np.zeros(3))
@@ -481,6 +506,25 @@ class TestDropScheduleInput:
         assert schedule.drops == {2: frozenset({(0, 1)})}
         assert type(next(iter(schedule.drops))) is int
 
+    def test_dropped_edges_stored_as_in_the_graph(self):
+        schedule = DropSchedule(PATH3, {0: frozenset({(np.int32(2), np.int64(1)), (0, 1),
+                                                      (1, 0)})})
+        assert schedule.drops == {0: frozenset({(0, 1), (1, 2)})}
+        assert {type(v) for e in schedule.drops[0] for v in e} == {int}
+
+    def test_fraction_weight_runs_with_drops(self):
+        # The Fraction weight made an object array of the dropped weights,
+        # and every drop run on its graph raised numpy's TypeError.
+        g = WeightedGraph(3, ((0, 1, Fraction(1, 2)), (2, 1, 1.0)))
+        schedule = DropSchedule(g, {0: frozenset({(1, 0)})})
+        p = IterationProblem(laplacian(g).entries, np.zeros(3), np.array([1.0, 0.0, -1.0]))
+        tr = simulate(p, Gains(1, 0.3), 3, drops=schedule)
+        np.testing.assert_allclose(tr.residuals, [1.22474487, 0.80311892, 0.64563922, 0.52234938],
+                                   rtol=0, atol=1e-8)
+        assert tr == simulate(p, Gains(1, 0.3), 3,
+                              drops=DropSchedule(WeightedGraph(3, ((0, 1, 0.5), (1, 2, 1.0))),
+                                                 {0: frozenset({(0, 1)})}))
+
 
 class TestDropRobustness:
     def test_memoryless_spread_nonincreasing(self):
@@ -572,6 +616,60 @@ def graphs_with_drops(draw):
              for t in range(T)}
     vec = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
     return graph, DropSchedule(graph, drops), T, draw(vec), draw(vec)
+
+
+@st.composite
+def edge_form_variants(draw):
+    """A graph with a drop schedule in stored form, (i, j, float w) with
+    i < j, and the same graph and schedule written with random
+    orientations, numpy integer node indices and steps, and int, Fraction
+    or float weights of one value."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          min_size=1, unique=True))
+    weights = [Fraction(draw(st.integers(0, 20)), draw(st.integers(1, 7))) for _ in pairs]
+    index = st.sampled_from([int, np.int64, np.int32, np.uint16])
+
+    def written(i, j):
+        i, j = (j, i) if draw(st.booleans()) else (i, j)
+        return draw(index)(i), draw(index)(j)
+
+    def weight(w):
+        return draw(st.sampled_from([Fraction, float] + [int] * (w.denominator == 1)))(w)
+
+    graph = WeightedGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)))
+    variant = WeightedGraph(draw(index)(n), tuple((*written(i, j), weight(w))
+                                                  for (i, j), w in zip(pairs, weights)))
+    drops = {t: draw(st.lists(st.sampled_from(pairs))) for t in range(draw(st.integers(1, 5)))}
+    schedule = DropSchedule(graph, {t: frozenset(es) for t, es in drops.items()})
+    written_drops = {draw(index)(t): frozenset(written(i, j) for i, j in es)
+                     for t, es in drops.items()}
+    vec = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
+    return graph, schedule, variant, written_drops, draw(vec), draw(vec)
+
+
+class TestOneEdgeForm:
+    """Orientation, index type and weight type change no bit: the graph,
+    its Laplacian, a drop schedule on it and a run under drops are equal."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_form_variants())
+    def test_written_forms_give_equal_graphs_and_runs(self, case):
+        graph, schedule, variant, written_drops, y, x0 = case
+        assert variant == graph and hash(variant) == hash(graph)
+        L, Lv = laplacian(graph), laplacian(variant)
+        assert Lv.entries.tobytes() == L.entries.tobytes()
+        assert Lv.components == L.components
+        sv = DropSchedule(variant, written_drops)
+        assert sv == schedule and sv.cuts.keys() == schedule.cuts.keys()
+        for t, cut in schedule.cuts.items():
+            assert [(a.dtype, a.tobytes()) for a in sv.cuts[t]] == [(a.dtype, a.tobytes())
+                                                                     for a in cut]
+        g = Gains(3, 0.4, (-0.2, 0.05))
+        a, b = (simulate(IterationProblem(m.entries, m.entries @ y, x0), g, 6, drops=s)
+                for m, s in ((L, schedule), (Lv, sv)))
+        assert b.states.tobytes() == a.states.tobytes()
+        assert b.residuals.tobytes() == a.residuals.tobytes() and b.diverged_at == a.diverged_at
 
 
 class TestDropForce:

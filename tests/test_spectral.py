@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -104,6 +106,28 @@ class TestWeightedGraph:
         g = WeightedGraph(np.int64(3), edges)
         np.testing.assert_array_equal(laplacian(g).entries,
                                       laplacian(load_edge_list("0 1 1\n1 2 2")).entries)
+
+    def test_one_stored_form(self):
+        # Orientation and number type made distinct, unequal graphs of one
+        # undirected edge, and distinct LaplacianMatrix records.
+        g, h = WeightedGraph(2, ((1, 0, 1),)), WeightedGraph(2, ((0, 1, 1.0),))
+        assert g == h and hash(g) == hash(h) and laplacian(g) == laplacian(h)
+        assert load_edge_list("1 0 2").edges == ((0, 1, 2.0),)
+        g = WeightedGraph(np.int64(4), ((np.int32(3), np.uint8(1), Fraction(1, 3)),
+                                        (2, 0, np.float32(0.1))))
+        assert g.edges == ((1, 3, 1 / 3), (0, 2, float(np.float32(0.1))))
+        assert [type(v) for v in (g.n, *g.edges[0], *g.edges[1])] == [int] + [int, int, float] * 2
+
+    def test_input_order_kept(self):
+        # The order sets each node's degree sum, so it is part of the graph.
+        g = WeightedGraph(3, ((2, 1, 1.0), (0, 1, 2.0)))
+        assert g.edges == ((1, 2, 1.0), (0, 1, 2.0))
+        assert g != WeightedGraph(3, ((0, 1, 2.0), (1, 2, 1.0)))
+
+    def test_sign_checked_on_the_weight_given(self):
+        # -1/10^400 rounds to the float -0.0, yet it is a negative weight.
+        with pytest.raises(NegativeWeightError):
+            WeightedGraph(2, ((0, 1, Fraction(-1, 10**400)),))
 
 
 class TestLaplacian:
