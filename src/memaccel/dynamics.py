@@ -17,6 +17,7 @@ from .errors import (
 )
 from .spectral import (
     WeightedGraph,
+    _edges_and_degrees,
     _nonzeros,
     laplacian,
     nonzero_spectral_interval,
@@ -26,6 +27,7 @@ from .tuning import Gains, Record, _check_index, _is_index, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
 DROP_TRIALS, DROP_STEPS, DROP_PROB = 200, 400, 0.5
+_CSV_ROWS = 16384  # rows per trace_to_csv block: only its values are Python floats at once
 
 
 class IterationProblem(Record):
@@ -45,10 +47,10 @@ class IterationProblem(Record):
     first, and no norm, solution_scale's included, under- or overflows.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
-    nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), so the
-    simulator computes A x in O(n + nnz(A)) per step. That suits the
-    graph Laplacians and diagonal matrices this package works with; a
-    dense general A costs more than a BLAS matvec would. The kernel
+    nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), the only form
+    of A the simulator reads: A x costs O(n + nnz(A)) per step. That fits
+    graph Laplacians and diagonal matrices; a dense general A costs more
+    than a BLAS matvec would. The kernel
     check's eigendecomposition also gives ``solution_scale``, the size
     of a solution: max(||A^+ b||, ||b|| / ||A||_2), 0.0 for b = 0. The
     second term counts only where a kernel part of b passed as rounding.
@@ -179,15 +181,23 @@ def simulate(
 ) -> SimTrace:
     """Run x(t+1) = x(t) + alpha (b - A_t x(t)) + sum_m beta_m (x(t-m) - x(t))
     for T steps with constant history, where A_t is A with the scheduled
-    links removed. Aborts with the diverged flag once x is not finite or
-    ||x|| exceeds 1e6 times the larger of ||x0|| and p.solution_scale,
-    capped at the largest float, so that a solve from x0 = 0 is measured
-    against its solution. With b = 0 the limit is 1e6 ||x0||; from x0 =
-    0, x stays 0 and is never flagged. No norm over- or underflows, and
-    no numpy warning escapes."""
+    links removed; A must then be the graph's Laplacian, checked on
+    p.nonzeros in O(n + E log E). Aborts with the diverged flag once x is
+    not finite or ||x|| exceeds 1e6 times the larger of ||x0|| and
+    p.solution_scale, capped at the largest float, so that a solve from
+    x0 = 0 is measured against its solution. With b = 0 the limit is
+    1e6 ||x0||; from x0 = 0, x stays 0 and is never flagged. No norm
+    over- or underflows, and no numpy warning escapes."""
     _check_index("T", T, 1)
-    if drops is not None and not np.array_equal(p.A, laplacian(drops.graph).entries):
-        raise DropOnNonLaplacianError("drop schedule requires A to be the Laplacian of its graph")
+    if drops is not None:  # A == laplacian(drops.graph).entries, decided on p.nonzeros
+        i, j, w, degree = _edges_and_degrees(drops.graph)
+        nz = w != 0  # a zero weight of either sign leaves no nonzero in A
+        r, c = np.concatenate([i[nz], j[nz]]), np.concatenate([j[nz], i[nz]])
+        order = np.lexsort((c, r))  # row-major, as _nonzeros lists p.nonzeros
+        lap = (degree, r[order], c[order], np.tile(-w[nz], 2)[order])
+        if not all(map(np.array_equal, p.nonzeros, lap)):
+            raise DropOnNonLaplacianError(
+                "drop schedule requires A to be the Laplacian of its graph")
     residuals = []
     with np.errstate(over="ignore", invalid="ignore"):
         limit = min(DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale), np.finfo(float).max)
@@ -297,10 +307,14 @@ def empirical_rate(trace: SimTrace, burn_in: int = 0) -> float:
 
 
 def trace_to_csv(trace: SimTrace) -> str:
-    """Render the trace as CSV: ``t,residual,spread,rms,mean``."""
-    cols = zip(*(a.tolist() for a in (trace.residuals, *consensus_metrics(trace.states))))
-    rows = (f"{t},{r:.12g},{s:.12g},{d:.12g},{m:.12g}\n" for t, (r, s, d, m) in enumerate(cols))
-    return "t,residual,spread,rms,mean\n" + "".join(rows)
+    """Render the trace as CSV: ``t,residual,spread,rms,mean``, by blocks of rows."""
+    parts = ["t,residual,spread,rms,mean\n"]
+    for k in range(0, len(trace.states), _CSV_ROWS):
+        block = trace.residuals[k:k + _CSV_ROWS], *consensus_metrics(trace.states[k:k + _CSV_ROWS])
+        cols = zip(*(a.tolist() for a in block))
+        parts.append("".join(f"{t},{r:.12g},{s:.12g},{d:.12g},{m:.12g}\n"
+                             for t, (r, s, d, m) in enumerate(cols, k)))
+    return "".join(parts)
 
 
 def find_divergent_drop_schedule(

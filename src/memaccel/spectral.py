@@ -71,22 +71,28 @@ class LaplacianMatrix(Record):
         g = self.graph
         if not isinstance(g, WeightedGraph):
             raise TypeError(f"LaplacianMatrix takes a WeightedGraph, got {type(g).__name__}")
+        i, j, w, degree = _edges_and_degrees(g)
         a = np.zeros((g.n, g.n))
-        e = np.array(g.edges, dtype=float).reshape(-1, 3)
-        i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
         a[i, j] -= w
         a[j, i] -= w
-        # The weighted degrees: one bincount over i0, j0, i1, j1, ... adds the
-        # weights in edge order, as a loop over the edges would.
-        degree = np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n)
-        if not np.isfinite(degree).all():  # finite weights can sum past the largest float
-            k = np.isfinite(degree).argmin()
-            raise ValueError(f"Laplacian entry ({k}, {k}) is {degree[k]}, not finite")
         np.fill_diagonal(a, degree)
         a.flags.writeable = False
-        joined = w > 0
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "components", _components(g.n, i[joined], j[joined]))
+        object.__setattr__(self, "components", _components(g.n, i[w > 0], j[w > 0]))
+
+
+def _edges_and_degrees(g: WeightedGraph) -> tuple[np.ndarray, ...]:
+    """(i, j, w, degree): g's edges as arrays in edge order, and its weighted
+    degrees, the Laplacian's diagonal, which LaplacianMatrix and simulate's
+    drop check share. A degree past the largest float raises ValueError."""
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    # One bincount over i0, j0, i1, j1, ... adds the weights in edge order.
+    degree = np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n)
+    if not np.isfinite(degree).all():  # finite weights can sum past the largest float
+        k = np.isfinite(degree).argmin()
+        raise ValueError(f"Laplacian entry ({k}, {k}) is {degree[k]}, not finite")
+    return i, j, w, degree
 
 
 def load_edge_list(text: str) -> WeightedGraph:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -478,6 +479,19 @@ class TestCsvExport:
         assert len(lines) == 5
         assert lines[1].startswith("0,")
 
+    def test_blocks_render_as_row_by_row(self):
+        # Longer than two blocks, with rows that consensus_metrics rescales:
+        # each block's rows are the rows one state at a time would give.
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((2 * dynamics._CSV_ROWS + 7, 3))
+        states[::1000] *= 1e-300
+        states[7::1000] *= 1e300
+        tr = SimTrace(states, np.abs(rng.standard_normal(len(states))))
+        want = "".join(f"{t},{tr.residuals[t]:.12g},"
+                       + ",".join(f"{v:.12g}" for v in consensus_metrics(x)) + "\n"
+                       for t, x in enumerate(states))
+        assert trace_to_csv(tr) == "t,residual,spread,rms,mean\n" + want
+
     def test_rows_hold_each_step_at_12_digits(self):
         tr = simulate(path3_problem(np.array([1e-300, 2.0, -3.0])),
                       Gains(M=2, alpha=0.4, betas=(-0.1,)), T=30)
@@ -697,11 +711,13 @@ def laplacian_candidates(draw):
     """A graph, zero and subnormal weights included, and a matrix that is
     its Laplacian, that Laplacian with -0.0 for its zeros, or a near miss:
     one symmetric pair or diagonal entry moved, one weight changed (to
-    zero included) or one node added."""
+    zero included) or one node added. Weights include -0.0, and a drawn
+    node may be left without edges."""
     n = draw(st.integers(1, 8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lone = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if lone not in (i, j)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    weight = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-3, 1e3))
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(1e-3, 1e3))
     edges = [(j, i, draw(weight)) if draw(st.booleans()) else (i, j, draw(weight))
              for i, j in chosen]
     graph = WeightedGraph(n, tuple(edges))
@@ -734,6 +750,49 @@ class TestDropCheck:
         else:
             with pytest.raises(DropOnNonLaplacianError):
                 run()
+
+    def test_overflowing_degree_raises_laplacians_error(self):
+        graph = WeightedGraph(3, ((0, 1, 1e308), (1, 2, 1e308)))
+        prob = IterationProblem(np.zeros((3, 3)), np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match=r"^Laplacian entry \(1, 1\) is inf, not finite$"):
+            simulate(prob, Gains(1, 0.5), 2, drops=DropSchedule(graph))
+
+
+class TestSparseFormOnly:
+    """The simulator runs on p.nonzeros: after IterationProblem is built,
+    no run, residual or drop check reads the dense A."""
+
+    def test_runs_without_the_dense_matrix(self):
+        graph, g, schedule, x0 = memory_fragility_example()
+        L = laplacian(graph).entries
+        b = L @ np.random.default_rng(6).standard_normal(graph.n)
+        intact, bare = IterationProblem(L, b, x0), IterationProblem(L, b, x0)
+        object.__setattr__(bare, "A", None)
+        for drops in (None, DropSchedule(graph), schedule):
+            want, got = (simulate(p, g, 400, drops=drops) for p in (intact, bare))
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.residuals.tobytes() == want.residuals.tobytes()
+
+    def test_drop_check_builds_no_dense_matrix(self):
+        # A 2000-node two-cluster graph: its Laplacian is 32 MB and the
+        # 150-step run's own arrays are about 2.4 MB, so a peak below an
+        # eighth of the Laplacian means the check built no n x n array.
+        n, h = 2000, 1000
+        edges = [(c + i, c + (i + d) % h, 1.0) for c in (0, h) for d in (1, 2, 7)
+                 for i in range(h)] + [(0, h, 0.01)]
+        graph = WeightedGraph(n, tuple(edges))
+        L = laplacian(graph).entries
+        prob = IterationProblem(L, np.zeros(n), np.random.default_rng(7).standard_normal(n))
+        drops = DropSchedule(graph, {3: frozenset({(0, h)})})
+        g = Gains(2, 0.1, (-0.2,))
+        tracemalloc.start()
+        try:
+            tr = simulate(prob, g, 150, drops=drops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not tr.diverged
+        assert peak < n * n * 8 / 8
 
 
 class TestResidualsFromForces:
