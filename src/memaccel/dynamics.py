@@ -8,22 +8,21 @@ with header ``t,residual,spread,rms,mean``.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
-from .errors import (
-    DropOnNonLaplacianError,
-    IncompatibleBiasError,
-    NoDecayError,
-)
+from .errors import DropOnNonLaplacianError, IncompatibleBiasError, NoDecayError
 from .spectral import (
     WeightedGraph,
-    _edges_and_degrees,
+    _edge_key,
+    _laplacian_nonzeros,
     _nonzeros,
     laplacian,
     nonzero_spectral_interval,
     symmetric_eigenvalues,
 )
-from .tuning import Gains, Record, _check_index, _is_index, tune_theorem3
+from .tuning import Gains, Record, _check_index, tune_theorem3
 
 DIVERGENCE_FACTOR = 1e6
 DROP_TRIALS, DROP_STEPS, DROP_PROB = 200, 400, 0.5
@@ -47,13 +46,14 @@ class IterationProblem(Record):
     first, and no norm, solution_scale's included, under- or overflows.
 
     The scan that checks A also keeps its diagonal and its off-diagonal
-    nonzeros as arrays, ``nonzeros`` = (diag, i, j, a_ij), the only form
-    of A the simulator reads: A x costs O(n + nnz(A)) per step. That fits
-    graph Laplacians and diagonal matrices; a dense general A costs more
-    than a BLAS matvec would. The kernel
-    check's eigendecomposition also gives ``solution_scale``, the size
-    of a solution: max(||A^+ b||, ||b|| / ||A||_2), 0.0 for b = 0. The
-    second term counts only where a kernel part of b passed as rounding.
+    nonzeros, row-major, as ``nonzeros`` = (diag, i, j, a_ij), the layout
+    of spectral._laplacian_nonzeros and the only form of A the simulator
+    reads: A x costs O(n + nnz(A)) per step, which fits graph Laplacians
+    and diagonal matrices; a dense general A costs more than a BLAS
+    matvec. The kernel check's eigendecomposition also gives
+    ``solution_scale``, the size of a solution: max(||A^+ b||, ||b|| /
+    ||A||_2), 0.0 for b = 0, whose second term counts only where a
+    kernel part of b passed as rounding.
     Both are caches, not fields: no argument, not in ``==``, hash or repr.
     A, b and x0 are stored read-only, b and x0 as copies and A as given
     only when it is read-only and owns its data, as ``L.entries`` does.
@@ -106,12 +106,12 @@ class DropSchedule(Record):
     """Per-step sets of undirected edges whose weight is zeroed.
 
     Tied to the graph whose Laplacian the simulation runs on; every
-    referenced edge must exist there. Steps are integers >= 0 and node
-    indices integers: a float or a bool raises ValueError, not a
-    truncation. Both are stored as plain ints, each edge as (i, j) with
-    i < j as in ``graph.edges``. Each step's dropped edges are also kept
-    as arrays (i, j, w), sorted by edge, for the simulator in ``cuts``, a
-    cache that, like ``IterationProblem.nonzeros``, is not a field.
+    referenced edge must exist there, and is stored in the graph's form,
+    spectral._edge_key's. Steps are integers >= 0, kept as plain ints; a
+    float or a bool step or index raises ValueError. Each step's dropped
+    edges are also kept as arrays (i, j, w), sorted by edge, in ``cuts``,
+    a cache for the simulator that, like ``IterationProblem.nonzeros``,
+    is not a field.
     """
 
     graph: WeightedGraph
@@ -123,10 +123,7 @@ class DropSchedule(Record):
         canon, cuts = {}, {}
         for t, edges in self.drops.items():
             _check_index("drop step", t, 0)
-            for i, j in edges:
-                if not (_is_index(i) and _is_index(j)):
-                    raise ValueError(f"dropped edge ({i!r}, {j!r}): node index not an integer")
-            es = frozenset((int(i), int(j)) if i < j else (int(j), int(i)) for i, j in edges)
+            es = frozenset(_edge_key(i, j) for i, j in edges)
             if not weight.keys() >= es:
                 raise ValueError(f"dropped edge {min(es - weight.keys())} not in graph")
             canon[int(t)] = es
@@ -181,23 +178,17 @@ def simulate(
 ) -> SimTrace:
     """Run x(t+1) = x(t) + alpha (b - A_t x(t)) + sum_m beta_m (x(t-m) - x(t))
     for T steps with constant history, where A_t is A with the scheduled
-    links removed; A must then be the graph's Laplacian, checked on
-    p.nonzeros in O(n + E log E). Aborts with the diverged flag once x is
-    not finite or ||x|| exceeds 1e6 times the larger of ||x0|| and
-    p.solution_scale, capped at the largest float, so that a solve from
-    x0 = 0 is measured against its solution. With b = 0 the limit is
-    1e6 ||x0||; from x0 = 0, x stays 0 and is never flagged. No norm
-    over- or underflows, and no numpy warning escapes."""
+    links removed; A must then be the graph's Laplacian, p.nonzeros equal
+    to _laplacian_nonzeros(graph), in O(n + E log E). Aborts with the
+    diverged flag once x is not finite or ||x|| exceeds 1e6 times the
+    larger of ||x0|| and p.solution_scale, capped at the largest float, so
+    that a solve from x0 = 0 is measured against its solution. With b = 0
+    the limit is 1e6 ||x0||; from x0 = 0, x stays 0 and is never flagged.
+    No norm over- or underflows, and no numpy warning escapes."""
     _check_index("T", T, 1)
-    if drops is not None:  # A == laplacian(drops.graph).entries, decided on p.nonzeros
-        i, j, w, degree = _edges_and_degrees(drops.graph)
-        nz = w != 0  # a zero weight of either sign leaves no nonzero in A
-        r, c = np.concatenate([i[nz], j[nz]]), np.concatenate([j[nz], i[nz]])
-        order = np.lexsort((c, r))  # row-major, as _nonzeros lists p.nonzeros
-        lap = (degree, r[order], c[order], np.tile(-w[nz], 2)[order])
-        if not all(map(np.array_equal, p.nonzeros, lap)):
-            raise DropOnNonLaplacianError(
-                "drop schedule requires A to be the Laplacian of its graph")
+    if drops is not None and not all(map(np.array_equal, p.nonzeros,
+                                         _laplacian_nonzeros(drops.graph))):
+        raise DropOnNonLaplacianError("drop schedule requires A to be the Laplacian of its graph")
     residuals = []
     with np.errstate(over="ignore", invalid="ignore"):
         limit = min(DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale), np.finfo(float).max)
@@ -340,12 +331,11 @@ def find_divergent_drop_schedule(
 def _random_drops(graph: WeightedGraph, rng) -> DropSchedule:
     """Drop every edge of graph independently with probability DROP_PROB
     at each of the steps 0..DROP_STEPS-1."""
-    drops = {}
+    keys = [e[:2] for e in graph.edges]
     # One draw for all steps: the masks and end state of one draw per step.
-    for t, mask in enumerate(rng.random((DROP_STEPS, len(graph.edges))) < DROP_PROB):
-        if mask.any():
-            drops[t] = frozenset(e[:2] for e, m in zip(graph.edges, mask) if m)
-    return DropSchedule(graph, drops)
+    masks = (rng.random((DROP_STEPS, len(keys))) < DROP_PROB).tolist()
+    return DropSchedule(graph, {t: frozenset(compress(keys, m)) for t, m in enumerate(masks)
+                                if any(m)})
 
 
 def memory_fragility_example() -> tuple[WeightedGraph, Gains, DropSchedule, np.ndarray]:

@@ -28,7 +28,7 @@ class WeightedGraph(Record):
     """Undirected weighted graph; one stored entry per unordered pair.
     The node count is an integer >= 0, node indices are integers and a
     weight is real (``tuning._real``); anything else raises ValueError.
-    Each edge is stored as (i, j, float w) with i < j plain ints, so
+    Each edge is stored as (*_edge_key(i, j), float w), plain ints i < j, so
     (1, 0, 1) and (0, 1, 1.0) make equal graphs; the input order is kept,
     as it orders the sum of each degree in LaplacianMatrix."""
 
@@ -39,8 +39,7 @@ class WeightedGraph(Record):
         _check_index("node count", self.n, 0)
         seen = {}
         for i, j, w in self.edges:
-            if not (_is_index(i) and _is_index(j)):
-                raise ValueError(f"edge ({i!r}, {j!r}) has a node index that is not an integer")
+            key = _edge_key(i, j)
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             if i == j:
@@ -50,7 +49,6 @@ class WeightedGraph(Record):
                 raise MemaccelError(f"edge ({i}, {j}) has non-finite weight {w}")
             if w < 0:
                 raise NegativeWeightError(i, j, w)
-            key = (int(i), int(j)) if i < j else (int(j), int(i))
             if key in seen:
                 raise DuplicateEdgeError(*key)
             seen[key] = x
@@ -58,12 +56,20 @@ class WeightedGraph(Record):
         object.__setattr__(self, "edges", tuple((i, j, w) for (i, j), w in seen.items()))
 
 
+def _edge_key(i, j) -> tuple[int, int]:
+    """(i, j) as plain ints with i < j, how WeightedGraph and DropSchedule
+    store an edge; a float or bool index raises ValueError, not a truncation."""
+    if not (_is_index(i) and _is_index(j)):
+        raise ValueError(f"edge ({i!r}, {j!r}) has a node index that is not an integer")
+    return (int(i), int(j)) if i < j else (int(j), int(i))
+
+
 class LaplacianMatrix(Record):
     """Dense Laplacian of a graph: L[j][j] = sum of incident weights,
-    L[j][k] = -w_jk, so it is symmetric and its rows sum to zero.
-    ``entries``, the read-only n x n array, and ``components``, the
-    connected components of the positive-weight edges, which is the
-    kernel's dimension (Fiedler 1973), are caches, not fields."""
+    L[j][k] = -w_jk, so it is symmetric and its rows sum to zero. Its
+    caches, not fields, come from _laplacian_nonzeros(graph): ``entries``,
+    the read-only n x n array, and ``components``, the components its
+    pairs r > c join, the kernel's dimension (Fiedler 1973)."""
 
     graph: WeightedGraph
 
@@ -71,28 +77,31 @@ class LaplacianMatrix(Record):
         g = self.graph
         if not isinstance(g, WeightedGraph):
             raise TypeError(f"LaplacianMatrix takes a WeightedGraph, got {type(g).__name__}")
-        i, j, w, degree = _edges_and_degrees(g)
+        degree, r, c, v = _laplacian_nonzeros(g)
         a = np.zeros((g.n, g.n))
-        a[i, j] -= w
-        a[j, i] -= w
+        a[r, c] = v
         np.fill_diagonal(a, degree)
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "components", _components(g.n, i[w > 0], j[w > 0]))
+        object.__setattr__(self, "components", _components(g.n, r[r > c], c[r > c]))
 
 
-def _edges_and_degrees(g: WeightedGraph) -> tuple[np.ndarray, ...]:
-    """(i, j, w, degree): g's edges as arrays in edge order, and its weighted
-    degrees, the Laplacian's diagonal, which LaplacianMatrix and simulate's
-    drop check share. A degree past the largest float raises ValueError."""
+def _laplacian_nonzeros(g: WeightedGraph) -> tuple[np.ndarray, ...]:
+    """g's Laplacian as (degree, r, c, v), the layout of IterationProblem's
+    nonzeros: the weighted degrees, each summed in edge order, and -w at
+    (i, j) and (j, i) for each edge with w != 0, row-major as _nonzeros
+    lists them. A degree past the largest float raises ValueError."""
     e = np.array(g.edges, dtype=float).reshape(-1, 3)
-    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    e = e.compress(e[:, 2] != 0, axis=0)  # a zero weight, of either sign, adds nothing
+    ij, w = e[:, :2].astype(int), np.repeat(e[:, 2], 2)
     # One bincount over i0, j0, i1, j1, ... adds the weights in edge order.
-    degree = np.bincount(np.column_stack([i, j]).ravel(), np.repeat(w, 2), g.n)
+    degree = np.bincount(ij.ravel(), w, g.n).astype(float, copy=False)  # ints if no weight
     if not np.isfinite(degree).all():  # finite weights can sum past the largest float
         k = np.isfinite(degree).argmin()
         raise ValueError(f"Laplacian entry ({k}, {k}) is {degree[k]}, not finite")
-    return i, j, w, degree
+    r, c = ij.ravel(), ij[:, ::-1].ravel()  # (i0, j0), (j0, i0), (i1, j1), ...
+    order = np.argsort(r * g.n + c, kind="stable")  # row-major, by flat index as _nonzeros
+    return degree, r[order], c[order], -w[order]
 
 
 def load_edge_list(text: str) -> WeightedGraph:
@@ -127,7 +136,8 @@ def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, col, value) of the nonzero entries of a 2-D array, in the
     row-major order of np.nonzero, from one stride-1 scan of C-ordered
     data. NaN and inf count as nonzero, +0.0 and -0.0 as zero.
-    IterationProblem checks and keeps its matrix A with it."""
+    IterationProblem checks and keeps its matrix A with it; a graph's
+    Laplacian comes in this layout, with no scan, from _laplacian_nonzeros."""
     a = np.ascontiguousarray(a)
     flat = np.flatnonzero(a.ravel() != 0)
     r, c = np.divmod(flat, a.shape[1])

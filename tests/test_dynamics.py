@@ -508,12 +508,17 @@ class TestDropScheduleInput:
         with pytest.raises(ValueError, match="drop step"):
             DropSchedule(PATH3, {step: frozenset({(0, 1)})})
 
-    @pytest.mark.parametrize("edge", [(0.0, 1), (True, 2), (1, np.True_)])
+    @pytest.mark.parametrize("edge", [(0.0, 1), (True, 2), (1, np.True_), (2, np.float64(1.0))])
     def test_non_integer_node_index_rejected(self, edge):
         # (0.0, 1) matched edge (0, 1) and failed later as a float index;
-        # (True, 2) was read as edge (1, 2).
-        with pytest.raises(ValueError, match="not an integer"):
-            DropSchedule(PATH3, {0: frozenset({edge})})
+        # (True, 2) was read as edge (1, 2). A graph's edge is refused by
+        # the same rule, with the same message.
+        want = f"edge ({edge[0]!r}, {edge[1]!r}) has a node index that is not an integer"
+        for build in (lambda: DropSchedule(PATH3, {0: frozenset({edge})}),
+                      lambda: WeightedGraph(3, (edge + (1.0,),))):
+            with pytest.raises(ValueError, match="not an integer") as exc:
+                build()
+            assert str(exc.value) == want
 
     def test_numpy_integer_step_accepted(self):
         schedule = DropSchedule(PATH3, {np.int64(2): frozenset({(0, 1)})})

@@ -21,6 +21,7 @@ from memaccel.spectral import (
     SpectralSet,
     WeightedGraph,
     _components,
+    _laplacian_nonzeros,
     _nonzeros,
     laplacian,
     load_edge_list,
@@ -273,8 +274,15 @@ class TestLaplacianMatrix:
         assert L.entries.tobytes() == L.entries.T.copy().tobytes()
         # The kernel count of the nonzero pattern: components over its
         # strict lower triangle.
-        r, c, _ = _nonzeros(L.entries)
+        r, c, v = _nonzeros(L.entries)
         assert L.components == _components(n, r[r > c], c[r > c])
+        # The sparse form that simulate's drop check compares with
+        # IterationProblem.nonzeros is the dense matrix's scan, split
+        # into its diagonal and its off-diagonal nonzeros.
+        off = r != c
+        for got, want in zip(_laplacian_nonzeros(g),
+                             (L.entries.diagonal(), r[off], c[off], v[off]), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestEigenvalues:
