@@ -20,9 +20,11 @@ checks its gains, set and ``--refine-tol`` with it, and
 ``search`` its set and ``--seed-gains``, before they import ``accel``, so
 those exit-3 errors load no numpy either; ``accel.search_gains`` itself
 checks search's ``--M`` and ``--budget``, after numpy. ``spectrum`` prints
-a graph's kernel eigenvalues, one per connected component, as exact 0;
-a graph with a non-finite edge weight, or whose spectral gap is below
-eigvalsh's resolution, exits 3. A numeric option left out takes the
+all of a graph's Laplacian eigenvalues, its kernel ones, one per
+connected component, as exact 0, and the nonzero interval that the
+library reads from the extreme ones; a graph with a non-finite edge
+weight, or whose spectral gap lambda_2 is at or below n * eps *
+lambda_max, exits 3. A numeric option left out takes the
 library's own default, which the parser does not restate: ``tune``
 without ``--M`` takes ``tune_theorem3``'s M, ``search`` without
 ``--budget`` or ``--seed-rng`` takes ``search_gains``' budget and seed,
@@ -315,11 +317,10 @@ def _cmd_certify(args) -> int:
 def _cmd_spectrum(args) -> int:
     from . import spectral
 
-    graph = _load_graph(args.graph)
-    eigs = spectral.symmetric_eigenvalues(spectral.laplacian(graph))
-    iv = spectral.nonzero_spectral_interval(eigs)
-    _emit({"eigenvalues": eigs.tolist(), "nonzero_interval": [iv.lo, iv.hi]},
-          args.output)
+    L = spectral.laplacian(_load_graph(args.graph))
+    iv = spectral.nonzero_spectral_interval(spectral.symmetric_eigenvalues(L))
+    _emit({"eigenvalues": spectral._all_eigenvalues(L).tolist(),
+           "nonzero_interval": [iv.lo, iv.hi]}, args.output)
     return 0
 
 

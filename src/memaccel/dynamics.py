@@ -17,6 +17,7 @@ from .spectral import (
     WeightedGraph,
     _edge_key,
     _laplacian_nonzeros,
+    _matvec,
     _nonzeros,
     laplacian,
     nonzero_spectral_interval,
@@ -193,7 +194,7 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         limit = min(DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale), np.finfo(float).max)
         states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
-        residuals.append(_norm(p.b - _matvec(p, states[-1])))
+        residuals.append(_norm(p.b - _matvec(p.nonzeros, states[-1])))
     return SimTrace(states, np.array(residuals), diverged_at)
 
 
@@ -210,25 +211,20 @@ def _rescaled(fn, x):
     values; callers hold off over and invalid warnings. A finite row with a
     value not finite, or below 2^-480 where its squares can round as
     subnormals, is redone on ldexp(row, -e), 2^e > max |row|, and scaled
-    back by ldexp(., e): exact, so other rows keep their bits; in range, one pass."""
+    back by ldexp(., e): exact, so other rows keep their bits. An all-zero
+    row is not redone, as fn gives it the same zeros either way; with no
+    row to redo, fn runs once."""
     out = fn(x)
-    if x.ndim == 1 and all(2.0 ** -480 <= abs(v) < np.inf for v in out):
+    if x.ndim == 1 and (all(2.0 ** -480 <= abs(v) < np.inf for v in out) or not x.any()):
         return out
     out, rows = np.stack(out), x.reshape(-1, x.shape[-1])
     wide = np.flatnonzero(~((abs(out) >= 2.0 ** -480) & (abs(out) < np.inf)).all(axis=0))
-    wide = wide[np.isfinite(rows[wide]).all(axis=-1)]
+    wide = wide[np.isfinite(rows[wide]).all(axis=-1) & rows[wide].any(axis=-1)]
+    if not wide.size:
+        return tuple(out)
     e = np.frexp(np.abs(rows[wide]).max(axis=-1))[1]
     out.reshape(len(out), -1)[:, wide] = np.ldexp(fn(np.ldexp(rows[wide], -e[:, None])), e)
     return tuple(out)
-
-
-def _matvec(p: IterationProblem, x: np.ndarray) -> np.ndarray:
-    """A @ x from A's diagonal and off-diagonal nonzeros (i, j, a_ij):
-    diag * x plus a scatter of a_ij x_j onto row i, O(n + nnz(A))."""
-    diag, i, j, a = p.nonzeros
-    w = x.take(j)
-    w *= a
-    return diag * x + np.bincount(i, w, len(x))
 
 
 def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
@@ -241,7 +237,7 @@ def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
     n = len(p.x0)
 
     def force(t, x):
-        Ax = _matvec(p, x)
+        Ax = _matvec(p.nonzeros, x)
         r = p.b - Ax
         residuals.append(_norm(r))
         if t not in cuts:

@@ -23,6 +23,8 @@ from .errors import (
 )
 from .tuning import Record, SpectralInterval, SpectralSet, _check_index, _is_index, _real
 
+EPS = float(np.finfo(float).eps)
+
 
 class WeightedGraph(Record):
     """Undirected weighted graph; one stored entry per unordered pair.
@@ -67,9 +69,11 @@ def _edge_key(i, j) -> tuple[int, int]:
 class LaplacianMatrix(Record):
     """Dense Laplacian of a graph: L[j][j] = sum of incident weights,
     L[j][k] = -w_jk, so it is symmetric and its rows sum to zero. Its
-    caches, not fields, come from _laplacian_nonzeros(graph): ``entries``,
-    the read-only n x n array, and ``components``, the components its
-    pairs r > c join, the kernel's dimension (Fiedler 1973)."""
+    caches, not fields, come from _laplacian_nonzeros(graph), which is
+    ``nonzeros``: ``entries``, the read-only n x n array, ``labels``, the
+    component of each node under the pairs r > c, and ``components``,
+    their number, the kernel's dimension (Fiedler 1973); once asked for,
+    _all_eigenvalues(L) keeps its listing on L too."""
 
     graph: WeightedGraph
 
@@ -77,13 +81,16 @@ class LaplacianMatrix(Record):
         g = self.graph
         if not isinstance(g, WeightedGraph):
             raise TypeError(f"LaplacianMatrix takes a WeightedGraph, got {type(g).__name__}")
-        degree, r, c, v = _laplacian_nonzeros(g)
+        nonzeros = degree, r, c, v = _laplacian_nonzeros(g)
         a = np.zeros((g.n, g.n))
         a[r, c] = v
         np.fill_diagonal(a, degree)
         a.flags.writeable = False
+        labels = _components(g.n, r[r > c], c[r > c])
+        object.__setattr__(self, "nonzeros", nonzeros)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "components", _components(g.n, r[r > c], c[r > c]))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "components", int(labels.max(initial=-1)) + 1)
 
 
 def _laplacian_nonzeros(g: WeightedGraph) -> tuple[np.ndarray, ...]:
@@ -144,9 +151,19 @@ def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, c, a.ravel()[flat]
 
 
-def _components(n: int, i: np.ndarray, j: np.ndarray) -> int:
-    """Connected components of n nodes joined by the edges (i, j), by
-    union-find with path halving: the number of roots left."""
+def _matvec(nonzeros: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """A @ x from A's diagonal and off-diagonal nonzeros (diag, i, j, a_ij):
+    diag * x plus a scatter of a_ij x_j onto row i, O(n + nnz(A))."""
+    diag, i, j, a = nonzeros
+    w = x.take(j)
+    w *= a
+    return diag * x + np.bincount(i, w, len(x))
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The connected component of each of n nodes joined by the edges
+    (i, j), by union-find with path halving: labels 0, 1, ... in the
+    order of each component's root."""
     parent = list(range(n))
 
     def find(x):
@@ -157,15 +174,163 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> int:
 
     for a, b in zip(i.tolist(), j.tolist()):
         parent[find(a)] = find(b)
-    return sum(parent[x] == x for x in range(n))
+    return np.unique([find(x) for x in range(n)], return_inverse=True)[1]
 
 
 def symmetric_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
-    """Eigenvalues of a Laplacian, eigvalsh's ascending ones, with the
-    leading L.components of them, its kernel, set to exact zeros."""
-    eigs = np.linalg.eigvalsh(L.entries)
-    eigs[:L.components] = 0.0
+    """The extreme eigenvalues of a Laplacian, ascending: L.components
+    exact zeros, its kernel, then lambda_2 and lambda_max, the smallest
+    and largest positive eigenvalues; one of them, or none, when fewer
+    than two are positive.
+
+    They come from Lanczos on L.nonzeros (_lanczos_extremes), with
+    nothing n x n formed, and are within n * eps * lambda_max of the
+    exact ones. Where Lanczos does not converge within n - components
+    steps, as on most small graphs and on some whose weights span many
+    decades, they are read from _all_eigenvalues(L). A returned lambda_2
+    at or below n * eps times the returned lambda_max raises
+    MemaccelError: the rule that nonzero_spectral_interval applies to a
+    spectrum of n values, with the graph's n, on these two values, so a
+    gap within n * eps * lambda_max of that line may be decided otherwise
+    than on eigvalsh's."""
+    n, c = L.graph.n, L.components
+    if n - c < 2:  # none positive, or one: the trace, the sum of the degrees
+        return np.concatenate([np.zeros(c), [L.nonzeros[0].sum()][:n - c]])
+    ends = _lanczos_extremes(L)
+    if ends is None:
+        eigs = _all_eigenvalues(L)
+        ends = float(eigs[c]), float(eigs[-1])
+    _check_resolution(*ends, n)
+    return np.concatenate([np.zeros(c), ends])
+
+
+def _all_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
+    """All n eigenvalues of a Laplacian, eigvalsh's ascending ones on
+    L.entries, with the leading L.components of them, its kernel, set to
+    exact zeros: O(n^3) time and a second n x n array. The read-only
+    result is kept on L, so memaccel spectrum's listing after a fallback
+    in symmetric_eigenvalues solves once."""
+    eigs = L.__dict__.get("_all_eigenvalues")
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(L.entries)
+        eigs[:L.components] = 0.0
+        eigs.flags.writeable = False
+        object.__setattr__(L, "_all_eigenvalues", eigs)
     return eigs
+
+
+def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
+    """[lambda_2, lambda_max] of L, by Lanczos without reorthogonalisation
+    (Kuczynski & Wozniakowski 1992) on L / 2^e, 2^e > max degree, an exact
+    rescale; None if it does not converge within n - components steps.
+    Every step projects out each component's normalised indicator
+    vector, the exact kernel, and the run starts from _start_vector.
+    Checks run at steps 1, 2, ..., 8, then every quarter of the steps so
+    far, and at the last. An extreme Ritz value whose residual is at most
+    n * eps * theta_max / 4 is kept, moved outward by its residual, and
+    not checked again: a copy that finite-precision Lanczos forms of it
+    later would blur its residual. The run stops once both are kept; the
+    quarter leaves room for the few ulps by which a Ritz value misses."""
+    n, cap = L.graph.n, L.graph.n - L.components
+    degree, i, j, a = L.nonzeros
+    e = int(np.frexp(degree.max())[1])
+    nonzeros = np.ldexp(degree, -e), i, j, np.ldexp(a, -e)
+    labels = L.labels
+    sizes = np.bincount(labels)
+
+    def project(x):
+        x -= (np.bincount(labels, x) / sizes)[labels]
+        return x
+
+    q = project(_start_vector(n))
+    q /= np.linalg.norm(q)
+    q_prev, beta, alphas, betas2, check = np.zeros(n), 0.0, [], [], 1
+    lo = hi = None
+    for k in range(1, cap + 1):
+        w = _matvec(nonzeros, q)
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        w -= beta * q_prev
+        beta = float(np.linalg.norm(project(w)))
+        if k in (check, cap) or beta == 0:
+            if hi is None:
+                theta, s = _lowest_ritz([-x for x in alphas], betas2)
+                top = -theta
+                if 4 * beta * s <= n * EPS * top:
+                    hi = top + beta * s
+            if lo is None:
+                theta, s = _lowest_ritz(alphas, betas2)
+                if 4 * beta * s <= n * EPS * top:
+                    lo = theta - beta * s
+            if lo is not None and hi is not None:
+                return math.ldexp(lo, e), math.ldexp(hi, e)
+            check = k + max(1, k // 4)
+        betas2.append(beta * beta)
+        q_prev, q = q, w / beta
+    return None
+
+
+def _lowest_ritz(alphas: list, betas2: list) -> tuple[float, float]:
+    """(theta, |s_k| / ||s||) for the smallest eigenvalue theta of the k x k
+    tridiagonal T with diagonal alphas and squared off-diagonal betas2.
+
+    theta is found by bisection on Sturm's rule, T - x I is positive
+    definite iff every pivot of its LDL^T is, and is the lower end of the
+    last bracket, within eps * (max |alpha| + 2 max beta) / 16. s solves
+    (T - theta I) s = e_1, one step of inverse iteration from the first
+    unit vector: it leaves out copies of theta that finite-precision
+    Lanczos forms after convergence, whose first entries are negligible
+    (Cullen & Willoughby 1985), so beta_k |s_k| / ||s|| is the residual
+    of the Ritz vector that the start vector carries. O(k) per pivot sweep."""
+    offdiag = [0.0] + [b ** 0.5 for b in betas2] + [0.0]
+    ulp = EPS * (max(map(abs, alphas)) + 2 * max(offdiag))  # |T| <= that / eps
+    # 8 ulp below the Gershgorin bound, T - lo I stays diagonally
+    # dominant through rounding, so every pivot at lo is positive.
+    lo = min(a - b - c for a, b, c in zip(alphas, offdiag, offdiag[1:])) - 8 * ulp
+    hi = min(alphas)
+    squares = [0.0] + betas2
+    while hi - lo > ulp / 16 and lo < (mid := 0.5 * (lo + hi)) < hi:
+        d = 1.0
+        for a, b2 in zip(alphas, squares):
+            d = a - mid - b2 / d
+            if d <= 0:
+                hi = mid
+                break
+        else:
+            lo = mid
+    # LDL^T of T - lo I, then L z = e_1 and D L^T s = z.
+    pivots, d = [], 1.0
+    for a, b2 in zip(alphas, squares):
+        d = a - lo - b2 / d
+        pivots.append(d)
+    z = [1.0]
+    for b, d in zip(offdiag[1:-1], pivots):
+        z.append(-b / d * z[-1])
+    s = [z[-1] / pivots[-1]]
+    for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
+        s.append((zj - b * s[-1]) / d)
+    return lo, abs(s[0]) / math.hypot(*s)
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """A fixed vector of n pseudo-random entries in [-1, 1): the
+    splitmix64 finaliser of 1..n, integer arithmetic only, so that the
+    same graph gives the same Lanczos run everywhere."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.ldexp((z >> np.uint64(11)).astype(float), -52) - 1.0
+
+
+def _check_resolution(lo: float, hi: float, n: int):
+    """MemaccelError unless lo > n * eps * hi: the smallest positive value
+    of an n-value spectrum whose largest is hi is not told apart from a
+    rounded zero below that."""
+    resolution = n * EPS * hi
+    if lo <= resolution:
+        raise MemaccelError(f"eigenvalue {lo} is at or below the resolution {resolution} "
+                            f"of {n} eigenvalues: an unresolved gap or an unzeroed kernel")
 
 
 def nonzero_spectral_interval(eigs) -> SpectralInterval:
@@ -173,17 +338,15 @@ def nonzero_spectral_interval(eigs) -> SpectralInterval:
     whose kernel is exact zeros, as symmetric_eigenvalues gives it.
 
     A negative or non-finite eigenvalue raises MemaccelError, and so does
-    a positive one at or below len(eigs) * eps * max(eigs): eigvalsh
-    cannot tell such a gap from a rounded zero, or the spectrum's kernel
-    was not zeroed. Dropping or keeping it could under-report nu."""
+    a positive one at or below len(eigs) * eps * max(eigs) (_check_resolution):
+    it cannot be told from a rounded zero, or the spectrum's kernel was
+    not zeroed. Dropping or keeping it could under-report nu."""
     eigs = np.asarray(eigs, dtype=float)
     if not (np.isfinite(eigs) & (eigs >= 0)).all():
         raise MemaccelError(f"eigenvalues must be finite and >= 0, got min {float(eigs.min())}")
     nz = eigs[eigs > 0]
     if nz.size == 0:
         raise AllZeroError("no positive eigenvalue")
-    resolution = float(eigs.size * np.finfo(float).eps * nz.max())
-    if nz.min() <= resolution:
-        raise MemaccelError(f"eigenvalue {float(nz.min())} is at or below eigvalsh's resolution "
-                            f"{resolution}: an unresolved gap or an unzeroed kernel")
-    return SpectralInterval(float(nz.min()), float(nz.max()))
+    lo, hi = float(nz.min()), float(nz.max())
+    _check_resolution(lo, hi, eigs.size)
+    return SpectralInterval(lo, hi)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,6 +17,13 @@ import memaccel
 from memaccel import errors
 from memaccel.cli import _numbers, build_parser, integer, main
 from memaccel.errors import decimal
+from memaccel.spectral import (
+    _lanczos_extremes,
+    laplacian,
+    load_edge_list,
+    nonzero_spectral_interval,
+    symmetric_eigenvalues,
+)
 
 
 def run(capsys, *argv):
@@ -800,6 +809,49 @@ class TestSpectrum:
         assert d["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
         assert d["nonzero_interval"] == pytest.approx([1.0, 3.0], abs=1e-9)
 
+    def test_lists_every_eigenvalue(self, capsys, tmp_path):
+        # The listing is all n eigenvalues, the kernel's c of them as exact
+        # zeros and the rest within n eps lambda_max of the 50-digit ones,
+        # to the 12 digits printed, over weights of 13 decades, isolated
+        # nodes and disconnected graphs; the interval is the library's
+        # extremes.
+        rng = np.random.default_rng(11)
+        graph = tmp_path / "g.txt"
+        for n in (2, 3, 5, 8, 13, 40):
+            edges = {(i, j): float(10.0 ** rng.uniform(-10, 3))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n}
+            edges.setdefault((0, n - 1), 0.0)  # n nodes, some of them isolated
+            graph.write_text("".join(f"{i} {j} {w!r}\n" for (i, j), w in edges.items()))
+            L = laplacian(load_edge_list(graph.read_text()))
+            code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
+            d = json.loads(out)
+            c, exact = L.components, _mp_eigenvalues(L.entries)
+            assert code == 0 and len(d["eigenvalues"]) == n
+            assert d["eigenvalues"][:c] == [0] * c
+            np.testing.assert_allclose(d["eigenvalues"][c:], exact[c:], rtol=1e-11,
+                                       atol=n * np.finfo(float).eps * exact[-1])
+            iv = nonzero_spectral_interval(symmetric_eigenvalues(L))
+            assert d["nonzero_interval"] == pytest.approx([iv.lo, iv.hi], rel=1e-11)
+
+    def test_one_dense_solve(self, capsys, tmp_path, monkeypatch):
+        # On a graph where Lanczos falls back, the listing reuses the
+        # fallback's eigvalsh; where it converges, eigvalsh runs once for
+        # the listing alone.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        graph = tmp_path / "g.txt"
+        path = [(i, i + 1) for i in range(9)]
+        complete = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+        for edges, falls_back in ((path, True), (complete, False)):
+            graph.write_text("".join(f"{i} {j} 1\n" for i, j in edges))
+            L = laplacian(load_edge_list(graph.read_text()))
+            assert (_lanczos_extremes(L) is None) is falls_back
+            calls.clear()
+            code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
+            assert code == 0 and len(json.loads(out)["eigenvalues"]) == 10
+            assert len(calls) == 1
+
     def test_zero_tol_flag_removed(self, capsys, tmp_path):
         # The kernel is counted from the graph's components; no threshold.
         with pytest.raises(SystemExit) as exc:
@@ -914,3 +966,11 @@ def test_every_option_is_read_by_its_command(command):
     unread = [a.dest for a in parser._actions
               if not isinstance(a, argparse._HelpAction) and f"args.{a.dest}" not in source]
     assert unread == []
+
+
+def _mp_eigenvalues(a):
+    """Ascending eigenvalues of the symmetric float array a, solved at 50
+    digits."""
+    with mpmath.workdps(50):
+        return [float(v) for v in sorted(mpmath.eigsy(mpmath.matrix(a.tolist()),
+                                                        eigvals_only=True))]

@@ -17,6 +17,7 @@ from memaccel.dynamics import (
     SimTrace,
     _force,
     _norm,
+    _rescaled,
     consensus_metrics,
     empirical_rate,
     find_divergent_drop_schedule,
@@ -446,6 +447,39 @@ class TestConsensusMetrics:
             assert [consensus_metrics(x) for x in rows] == want
             stacked = consensus_metrics(np.array(rows + [[0.0, 2.0]]))
         assert np.array_equal(np.column_stack(stacked), np.array(want + [(2.0, 1.0, 1.0)]))
+
+    def test_all_zero_rows_take_one_pass(self):
+        # fn gives an all-zero row the same zeros with or without the
+        # exact rescale, so it is not redone; -0.0 keeps its sign.
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return x.max(-1) - x.min(-1), x.std(-1), x.mean(-1)
+
+        for zeros in (np.zeros((6, 4)), np.zeros(4), np.full((2, 3), -0.0)):
+            calls.clear()
+            out = _rescaled(fn, zeros)
+            assert calls == [zeros.shape]
+            assert np.stack(out).tobytes() == np.stack(fn(zeros)).tobytes()
+            assert np.stack(consensus_metrics(zeros)).tobytes() == np.stack(out).tobytes()
+
+    def test_underflowing_nonzero_row_still_redone(self):
+        # Squares of 1e-300 round to 0, so that row alone is redone on
+        # ldexp(row, -e); the all-zero and in-range rows keep one pass.
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return (np.sqrt(np.add.reduce(x * x, axis=-1)),)
+
+        rows = np.array([[0.0, 0.0, 0.0], [1e-300, -1e-300, 0.0], [1.0, 2.0, 2.0]])
+        norms = _rescaled(fn, rows)[0]
+        assert calls == [(3, 3), (1, 3)]
+        assert norms.tolist() == [0.0, _norm(rows[1]), 3.0]
+        assert norms[1] == pytest.approx(np.sqrt(2.0) * 1e-300, rel=1e-15)  # not sqrt(0)
+        spread, rms, mean = consensus_metrics(rows)
+        assert spread.tolist() == [0.0, 2e-300, 1.0] and mean[0] == 0.0
 
     def test_trace_metrics_are_each_states_bit_for_bit(self):
         # Readers take the metrics of a trace's whole state stack at once;

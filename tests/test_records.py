@@ -184,9 +184,10 @@ class TestArrayFields:
 
 class TestDerivedCaches:
     """``IterationProblem.nonzeros`` and ``.solution_scale``,
-    ``DropSchedule.cuts`` and ``LaplacianMatrix.entries`` and
-    ``.components`` are set by ``__post_init__`` and are not fields: they
-    stay out of ``__init__``, ``==`` and repr, and survive a pickle."""
+    ``DropSchedule.cuts`` and ``LaplacianMatrix.nonzeros``, ``.entries``,
+    ``.labels`` and ``.components`` are set by ``__post_init__`` and are
+    not fields: they stay out of ``__init__``, ``==`` and repr, and
+    survive a pickle."""
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
@@ -223,6 +224,10 @@ class TestDerivedCaches:
         assert d == e
         L, M = spectral.laplacian(PATH3), spectral.laplacian(PATH3)
         assert L.entries is not M.entries and L == M
+        # The listing _all_eigenvalues keeps on L is a cache too.
+        assert not spectral._all_eigenvalues(L).flags.writeable
+        assert spectral._all_eigenvalues(L) is spectral._all_eigenvalues(L)
+        assert L == M and "eigenvalues" not in repr(L)
 
     def test_not_in_repr(self):
         p, _ = self._problems()
@@ -230,7 +235,7 @@ class TestDerivedCaches:
         assert "nonzeros" not in repr(p) and "cuts" not in repr(d)
         assert "solution_scale" not in repr(p)
         r = repr(spectral.laplacian(PATH3))
-        assert "entries" not in r and "components" not in r
+        assert all(name not in r for name in ("nonzeros", "entries", "labels", "components"))
 
     def test_survive_pickle(self):
         p, _ = self._problems()
@@ -243,6 +248,8 @@ class TestDerivedCaches:
         back = pickle.loads(pickle.dumps(two))
         assert back.components == two.components == 2
         np.testing.assert_array_equal(back.entries, two.entries)
+        np.testing.assert_array_equal(back.labels, [0, 1])
+        np.testing.assert_equal(back.nonzeros, two.nonzeros)
 
 
 # field -> (the name its message gives, a record with value v in that field)
