@@ -20,13 +20,12 @@ checks its gains, set and ``--refine-tol`` with it, and
 ``search`` its set and ``--seed-gains``, before they import ``accel``, so
 those exit-3 errors load no numpy either; ``accel.search_gains`` itself
 checks search's ``--M`` and ``--budget``, after numpy. ``spectrum`` prints
-all of a graph's Laplacian eigenvalues, its kernel ones, one per
-connected component, as exact 0, and the nonzero interval that the
-library reads from the extreme ones; a graph with a non-finite edge
-weight, or whose spectral gap lambda_2 is at or below n * eps *
-lambda_max, exits 3. A numeric option left out takes the
-library's own default, which the parser does not restate: ``tune``
-without ``--M`` takes ``tune_theorem3``'s M, ``search`` without
+a graph's Laplacian eigenvalues from one eigvalsh, the kernel's one per
+component as exact 0, and the nonzero interval of that listing; a graph
+with a non-finite edge weight, an eigenvalue listed below 0, or a gap
+lambda_2 at or below n * eps * lambda_max exits 3. A numeric option left
+out takes the library's own default, which the parser does not restate:
+``tune`` without ``--M`` takes ``tune_theorem3``'s M, ``search`` without
 ``--budget`` or ``--seed-rng`` takes ``search_gains``' budget and seed,
 and ``certify --field`` without ``--window`` samples
 ``partition_field``'s default window. ``simulate --seed-rng`` is the
@@ -318,9 +317,11 @@ def _cmd_spectrum(args) -> int:
     from . import spectral
 
     L = spectral.laplacian(_load_graph(args.graph))
-    iv = spectral.nonzero_spectral_interval(spectral.symmetric_eigenvalues(L))
-    _emit({"eigenvalues": spectral._all_eigenvalues(L).tolist(),
-           "nonzero_interval": [iv.lo, iv.hi]}, args.output)
+    eigs = spectral._all_eigenvalues(L)
+    iv = spectral.nonzero_spectral_interval(eigs)
+    # The reader takes every 0 for the kernel's; eigvalsh may round lambda_2 to 0.
+    spectral._check_resolution(float(eigs[L.components]), iv.hi, L.graph.n)
+    _emit({"eigenvalues": eigs.tolist(), "nonzero_interval": [iv.lo, iv.hi]}, args.output)
     return 0
 
 

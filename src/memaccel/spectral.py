@@ -69,11 +69,11 @@ def _edge_key(i, j) -> tuple[int, int]:
 class LaplacianMatrix(Record):
     """Dense Laplacian of a graph: L[j][j] = sum of incident weights,
     L[j][k] = -w_jk, so it is symmetric and its rows sum to zero. Its
-    caches, not fields, come from _laplacian_nonzeros(graph), which is
-    ``nonzeros``: ``entries``, the read-only n x n array, ``labels``, the
-    component of each node under the pairs r > c, and ``components``,
-    their number, the kernel's dimension (Fiedler 1973); once asked for,
-    _all_eigenvalues(L) keeps its listing on L too."""
+    caches, not fields, all set here and never after, come from
+    _laplacian_nonzeros(graph), which is ``nonzeros``: ``entries``, the
+    read-only n x n array, ``labels``, the component of each node under
+    the pairs r > c, and ``components``, their number, the kernel's
+    dimension (Fiedler 1973)."""
 
     graph: WeightedGraph
 
@@ -207,15 +207,11 @@ def symmetric_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
 def _all_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
     """All n eigenvalues of a Laplacian, eigvalsh's ascending ones on
     L.entries, with the leading L.components of them, its kernel, set to
-    exact zeros: O(n^3) time and a second n x n array. The read-only
-    result is kept on L, so memaccel spectrum's listing after a fallback
-    in symmetric_eigenvalues solves once."""
-    eigs = L.__dict__.get("_all_eigenvalues")
-    if eigs is None:
-        eigs = np.linalg.eigvalsh(L.entries)
-        eigs[:L.components] = 0.0
-        eigs.flags.writeable = False
-        object.__setattr__(L, "_all_eigenvalues", eigs)
+    exact zeros: O(n^3) time and a second n x n array, a new one on
+    every call. memaccel spectrum lists them, and symmetric_eigenvalues
+    reads its extremes from them where Lanczos does not converge."""
+    eigs = np.linalg.eigvalsh(L.entries)
+    eigs[:L.components] = 0.0
     return eigs
 
 

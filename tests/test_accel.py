@@ -291,20 +291,33 @@ class TestCertifiedGuarantee:
             assert abs(sup - mpmath.mpf("0.81818182967641316969")) < mpmath.mpf(10) ** -19
             assert guarantee(g, iv).nu >= sup
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect 6: on isolated points nu is "
-                       "the float modulus eigvals returns, not an upper bound")
-    def test_point_set_not_under_reported(self):
-        # search_gains' result on these points; nu reads 0.41130298910180785.
-        g = Gains(4, 2.3724484667890824,
-                  (-0.3261844279453829, -0.002395106012960704, 0.00951081195171481))
-        s = SpectralSet(points=(0.1, 1.0))
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP Known defect 6: "
+                       "on isolated points nu is the float modulus eigvals returns, not an "
+                       "upper bound")
+    @pytest.mark.parametrize("g, s, want", [
+        # search_gains' result on these points; nu reads 0.41130298910180785,
+        # the peak is at lambda = 1.
+        (Gains(4, 2.3724484667890824,
+               (-0.3261844279453829, -0.002395106012960704, 0.00951081195171481)),
+         SpectralSet(points=(0.1, 1.0)), "0.4113029891018080439"),
+        # A double root at lambda = 0.05, where nu reads 0.6345120132488639;
+        # search_gains(s, M=5) returns exactly this seed.
+        (tune_theorem3(SpectralInterval(0.05, 1.0), 5).gains,
+         SpectralSet(points=(0.05, 0.5, 1.0)), "0.63451201444218974541"),
+    ], ids=["full-order", "double-root"])
+    def test_point_set_not_under_reported(self, g, s, want):
         with mpmath.workdps(50):
             alpha, betas = mpmath.mpf(g.alpha), [mpmath.mpf(b) for b in g.betas]
-            # Each point's mode, exact in the float gains; the peak is at lambda = 1.
-            sup = max(self._mp_max_modulus([-b for b in betas[::-1]]
-                                           + [sum(betas) - 1 + alpha * mpmath.mpf(lam), 1])
-                      for lam in s.points)
-            assert abs(sup - mpmath.mpf("0.4113029891018080439")) < mpmath.mpf(10) ** -19
+            sup = mpmath.mpf(0)
+            for lam in s.points:
+                # The point's mode, exact in the float gains, low order
+                # first; a root at 0 (a zero beta_M, ...) is dropped, as
+                # mpmath's polyroots does not converge on it.
+                q = [-b for b in betas[::-1]] + [sum(betas) - 1 + alpha * mpmath.mpf(lam), 1]
+                while q[0] == 0:
+                    q.pop(0)
+                sup = max(sup, self._mp_max_modulus(q))
+            assert abs(sup - mpmath.mpf(want)) < mpmath.mpf(10) ** -19
             assert guarantee(g, s).nu >= sup
 
 

@@ -813,33 +813,43 @@ class TestSpectrum:
         # The listing is all n eigenvalues, the kernel's c of them as exact
         # zeros and the rest within n eps lambda_max of the 50-digit ones,
         # to the 12 digits printed, over weights of 13 decades, isolated
-        # nodes and disconnected graphs; the interval is the library's
-        # extremes.
+        # nodes and disconnected graphs; the interval is the extremes of
+        # that listing, as printed, and within 1e-11 of the library's.
         rng = np.random.default_rng(11)
-        graph = tmp_path / "g.txt"
+        texts = []
         for n in (2, 3, 5, 8, 13, 40):
             edges = {(i, j): float(10.0 ** rng.uniform(-10, 3))
                      for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n}
             edges.setdefault((0, n - 1), 0.0)  # n nodes, some of them isolated
-            graph.write_text("".join(f"{i} {j} {w!r}\n" for (i, j), w in edges.items()))
-            L = laplacian(load_edge_list(graph.read_text()))
+            texts.append("".join(f"{i} {j} {w!r}\n" for (i, j), w in edges.items()))
+        # Lanczos' lambda_2 here differs from eigvalsh's in the 12th digit:
+        # the interval read 0.221222425229 beside a listed 0.22122242523.
+        texts.append("0 1 0.01\n1 2 1\n2 3 0.5\n3 4 0.5\n0 3 0.01\n0 4 0.5\n")
+        graph = tmp_path / "g.txt"
+        for text in texts:
+            graph.write_text(text)
+            L = laplacian(load_edge_list(text))
             code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
             d = json.loads(out)
-            c, exact = L.components, _mp_eigenvalues(L.entries)
+            n, c, exact = L.graph.n, L.components, _mp_eigenvalues(L.entries)
             assert code == 0 and len(d["eigenvalues"]) == n
             assert d["eigenvalues"][:c] == [0] * c
             np.testing.assert_allclose(d["eigenvalues"][c:], exact[c:], rtol=1e-11,
                                        atol=n * np.finfo(float).eps * exact[-1])
+            listed = d["eigenvalues"]
+            assert d["nonzero_interval"] == [min(v for v in listed if v > 0), max(listed)]
             iv = nonzero_spectral_interval(symmetric_eigenvalues(L))
             assert d["nonzero_interval"] == pytest.approx([iv.lo, iv.hi], rel=1e-11)
 
     def test_one_dense_solve(self, capsys, tmp_path, monkeypatch):
-        # On a graph where Lanczos falls back, the listing reuses the
-        # fallback's eigvalsh; where it converges, eigvalsh runs once for
-        # the listing alone.
+        # The listing and its interval come from one eigvalsh and no
+        # Lanczos run, on a graph where Lanczos would fall back and on
+        # one where it would converge.
+        def no_lanczos(L):
+            raise AssertionError("spectrum ran Lanczos")
+
         calls = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         graph = tmp_path / "g.txt"
         path = [(i, i + 1) for i in range(9)]
         complete = [(i, j) for i in range(10) for j in range(i + 1, 10)]
@@ -847,8 +857,11 @@ class TestSpectrum:
             graph.write_text("".join(f"{i} {j} 1\n" for i, j in edges))
             L = laplacian(load_edge_list(graph.read_text()))
             assert (_lanczos_extremes(L) is None) is falls_back
-            calls.clear()
-            code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+                m.setattr(memaccel.spectral, "_lanczos_extremes", no_lanczos)
+                calls.clear()
+                code, out, _ = run(capsys, "spectrum", "--graph", str(graph))
             assert code == 0 and len(json.loads(out)["eigenvalues"]) == 10
             assert len(calls) == 1
 
@@ -909,6 +922,22 @@ class TestSpectrum:
         code, out, err = run(capsys, "spectrum", "--graph", str(graph))
         assert code == 3 and out == "" and "resolution" in err
         assert "np.float64" not in err
+
+    def test_weak_bridge_listed_lambda2_exit3(self, capsys, tmp_path, monkeypatch):
+        # A 1e-18 or 1.4e-20 bridge makes one component, so eigvalsh's
+        # lambda_2 is no kernel zero, yet it can round below 0 or to 0.
+        # nonzero_spectral_interval alone took a 0 for the kernel's: the
+        # second graph printed [2, 2] and exited 0.
+        graph = tmp_path / "bridge.txt"
+        for text in ("0 1 1\n1 2 1\n0 2 1\n3 4 1\n2 3 1e-18\n",
+                     "0 1 1\n2 3 1\n0 2 1.3913777107056506e-20\n"):
+            graph.write_text(text)
+            code, out, err = run(capsys, "spectrum", "--graph", str(graph))
+            assert code == 3 and out == "" and err.startswith("error: ")
+        # The second listing, whatever this LAPACK rounds lambda_2 to.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.0, 0.0, 2.0, 2.0]))
+        code, out, err = run(capsys, "spectrum", "--graph", str(graph))
+        assert (code, out) == (3, "") and "eigenvalue 0.0 is at or below the resolution" in err
 
     def test_edgeless_graph_exit3(self, capsys, tmp_path):
         bad = tmp_path / "empty.txt"

@@ -186,8 +186,8 @@ class TestDerivedCaches:
     """``IterationProblem.nonzeros`` and ``.solution_scale``,
     ``DropSchedule.cuts`` and ``LaplacianMatrix.nonzeros``, ``.entries``,
     ``.labels`` and ``.components`` are set by ``__post_init__`` and are
-    not fields: they stay out of ``__init__``, ``==`` and repr, and
-    survive a pickle."""
+    not fields: they stay out of ``__init__``, ``==`` and repr, survive
+    a pickle, and no later call adds to them."""
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
@@ -224,10 +224,27 @@ class TestDerivedCaches:
         assert d == e
         L, M = spectral.laplacian(PATH3), spectral.laplacian(PATH3)
         assert L.entries is not M.entries and L == M
-        # The listing _all_eigenvalues keeps on L is a cache too.
-        assert not spectral._all_eigenvalues(L).flags.writeable
-        assert spectral._all_eigenvalues(L) is spectral._all_eigenvalues(L)
         assert L == M and "eigenvalues" not in repr(L)
+
+    def test_fixed_at_construction(self):
+        # No call adds, drops or rebinds an attribute of a record it is
+        # given, the 10-node path being one where Lanczos falls back to
+        # eigvalsh.
+        path = spectral.WeightedGraph(10, tuple((i, i + 1, 1.0) for i in range(9)))
+        L = spectral.laplacian(path)
+        assert spectral._lanczos_extremes(L) is None
+        p = dynamics.IterationProblem(L.entries, np.zeros(10), np.arange(10.0))
+        d = dynamics.DropSchedule(path, {2: frozenset({(0, 1), (4, 5)})})
+        before = [dict(vars(r)) for r in (L, p, d)]
+        eigs = spectral.symmetric_eigenvalues(L)
+        spectral._all_eigenvalues(L)
+        gains = tuning.tune_theorem3(spectral.nonzero_spectral_interval(eigs)).gains
+        dynamics.simulate(p, gains, 5)
+        dynamics.simulate(p, gains, 5, drops=d)
+        for r, was in zip((L, p, d), before):
+            now = vars(r)
+            assert now.keys() == was.keys(), type(r).__name__
+            assert all(now[k] is was[k] for k in was), type(r).__name__
 
     def test_not_in_repr(self):
         p, _ = self._problems()
