@@ -9,6 +9,7 @@ live in :mod:`memaccel.tuning` and are re-exported here.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -226,7 +227,10 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     n * eps * theta_max / 4 is kept, moved outward by its residual, and
     not checked again: a copy that finite-precision Lanczos forms of it
     later would blur its residual. The run stops once both are kept; the
-    quarter leaves room for the few ulps by which a Ritz value misses."""
+    quarter leaves room for the few ulps by which a Ritz value misses.
+    Each check's _lowest_ritz for an end starts from the Ritz pair of that
+    end's previous check, state local to this call: it skips most pivot
+    sweeps and changes no value."""
     n, cap = L.graph.n, L.graph.n - L.components
     degree, i, j, a = L.nonzeros
     e = int(np.frexp(degree.max())[1])
@@ -241,21 +245,22 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     q = project(_start_vector(n))
     q /= np.linalg.norm(q)
     q_prev, beta, alphas, betas2, check = np.zeros(n), 0.0, [], [], 1
-    lo = hi = None
+    lo = hi = low = high = None
     for k in range(1, cap + 1):
         w = _matvec(nonzeros, q)
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
         w -= beta * q_prev
-        beta = float(np.linalg.norm(project(w)))
+        project(w)
+        beta = math.sqrt(w @ w)
         if k in (check, cap) or beta == 0:
             if hi is None:
-                theta, s = _lowest_ritz([-x for x in alphas], betas2)
+                theta, s, high = _lowest_ritz([-x for x in alphas], betas2, high)
                 top = -theta
                 if 4 * beta * s <= n * EPS * top:
                     hi = top + beta * s
             if lo is None:
-                theta, s = _lowest_ritz(alphas, betas2)
+                theta, s, low = _lowest_ritz(alphas, betas2, low)
                 if 4 * beta * s <= n * EPS * top:
                     lo = theta - beta * s
             if lo is not None and hi is not None:
@@ -266,46 +271,119 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     return None
 
 
-def _lowest_ritz(alphas: list, betas2: list) -> tuple[float, float]:
-    """(theta, |s_k| / ||s||) for the smallest eigenvalue theta of the k x k
-    tridiagonal T with diagonal alphas and squared off-diagonal betas2.
+def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, tuple]:
+    """(theta, |s_k| / ||s||, (theta, s / ||s||)) for the smallest
+    eigenvalue theta of the k x k tridiagonal T with diagonal alphas and
+    squared off-diagonal betas2; the last item is the Ritz pair that the
+    next check of the same end starts from.
 
     theta is found by bisection on Sturm's rule, T - x I is positive
     definite iff every pivot of its LDL^T is, and is the lower end of the
-    last bracket, within eps * (max |alpha| + 2 max beta) / 16. s solves
+    last bracket, within eps * (max |alpha| + 2 max beta) / 16. While
+    every pivot stays positive, each one falls as x rises, in rounded
+    arithmetic too (the operations are monotone; Demmel, Dhillon & Ren
+    1995), so a sweep at a point below one where every pivot is positive,
+    or above one where one is not, repeats what is known. The bisection
+    skips those sweeps: a start, a Ritz pair (theta', u) of a leading
+    block of T, lets _warm_bracket certify such points about an ulp apart,
+    and theta is the same float with or without it. s solves
     (T - theta I) s = e_1, one step of inverse iteration from the first
     unit vector: it leaves out copies of theta that finite-precision
     Lanczos forms after convergence, whose first entries are negligible
-    (Cullen & Willoughby 1985), so beta_k |s_k| / ||s|| is the residual
-    of the Ritz vector that the start vector carries. O(k) per pivot sweep."""
+    (Cullen & Willoughby 1985), so beta_k |s_k| / ||s|| is the residual of
+    the Ritz vector that the start vector carries. Each sweep or solve
+    is O(k); a start cuts their number per call about four-fold."""
     offdiag = [0.0] + [b ** 0.5 for b in betas2] + [0.0]
     ulp = EPS * (max(map(abs, alphas)) + 2 * max(offdiag))  # |T| <= that / eps
+    squares = [0.0] + betas2
+    known_lo, known_hi = (_warm_bracket(alphas, offdiag, squares, ulp, *start)
+                          if start is not None else (-math.inf, math.inf))
     # 8 ulp below the Gershgorin bound, T - lo I stays diagonally
     # dominant through rounding, so every pivot at lo is positive.
     lo = min(a - b - c for a, b, c in zip(alphas, offdiag, offdiag[1:])) - 8 * ulp
     hi = min(alphas)
-    squares = [0.0] + betas2
     while hi - lo > ulp / 16 and lo < (mid := 0.5 * (lo + hi)) < hi:
-        d = 1.0
-        for a, b2 in zip(alphas, squares):
-            d = a - mid - b2 / d
-            if d <= 0:
-                hi = mid
-                break
-        else:
+        if mid <= known_lo or (mid < known_hi and _positive_definite(alphas, squares, mid)):
             lo = mid
-    # LDL^T of T - lo I, then L z = e_1 and D L^T s = z.
-    pivots, d = [], 1.0
-    for a, b2 in zip(alphas, squares):
+        else:
+            hi = mid
+    # LDL^T of T - lo I with L z = e_1, then D L^T s = z.
+    pivots, z, d = [], [], 1.0
+    for a, b, b2 in zip(alphas, offdiag, squares):
+        z.append(-b / d * z[-1] if z else 1.0)
         d = a - lo - b2 / d
         pivots.append(d)
-    z = [1.0]
-    for b, d in zip(offdiag[1:-1], pivots):
-        z.append(-b / d * z[-1])
     s = [z[-1] / pivots[-1]]
     for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
         s.append((zj - b * s[-1]) / d)
-    return lo, abs(s[0]) / math.hypot(*s)
+    norm = math.hypot(*s)
+    return lo, abs(s[0]) / norm, (lo, [x / norm for x in reversed(s)])
+
+
+def _positive_definite(alphas: list, squares: list, x: float) -> bool:
+    """Whether every pivot of the LDL^T of T - x I is positive, T the
+    tridiagonal with diagonal alphas and squared off-diagonal squares[1:]:
+    one O(k) sweep that stops at the first pivot <= 0."""
+    d = 1.0
+    for a, b2 in zip(alphas, squares):
+        d = a - x - b2 / d
+        if d <= 0:
+            return False
+    return True
+
+
+def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float]:
+    """Points lo < hi about the smallest eigenvalue of the tridiagonal T
+    that sweeps certify from the start (theta, u), a Ritz value and unit
+    Ritz vector of a leading m x m block of T: every pivot of T - lo I is
+    positive and one of T - hi I is not; -inf or inf at an end not reached.
+
+    Rayleigh-quotient iteration runs on T from u padded with zeros: at
+    most 4 steps, each one LDL^T solve (T - sigma I) y = v, whose pivots
+    are a Sturm sweep at sigma, with sigma <- sigma + y^T v / y^T y and
+    v <- y / ||y||, until a step is at most ulp. The padded u has residual
+    r = beta_m |u_m| in T, so the first shift is theta - r: below theta,
+    on the side of the smallest eigenvalue, and off the leading block's
+    eigenvalue, where a pivot would vanish. Two sweeps at sigma -+ ulp / 2
+    then close the bracket where the shifts have not. A start that leads
+    the iteration to another eigenvalue, or to none, leaves an end open."""
+    k, m = len(alphas), len(u)
+    sigma = theta - offdiag[m] * abs(u[-1]) if m < k else theta
+    v = u + [0.0] * (k - m)
+    lo, hi = -math.inf, math.inf
+    for _ in range(4):
+        pivots, z, d, zj = [], [], 1.0, 0.0
+        for a, b, b2, x in zip(alphas, offdiag, squares, v):
+            zj = x - b / d * zj
+            d = a - sigma - b2 / d
+            if d == 0:
+                break
+            pivots.append(d)
+            z.append(zj)
+        if len(pivots) == k and min(pivots) > 0:
+            lo = max(lo, sigma)
+        else:
+            hi = min(hi, sigma)
+        if len(pivots) < k:  # sigma is an eigenvalue to working precision
+            break
+        y = [z[-1] / pivots[-1]]
+        for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
+            y.append((zj - b * y[-1]) / d)
+        norm = math.hypot(*y)
+        if not 0 < norm < math.inf:  # a zero start, or an overflow
+            break
+        step = sum(map(operator.mul, y, reversed(v))) / norm / norm
+        sigma += step
+        if abs(step) <= ulp:
+            break
+        v = [t / norm for t in reversed(y)]
+    for x in (sigma - ulp / 2, sigma + ulp / 2):
+        if lo < x < hi:
+            if _positive_definite(alphas, squares, x):
+                lo = x
+            else:
+                hi = x
+    return lo, hi
 
 
 def _start_vector(n: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memaccel import spectral
 from memaccel.accel import guarantee
 from memaccel.errors import (
     AllZeroError,
@@ -568,22 +569,44 @@ class TestExtremes:
         # estimate, where it converges, and the result are within
         # n eps lambda_max of eigvalsh's. About 1 graph in 16 of these
         # sizes does not converge in n - 1 steps and falls back.
-        rng = np.random.default_rng(seed)
-        if two:
-            h = n // 2
-            a, b = _ring_chords(rng, h), _ring_chords(rng, n - h)
-            bridge = (int(rng.integers(h)), int(h + rng.integers(n - h)),
-                      float(10 ** rng.uniform(-3, 0)))
-            g = WeightedGraph(n, a.edges + tuple((i + h, j + h, w) for i, j, w in b.edges)
-                              + (bridge,))
-        else:
-            g = _ring_chords(rng, n)
-        L = laplacian(g)
+        L = laplacian(_benchmark_sized_graph(np.random.default_rng(seed), n, two))
         raw = np.linalg.eigvalsh(L.entries)
         want, tol = [raw[1], raw[-1]], n * np.finfo(float).eps * raw[-1]
         if (ends := _lanczos_extremes(L)) is not None:
             np.testing.assert_allclose(ends, want, rtol=0, atol=tol)
         np.testing.assert_allclose(symmetric_eigenvalues(L), [0.0, *want], rtol=0, atol=tol)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(100, 400), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_warm_and_cold_checks_decide_alike(self, n, two, seed):
+        # The same graphs, with each check's Ritz solve started from the
+        # last check's Ritz pair, and with _lowest_ritz dropping its start:
+        # the same checks, so the same stop step or None from both, and the
+        # same floats, which is more than agreeing within 0.25 n eps
+        # lambda_max. The warm run sweeps less than a quarter as often.
+        L = laplacian(_benchmark_sized_graph(np.random.default_rng(seed), n, two))
+        lowest, sweep = spectral._lowest_ritz, spectral._positive_definite
+        runs = []
+        for warm in (True, False):
+            checks, starts, sweeps = [], [], []
+
+            def ritz(alphas, betas2, start=None, warm=warm):
+                checks.append(len(alphas))
+                starts.append(start is not None)
+                return lowest(alphas, betas2, start if warm else None)
+
+            def counted(*args):
+                sweeps.append(1)
+                return sweep(*args)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(spectral, "_lowest_ritz", ritz)
+                m.setattr(spectral, "_positive_definite", counted)
+                runs.append((_lanczos_extremes(L), checks, len(sweeps)))
+            assert any(starts[2:]) and not starts[0]
+        (warm_ends, warm_checks, warm_sweeps), (cold_ends, cold_checks, cold_sweeps) = runs
+        assert warm_ends == cold_ends and warm_checks == cold_checks
+        assert 4 * warm_sweeps < cold_sweeps
 
     @pytest.mark.parametrize("n", [200, 201])
     def test_path_and_ring_closed_forms(self, n):
@@ -635,16 +658,59 @@ class TestExtremes:
                                    atol=551 * np.finfo(float).eps * raw[-1])
 
     def test_lowest_ritz_of_a_tridiagonal(self):
-        # The smallest eigenvalue of T and the last entry of its unit
-        # eigenvector, against a dense solve.
+        # The smallest eigenvalue of T, the last entry of its unit
+        # eigenvector and the eigenvector, against a dense solve.
         rng = np.random.default_rng(3)
         for k in (1, 2, 5, 40):
             alphas, betas = rng.uniform(0.5, 2.0, k), rng.uniform(0.1, 1.0, k - 1)
             T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             w, v = np.linalg.eigh(T)
-            theta, last = _lowest_ritz(alphas.tolist(), (betas ** 2).tolist())
+            theta, last, (value, u) = _lowest_ritz(alphas.tolist(), (betas ** 2).tolist())
             assert theta <= w[0] <= theta + 1e-14
             assert last == pytest.approx(abs(v[-1, 0]), rel=1e-6, abs=1e-12)
+            assert value == theta and len(u) == k
+            assert abs(np.dot(u, v[:, 0])) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["separated", "clustered", "repeated", "ghosts"]),
+           st.integers(1, 600), st.integers(0, 2 ** 32 - 1))
+    def test_lowest_ritz_from_any_start(self, kind, k, seed):
+        # From no start, T's own lowest eigenpair, a perturbed one, its
+        # second, a zero vector or the Ritz pair of a leading block: every
+        # pivot of T - theta I is positive and one at theta + ulp / 16 is
+        # not (the bisection's tolerance), theta is within 4 ulp of
+        # LAPACK's bisection (dense eigh's rounding reaches 22 ulp at
+        # k = 600), and theta, the last-entry ratio and the Ritz pair are
+        # the cold solve's, bit for bit. Where lambda_1 is well separated
+        # and its eigenvector's first entry is not negligible, as in a
+        # Lanczos T, the ratio is eigh's to a relative 1e-6.
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        alphas, betas = _tridiagonal(rng, kind, k)
+        a, b2 = alphas.tolist(), (betas ** 2).tolist()
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        w, v = np.linalg.eigh(T)
+        beta_max = max([b ** 0.5 for b in b2], default=0.0)  # as _lowest_ritz rounds it
+        ulp = np.finfo(float).eps * (max(map(abs, a)) + 2 * beta_max)
+        lapack = scipy_linalg.eigvalsh_tridiagonal(alphas, betas, select="i", select_range=(0, 0),
+                                                   lapack_driver="stebz", tol=0.0)[0]
+        cold = theta, ratio, (value, u) = _lowest_ritz(a, b2)
+        assert min(_pivots(a, b2, theta)) > 0
+        assert min(_pivots(a, b2, max(theta + ulp / 16, np.nextafter(theta, np.inf)))) <= 0
+        assert abs(theta - lapack) <= 4 * ulp
+        assert value == theta and np.linalg.norm(u) == pytest.approx(1.0)
+        if (k == 1 or w[1] - w[0] > 1e-3) and abs(v[0, 0]) > 1e-3:
+            assert ratio == pytest.approx(abs(v[-1, 0]), rel=1e-6, abs=1e-12)
+        perturbed = v[:, 0] + 1e-3 * rng.standard_normal(k)
+        perturbed /= np.linalg.norm(perturbed)
+        j = int(rng.integers(1, k + 1))
+        second = min(1, k - 1)
+        for start in [(w[0], v[:, 0].tolist()),
+                      (float(perturbed @ T @ perturbed), perturbed.tolist()),
+                      (w[second], v[:, second].tolist()),
+                      (w[0], [0.0] * k),
+                      _lowest_ritz(a[:j], b2[:j - 1])[2]]:
+            assert _lowest_ritz(a, b2, start) == cold
 
     def test_start_vector_is_fixed(self):
         v = _start_vector(5)
@@ -667,6 +733,57 @@ def _extremes(eigs, c):
     its first c, or the one there is, or none."""
     rest = list(eigs[c:])
     return [0.0] * c + (rest[:1] + rest[-1:] if len(rest) > 1 else rest)
+
+
+def _pivots(alphas, betas2, x):
+    """The pivots of the LDL^T of T - x I, T the tridiagonal with diagonal
+    alphas and squared off-diagonal betas2, as a reference."""
+    pivots, d = [], 1.0
+    for a, b2 in zip(alphas, [0.0] + betas2):
+        d = a - x - b2 / d if d else -np.inf
+        pivots.append(d)
+    return pivots
+
+
+def _tridiagonal(rng, kind, k):
+    """(alphas, betas) of a k x k tridiagonal: random entries with a
+    separated spectrum; eigenvalues clustered within 3e-9 of 1; one random
+    block repeated behind a coupling of 1e-9, so that each eigenvalue has
+    a twin; or the T of k Lanczos steps without reorthogonalisation on a
+    diagonal of 5..59 eigenvalues, run past convergence until T holds
+    ghost copies of its extremes."""
+    if kind == "separated":
+        return rng.uniform(0.5, 2.0, k), rng.uniform(0.1, 1.0, k - 1)
+    if kind == "clustered":
+        return 1 + 1e-9 * rng.uniform(0, 1, k), 1e-9 * rng.uniform(0.1, 1, k - 1)
+    if kind == "repeated":
+        h = (k + 1) // 2
+        a, b = rng.uniform(0.5, 2.0, h), rng.uniform(0.1, 1.0, h - 1)
+        return np.concatenate([a, a])[:k], np.concatenate([b, [1e-9], b])[:k - 1]
+    lam = np.sort(rng.uniform(1, 2, int(rng.integers(5, 60))))
+    lam[0] = rng.uniform(0, 0.9)
+    q = rng.standard_normal(len(lam))
+    q /= np.linalg.norm(q)
+    q_prev, beta, alphas, betas = np.zeros(len(lam)), 0.0, [], []
+    for _ in range(k):
+        w = lam * q
+        alphas.append(q @ w)
+        w -= alphas[-1] * q + beta * q_prev
+        beta = np.linalg.norm(w)
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    return np.array(alphas), np.array(betas[:-1])
+
+
+def _benchmark_sized_graph(rng, n, two):
+    """A ring with chords on n nodes, or two on n // 2 and n - n // 2
+    joined by one edge of weight 1e-3..1."""
+    if not two:
+        return _ring_chords(rng, n)
+    h = n // 2
+    a, b = _ring_chords(rng, h), _ring_chords(rng, n - h)
+    bridge = (int(rng.integers(h)), int(h + rng.integers(n - h)), float(10 ** rng.uniform(-3, 0)))
+    return WeightedGraph(n, a.edges + tuple((i + h, j + h, w) for i, j, w in b.edges) + (bridge,))
 
 
 def _ring_chords(rng, n):
