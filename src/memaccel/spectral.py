@@ -68,13 +68,14 @@ def _edge_key(i, j) -> tuple[int, int]:
 
 
 class LaplacianMatrix(Record):
-    """Dense Laplacian of a graph: L[j][j] = sum of incident weights,
+    """Laplacian of a graph: L[j][j] = sum of incident weights,
     L[j][k] = -w_jk, so it is symmetric and its rows sum to zero. Its
-    caches, not fields, all set here and never after, come from
-    _laplacian_nonzeros(graph), which is ``nonzeros``: ``entries``, the
-    read-only n x n array, ``labels``, the component of each node under
-    the pairs r > c, and ``components``, their number, the kernel's
-    dimension (Fiedler 1973)."""
+    caches, not fields, all set here and never after and each O(n + E),
+    are ``nonzeros``, the sparse form _laplacian_nonzeros(graph),
+    ``labels``, the component of each node under the pairs r > c, and
+    ``components``, their number, the kernel's dimension (Fiedler 1973).
+    Nothing n x n is stored: ``entries`` is built from ``nonzeros`` on
+    each read."""
 
     graph: WeightedGraph
 
@@ -82,16 +83,23 @@ class LaplacianMatrix(Record):
         g = self.graph
         if not isinstance(g, WeightedGraph):
             raise TypeError(f"LaplacianMatrix takes a WeightedGraph, got {type(g).__name__}")
-        nonzeros = degree, r, c, v = _laplacian_nonzeros(g)
-        a = np.zeros((g.n, g.n))
+        nonzeros = _, r, c, _ = _laplacian_nonzeros(g)
+        labels = _components(g.n, r[r > c], c[r > c])
+        object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "components", int(labels.max(initial=-1)) + 1)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n array of L, read-only: nonzeros scattered into
+        a new array on every read, never cached, so each reader pays
+        O(n^2) memory once and the record stays O(n + E)."""
+        degree, r, c, v = self.nonzeros
+        a = np.zeros((self.graph.n, self.graph.n))
         a[r, c] = v
         np.fill_diagonal(a, degree)
         a.flags.writeable = False
-        labels = _components(g.n, r[r > c], c[r > c])
-        object.__setattr__(self, "nonzeros", nonzeros)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "components", int(labels.max(initial=-1)) + 1)
+        return a
 
 
 def _laplacian_nonzeros(g: WeightedGraph) -> tuple[np.ndarray, ...]:
@@ -164,7 +172,8 @@ def _matvec(nonzeros: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The connected component of each of n nodes joined by the edges
     (i, j), by union-find with path halving: labels 0, 1, ... in the
-    order of each component's root."""
+    order of each component's root. Only the nodes an edge touches are
+    looked up, so an isolated node costs no Python-level step."""
     parent = list(range(n))
 
     def find(x):
@@ -175,7 +184,10 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
     for a, b in zip(i.tolist(), j.tolist()):
         parent[find(a)] = find(b)
-    return np.unique([find(x) for x in range(n)], return_inverse=True)[1]
+    roots = np.arange(n)
+    touched = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=n))
+    roots[touched] = [find(x) for x in touched.tolist()]
+    return (np.cumsum(roots == np.arange(n)) - 1)[roots]
 
 
 def symmetric_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
@@ -208,11 +220,17 @@ def symmetric_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
 def _all_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
     """All n eigenvalues of a Laplacian, eigvalsh's ascending ones on
     L.entries, with the leading L.components of them, its kernel, set to
-    exact zeros: O(n^3) time and a second n x n array, a new one on
-    every call. memaccel spectrum lists them, and symmetric_eigenvalues
-    reads its extremes from them where Lanczos does not converge."""
+    exact zeros: O(n^3) time and two n x n arrays, L.entries and
+    eigvalsh's copy, new on every call. A lambda_2 at or below
+    n * eps * lambda_max raises MemaccelError (_check_resolution), so no
+    listing passes a lambda_2 that rounded to 0 or below as a kernel
+    zero. memaccel spectrum lists them, and symmetric_eigenvalues reads
+    its extremes from them where Lanczos does not converge."""
     eigs = np.linalg.eigvalsh(L.entries)
-    eigs[:L.components] = 0.0
+    c = L.components
+    eigs[:c] = 0.0
+    if c < len(eigs):
+        _check_resolution(float(eigs[c]), float(eigs[-1]), len(eigs))
     return eigs
 
 
@@ -287,11 +305,12 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
     skips those sweeps: a start, a Ritz pair (theta', u) of a leading
     block of T, lets _warm_bracket certify such points about an ulp apart,
     and theta is the same float with or without it. s solves
-    (T - theta I) s = e_1, one step of inverse iteration from the first
-    unit vector: it leaves out copies of theta that finite-precision
-    Lanczos forms after convergence, whose first entries are negligible
-    (Cullen & Willoughby 1985), so beta_k |s_k| / ||s|| is the residual of
-    the Ritz vector that the start vector carries. Each sweep or solve
+    (T - theta I) s = e_1 by _shifted_solve, one step of inverse
+    iteration from the first unit vector: it leaves out copies of theta
+    that finite-precision Lanczos forms after convergence, whose first
+    entries are negligible (Cullen & Willoughby 1985), so
+    beta_k |s_k| / ||s|| is the residual of the Ritz vector that the
+    start vector carries. Each sweep or solve
     is O(k); a start cuts their number per call about four-fold."""
     offdiag = [0.0] + [b ** 0.5 for b in betas2] + [0.0]
     ulp = EPS * (max(map(abs, alphas)) + 2 * max(offdiag))  # |T| <= that / eps
@@ -307,15 +326,7 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
             lo = mid
         else:
             hi = mid
-    # LDL^T of T - lo I with L z = e_1, then D L^T s = z.
-    pivots, z, d = [], [], 1.0
-    for a, b, b2 in zip(alphas, offdiag, squares):
-        z.append(-b / d * z[-1] if z else 1.0)
-        d = a - lo - b2 / d
-        pivots.append(d)
-    s = [z[-1] / pivots[-1]]
-    for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
-        s.append((zj - b * s[-1]) / d)
+    _, s = _shifted_solve(alphas, offdiag, squares, lo, [1.0] + [0.0] * (len(alphas) - 1))
     norm = math.hypot(*s)
     return lo, abs(s[0]) / norm, (lo, [x / norm for x in reversed(s)])
 
@@ -339,9 +350,10 @@ def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float
     positive and one of T - hi I is not; -inf or inf at an end not reached.
 
     Rayleigh-quotient iteration runs on T from u padded with zeros: at
-    most 4 steps, each one LDL^T solve (T - sigma I) y = v, whose pivots
-    are a Sturm sweep at sigma, with sigma <- sigma + y^T v / y^T y and
-    v <- y / ||y||, until a step is at most ulp. The padded u has residual
+    most 4 steps, each one _shifted_solve (T - sigma I) y = v, whose
+    pivots are a Sturm sweep at sigma, with
+    sigma <- sigma + y^T v / y^T y and v <- y / ||y||, until a step is
+    at most ulp. The padded u has residual
     r = beta_m |u_m| in T, so the first shift is theta - r: below theta,
     on the side of the smallest eigenvalue, and off the leading block's
     eigenvalue, where a pivot would vanish. Two sweeps at sigma -+ ulp / 2
@@ -352,23 +364,13 @@ def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float
     v = u + [0.0] * (k - m)
     lo, hi = -math.inf, math.inf
     for _ in range(4):
-        pivots, z, d, zj = [], [], 1.0, 0.0
-        for a, b, b2, x in zip(alphas, offdiag, squares, v):
-            zj = x - b / d * zj
-            d = a - sigma - b2 / d
-            if d == 0:
-                break
-            pivots.append(d)
-            z.append(zj)
-        if len(pivots) == k and min(pivots) > 0:
+        pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
+        if y is not None and min(pivots) > 0:
             lo = max(lo, sigma)
         else:
             hi = min(hi, sigma)
-        if len(pivots) < k:  # sigma is an eigenvalue to working precision
+        if y is None:  # sigma is an eigenvalue to working precision
             break
-        y = [z[-1] / pivots[-1]]
-        for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
-            y.append((zj - b * y[-1]) / d)
         norm = math.hypot(*y)
         if not 0 < norm < math.inf:  # a zero start, or an overflow
             break
@@ -384,6 +386,27 @@ def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float
             else:
                 hi = x
     return lo, hi
+
+
+def _shifted_solve(alphas, offdiag, squares, sigma, v) -> tuple[list, list | None]:
+    """(pivots, y) of the LDL^T solve (T - sigma I) y = v, T the
+    tridiagonal with diagonal alphas, off-diagonal offdiag[1:-1] and its
+    squares squares[1:]: L z = v forward, then D L^T y = z backward, y
+    listed from its last entry. The pivots are a Sturm sweep at sigma.
+    At a zero pivot, sigma an eigenvalue to working precision, the sweep
+    stops there and y is None. O(k)."""
+    pivots, z, d, zj = [], [], 1.0, 0.0
+    for a, b, b2, x in zip(alphas, offdiag, squares, v):
+        zj = x - b / d * zj
+        d = a - sigma - b2 / d
+        if d == 0:
+            return pivots, None
+        pivots.append(d)
+        z.append(zj)
+    y = [z[-1] / pivots[-1]]
+    for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
+        y.append((zj - b * y[-1]) / d)
+    return pivots, y
 
 
 def _start_vector(n: int) -> np.ndarray:

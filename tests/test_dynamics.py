@@ -100,10 +100,10 @@ class TestIterationProblem:
         # A write into L.entries changed p.A under p.nonzeros, and a write
         # into x0 after construction moved the run's start.
         L = laplacian(PATH3)
-        x0 = np.array([1.0, 0.0, -1.0])
-        p = IterationProblem(L.entries, np.zeros(3), x0)
-        assert p.A is L.entries  # shared, never copied
-        for m in (L.entries, p.A, p.b, p.x0):
+        A, x0 = L.entries, np.array([1.0, 0.0, -1.0])
+        p = IterationProblem(A, np.zeros(3), x0)
+        assert p.A is A  # shared, never copied
+        for m in (A, p.A, p.b, p.x0):
             with pytest.raises(ValueError, match="read-only"):
                 m[0] = 99
         x0[:] = 5

@@ -184,10 +184,11 @@ class TestArrayFields:
 
 class TestDerivedCaches:
     """``IterationProblem.nonzeros`` and ``.solution_scale``,
-    ``DropSchedule.cuts`` and ``LaplacianMatrix.nonzeros``, ``.entries``,
-    ``.labels`` and ``.components`` are set by ``__post_init__`` and are
-    not fields: they stay out of ``__init__``, ``==`` and repr, survive
-    a pickle, and no later call adds to them."""
+    ``DropSchedule.cuts`` and ``LaplacianMatrix.nonzeros``, ``.labels``
+    and ``.components`` are set by ``__post_init__`` and are not fields:
+    they stay out of ``__init__``, ``==`` and repr, survive a pickle,
+    and no later call adds to them. ``LaplacianMatrix.entries`` is no
+    cache: it is built from ``nonzeros`` on each read."""
 
     def _problems(self):
         A, b, x0 = spectral.laplacian(PATH3).entries, np.zeros(3), np.arange(3.0)
@@ -245,6 +246,21 @@ class TestDerivedCaches:
             now = vars(r)
             assert now.keys() == was.keys(), type(r).__name__
             assert all(now[k] is was[k] for k in was), type(r).__name__
+
+    def test_entries_built_on_each_read(self):
+        # No cache: each read scatters nonzeros into a new read-only array
+        # that owns its data, with the bytes of the Laplacian built by hand.
+        L = spectral.laplacian(spectral.WeightedGraph(4, ((2, 0, 0.5), (0, 1, 1.0), (1, 2, 0.0))))
+        assert vars(L).keys() == {"graph", "nonzeros", "labels", "components"}
+        a, b = L.entries, L.entries
+        assert a is not b and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and a.flags.owndata and a.dtype == float
+        eager = np.zeros((4, 4))
+        eager[[0, 0, 1, 2], [1, 2, 0, 0]] = [-1.0, -0.5, -1.0, -0.5]
+        np.fill_diagonal(eager, [1.5, 1.0, 0.5, 0.0])
+        assert a.tobytes() == eager.tobytes()
+        with pytest.raises(AttributeError):
+            L.entries = eager
 
     def test_not_in_repr(self):
         p, _ = self._problems()

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -561,6 +562,28 @@ class TestExtremes:
         with pytest.raises(MemaccelError, match="resolution"):
             nonzero_spectral_interval(_all_eigenvalues(L))
 
+    def test_listing_checks_its_own_resolution(self, monkeypatch):
+        # Known defect 11: a 1.4e-20 bridge makes one component, yet
+        # eigvalsh may round its lambda_2 to 0. The listing passed that 0
+        # as the kernel's, and nonzero_spectral_interval read [2, 2].
+        L = laplacian(load_edge_list("0 1 1\n2 3 1\n0 2 1.3913777107056506e-20\n"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.0, 0.0, 2.0, 2.0]))
+        with pytest.raises(MemaccelError, match="resolution"):
+            _all_eigenvalues(L)
+
+    def test_extremes_form_nothing_n_by_n(self):
+        # The record keeps O(n + E) arrays and Lanczos reads only those:
+        # from graph to extremes, a 2000-node graph allocates less than
+        # n^2 bytes, an eighth of its 32 MB dense Laplacian.
+        g = _ring_chords(np.random.default_rng(0), 2000)
+        tracemalloc.start()
+        try:
+            eigs = symmetric_eigenvalues(laplacian(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(eigs) == 3 and peak < 2000 ** 2
+
     @settings(max_examples=8, deadline=None)
     @given(st.integers(100, 400), st.booleans(), st.integers(0, 2 ** 32 - 1))
     def test_benchmark_sized_graphs(self, n, two, seed):
@@ -720,10 +743,12 @@ class TestExtremes:
 
 def _ends_read(L):
     """The [lambda_2, lambda_max] that symmetric_eigenvalues judges:
-    Lanczos', or eigvalsh's where Lanczos does not converge."""
+    Lanczos', or eigvalsh's with the kernel zeroed where Lanczos does not
+    converge (read here without _all_eigenvalues, which raises on them)."""
     ends = _lanczos_extremes(L)
     if ends is None:
-        eigs = _all_eigenvalues(L)
+        eigs = np.linalg.eigvalsh(L.entries)
+        eigs[:L.components] = 0.0
         ends = eigs[L.components], eigs[-1]
     return ends
 
