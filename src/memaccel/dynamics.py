@@ -8,6 +8,7 @@ with header ``t,residual,spread,rms,mean``.
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 
 import numpy as np
@@ -124,7 +125,12 @@ class DropSchedule(Record):
         canon, cuts = {}, {}
         for t, edges in self.drops.items():
             _check_index("drop step", t, 0)
-            es = frozenset(_edge_key(i, j) for i, j in edges)
+            es = edges
+            # A frozenset of the graph's keys is canonical as given, unless a
+            # pair equals one only by value: numpy ints, bools or floats.
+            if not (type(es) is frozenset and weight.keys() >= es
+                    and all(type(i) is int and type(j) is int for i, j in es)):
+                es = frozenset(_edge_key(i, j) for i, j in edges)
             if not weight.keys() >= es:
                 raise ValueError(f"dropped edge {min(es - weight.keys())} not in graph")
             canon[int(t)] = es
@@ -185,17 +191,25 @@ def simulate(
     larger of ||x0|| and p.solution_scale, capped at the largest float, so
     that a solve from x0 = 0 is measured against its solution. With b = 0
     the limit is 1e6 ||x0||; from x0 = 0, x stays 0 and is never flagged.
-    No norm over- or underflows, and no numpy warning escapes."""
+    No norm over- or underflows, and no numpy warning escapes. Each
+    residual is one square root of the sum of squares that its force
+    formed, redone by _norm where that is out of range, so it equals
+    _norm(b - A x(t)) bit for bit."""
     _check_index("T", T, 1)
     if drops is not None and not all(map(np.array_equal, p.nonzeros,
                                          _laplacian_nonzeros(drops.graph))):
         raise DropOnNonLaplacianError("drop schedule requires A to be the Laplacian of its graph")
-    residuals = []
+    squares = []
     with np.errstate(over="ignore", invalid="ignore"):
         limit = min(DIVERGENCE_FACTOR * max(_norm(p.x0), p.solution_scale), np.finfo(float).max)
-        states, diverged_at = _recur(p.x0, g, T, _force(p, drops, residuals), limit)
-        residuals.append(_norm(p.b - _matvec(p.nonzeros, states[-1])))
-    return SimTrace(states, np.array(residuals), diverged_at)
+        states, diverged_at = _recur(p.x0, g, T, _force(p, drops, squares), limit)
+        r = p.b - _matvec(p.nonzeros, states[-1])
+        squares.append(np.add.reduce(r * r))
+        residuals = np.sqrt(squares)
+        # _norm's own test: it keeps the one-pass norm of a row in range.
+        for t in np.flatnonzero(~((residuals >= 2.0 ** -480) & (residuals < np.inf))).tolist():
+            residuals[t] = _norm(p.b - _matvec(p.nonzeros, states[t]))
+    return SimTrace(states, residuals, diverged_at)
 
 
 def _norm(f) -> float:
@@ -227,9 +241,11 @@ def _rescaled(fn, x):
     return tuple(out)
 
 
-def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
-    """force(t, x) = b - A_t x for simulate; it appends state t's residual
-    ||b - A x|| to residuals first. A step with dropped links subtracts
+def _force(p: IterationProblem, drops: DropSchedule | None, squares: list):
+    """force(t, x) = b - A_t x for simulate; it appends the sum of squares
+    of state t's residual b - A x to squares first, summed as _norm sums
+    it, so that its square root is _norm's wherever that is in range.
+    A step with dropped links subtracts
     their Laplacian from A x as a scatter of w (x_i - x_j) over the
     dropped edges (i, j, w); this equals laplacian_at(t) @ x because
     simulate checks that A is the Laplacian of drops.graph."""
@@ -239,7 +255,7 @@ def _force(p: IterationProblem, drops: DropSchedule | None, residuals: list):
     def force(t, x):
         Ax = _matvec(p.nonzeros, x)
         r = p.b - Ax
-        residuals.append(_norm(r))
+        squares.append(np.add.reduce(r * r))
         if t not in cuts:
             return r
         i, j, w = cuts[t]
@@ -265,16 +281,24 @@ def simulate_modal(lam: float, b_mode: float, g: Gains, x0: float, T: int) -> np
 def _recur(x0, g: Gains, T: int, force, limit: float | None = None):
     """Rows x(0..T), in one array allocated up front, of x(t+1) = x(t) +
     alpha force(t, x(t)) + sum_m beta_m (x(t-m) - x(t)), x(s) = x0 for
-    s <= 0. Stops after T steps, or once ||x|| is not <= a given limit with a
-    copy of the rows so far. Returns (states, that first t or None)."""
+    s <= 0. Stops after T steps, or once _norm(x) is not <= a given limit
+    with a copy of the rows so far. Returns (states, that first t or None).
+    A state with x @ x <= (limit (1 - 2^-20))^2 passes without _norm: the
+    dot product's rounding, under n eps for n < 2^32 nodes, cannot lift
+    its norm to the limit. The screen runs only for limits in
+    [2^-480, 2^511], where that square is a normal float far above the
+    squares' underflow; a state it does not pass is judged by _norm."""
     states = np.empty((T + 1,) + np.shape(x0))
     states[0] = x = x0
+    screen = -math.inf
+    if limit is not None and 2.0 ** -480 <= (scaled := limit * (1 - 2.0 ** -20)) <= 2.0 ** 511:
+        screen = scaled * scaled
     for t in range(T):
         nxt = x + g.alpha * force(t, x)
         for m, beta in enumerate(g.betas, start=1):
             nxt += beta * (states[max(t - m, 0)] - x)
         states[t + 1] = x = nxt
-        if limit is not None and not _norm(x) <= limit:
+        if limit is not None and not x @ x <= screen and not _norm(x) <= limit:
             return states[:t + 2].copy(), t + 1
     return states, None
 

@@ -172,9 +172,13 @@ def _matvec(nonzeros: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The connected component of each of n nodes joined by the edges
     (i, j), by union-find with path halving: labels 0, 1, ... in the
-    order of each component's root. Only the nodes an edge touches are
-    looked up, so an isolated node costs no Python-level step."""
-    parent = list(range(n))
+    order of each component's root. Union-find runs over the m nodes an
+    edge touches, renumbered 0..m-1 in index order, so it joins the same
+    roots as over all n, and an isolated node costs no Python object."""
+    touched = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=n))
+    if len(touched) < n:  # with every node touched, the renumbering is the identity
+        i, j = np.searchsorted(touched, i), np.searchsorted(touched, j)
+    parent = list(range(len(touched)))
 
     def find(x):
         while parent[x] != x:
@@ -184,10 +188,16 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
     for a, b in zip(i.tolist(), j.tolist()):
         parent[find(a)] = find(b)
-    roots = np.arange(n)
-    touched = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=n))
-    roots[touched] = [find(x) for x in touched.tolist()]
-    return (np.cumsum(roots == np.arange(n)) - 1)[roots]
+    up = np.array(parent, dtype=np.intp)
+    while (up[up] != up).any():  # pointer jumping to each node's root, as find would
+        up = up[up]
+    roots = touched[up]
+    is_root = np.ones(n, dtype=bool)
+    is_root[touched] = roots == touched
+    labels = np.cumsum(is_root)
+    labels -= 1
+    labels[touched] = labels[roots]
+    return labels
 
 
 def symmetric_eigenvalues(L: LaplacianMatrix) -> np.ndarray:
@@ -248,7 +258,10 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     quarter leaves room for the few ulps by which a Ritz value misses.
     Each check's _lowest_ritz for an end starts from the Ritz pair of that
     end's previous check, state local to this call: it skips most pivot
-    sweeps and changes no value."""
+    sweeps and changes no value. Before it, _cannot_pass takes one
+    Rayleigh-quotient step per unkept end; a check that it shows can
+    keep neither end skips _lowest_ritz and keeps that step's pair as
+    the next start. The last step always runs _lowest_ritz."""
     n, cap = L.graph.n, L.graph.n - L.components
     degree, i, j, a = L.nonzeros
     e = int(np.frexp(degree.max())[1])
@@ -257,13 +270,16 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     sizes = np.bincount(labels)
 
     def project(x):
-        x -= (np.bincount(labels, x) / sizes)[labels]
+        if len(sizes) == 1:  # the bincount's sum: sequential, in index order
+            x -= np.add.accumulate(x)[-1] / n
+        else:
+            x -= (np.bincount(labels, x) / sizes)[labels]
         return x
 
     q = project(_start_vector(n))
     q /= np.linalg.norm(q)
     q_prev, beta, alphas, betas2, check = np.zeros(n), 0.0, [], [], 1
-    lo = hi = low = high = None
+    lo = hi = low = high = top = None
     for k in range(1, cap + 1):
         w = _matvec(nonzeros, q)
         alphas.append(float(q @ w))
@@ -272,17 +288,24 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
         project(w)
         beta = math.sqrt(w @ w)
         if k in (check, cap) or beta == 0:
-            if hi is None:
-                theta, s, high = _lowest_ritz([-x for x in alphas], betas2, high)
-                top = -theta
-                if 4 * beta * s <= n * EPS * top:
-                    hi = top + beta * s
-            if lo is None:
-                theta, s, low = _lowest_ritz(alphas, betas2, low)
-                if 4 * beta * s <= n * EPS * top:
-                    lo = theta - beta * s
-            if lo is not None and hi is not None:
-                return math.ldexp(lo, e), math.ldexp(hi, e)
+            negated = [-x for x in alphas]
+            starts = k < cap and beta > 0 and _cannot_pass(
+                n, beta, betas2, (negated, high) if hi is None else None,
+                (alphas, low) if lo is None else None, top)
+            if starts:
+                high, low = starts
+            else:
+                if hi is None:
+                    theta, s, high = _lowest_ritz(negated, betas2, high)
+                    top = -theta
+                    if 4 * beta * s <= n * EPS * top:
+                        hi = top + beta * s
+                if lo is None:
+                    theta, s, low = _lowest_ritz(alphas, betas2, low)
+                    if 4 * beta * s <= n * EPS * top:
+                        lo = theta - beta * s
+                if lo is not None and hi is not None:
+                    return math.ldexp(lo, e), math.ldexp(hi, e)
             check = k + max(1, k // 4)
         betas2.append(beta * beta)
         q_prev, q = q, w / beta
@@ -311,7 +334,9 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
     entries are negligible (Cullen & Willoughby 1985), so
     beta_k |s_k| / ||s|| is the residual of the Ritz vector that the
     start vector carries. Each sweep or solve
-    is O(k); a start cuts their number per call about four-fold."""
+    is O(k); a start cuts their number per call about four-fold.
+    _lanczos_extremes calls it only at checks that _cannot_pass does not
+    rule out."""
     offdiag = [0.0] + [b ** 0.5 for b in betas2] + [0.0]
     ulp = EPS * (max(map(abs, alphas)) + 2 * max(offdiag))  # |T| <= that / eps
     squares = [0.0] + betas2
@@ -329,6 +354,60 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
     _, s = _shifted_solve(alphas, offdiag, squares, lo, [1.0] + [0.0] * (len(alphas) - 1))
     norm = math.hypot(*s)
     return lo, abs(s[0]) / norm, (lo, [x / norm for x in reversed(s)])
+
+
+def _cannot_pass(n, beta, betas2, upper, lower, top) -> tuple | None:
+    """The next starts (high, low) of _lanczos_extremes if two shifted
+    solves per unkept end show that this check keeps neither, else None.
+    upper is (-alphas, high) while lambda_max is unkept and None once it
+    is kept, top its kept value; lower is (alphas, low) likewise.
+
+    Each end takes the first step of _warm_bracket from its start
+    (theta', u), the last check's Ritz pair: (T - sigma I) y = v with
+    sigma = theta' - beta_m |u_m| and v the padded u. If every pivot is
+    positive, sigma is below T's smallest eigenvalue (Sturm), y is one
+    step of inverse iteration towards its eigenvector, and
+    beta |y_k| / ||y|| estimates the residual that _lowest_ritz would
+    certify. That one certifies the vector that e_1 carries, which
+    leaves out the copies of theta that Lanczos forms after convergence,
+    so the same pivots also solve (T - sigma I) z = e_1, and the end
+    cannot pass only when both beta |y_k| / ||y|| and beta |z_k| / ||z||
+    are 16 times the bound n * eps * top / 4 that keeps it: either is
+    the residual to first order where the other is off. top is
+    lambda_max's estimate -(sigma + y^T v / y^T y) while that is unkept,
+    and the end's next start is (sigma + y^T v / y^T y, y / ||y||). An
+    end with no start, a pivot <= 0 or an estimate under 16 times the
+    bound makes the check run _lowest_ritz on every unkept end, so a kept
+    value always comes from the certified Ritz solve, its top included."""
+    offdiag, squares = [0.0] + [b ** 0.5 for b in betas2] + [0.0], [0.0] + betas2
+    starts = []
+    for end in (upper, lower):
+        if end is None:
+            starts.append(None)
+            continue
+        alphas, start = end
+        if start is None:
+            return None
+        theta, u = start
+        k = len(alphas)
+        sigma = theta - offdiag[len(u)] * abs(u[-1])
+        v = u + [0.0] * (k - len(u))
+        pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
+        if y is None or min(pivots) <= 0:
+            return None
+        norm = math.hypot(*y)
+        if not 0 < norm < math.inf:
+            return None
+        step = sum(map(operator.mul, y, reversed(v))) / norm / norm
+        if end is upper:
+            top = -(sigma + step)
+        if not 4 * beta * abs(y[0]) / norm > 64 * n * EPS * top:
+            return None
+        _, z = _shifted_solve(alphas, offdiag, squares, sigma, [1.0] + [0.0] * (k - 1))
+        if not 4 * beta * abs(z[0]) / math.hypot(*z) > 64 * n * EPS * top:
+            return None
+        starts.append((sigma + step, [t / norm for t in reversed(y)]))
+    return tuple(starts)
 
 
 def _positive_definite(alphas: list, squares: list, x: float) -> bool:

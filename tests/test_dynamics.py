@@ -565,6 +565,15 @@ class TestDropScheduleInput:
         assert schedule.drops == {0: frozenset({(0, 1), (1, 2)})}
         assert {type(v) for e in schedule.drops[0] for v in e} == {int}
 
+    def test_canonical_step_stored_as_given(self):
+        # A frozenset of the graph's own keys is its stored form already;
+        # one equal to them only by value is rebuilt from plain ints.
+        step = frozenset({(0, 1), (1, 2)})
+        assert DropSchedule(PATH3, {0: step}).drops[0] is step
+        by_value = DropSchedule(PATH3, {0: frozenset({(np.int64(0), np.int64(1))})})
+        assert by_value.drops == {0: frozenset({(0, 1)})}
+        assert {type(v) for e in by_value.drops[0] for v in e} == {int}
+
     def test_fraction_weight_runs_with_drops(self):
         # The Fraction weight made an object array of the dropped weights,
         # and every drop run on its graph raised numpy's TypeError.
@@ -940,6 +949,72 @@ class TestEdgeArrayProduct:
         else:
             with pytest.raises(ValueError, match="symmetric"):
                 IterationProblem(A, np.zeros(n), np.zeros(n))
+
+
+class TestBulkNorms:
+    """simulate takes every residual from one square root over the sums of
+    squares its forces formed, and _recur passes a state by x @ x; both
+    must give what _norm gives, bit for bit and decision for decision."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_problems(), st.integers(-1100, 1000),
+           st.sampled_from([Gains(M=2, alpha=0.05, betas=(-0.1,)), Gains(M=1, alpha=3.0)]))
+    def test_residuals_are_each_states_norm_bit_for_bit(self, case, k, g):
+        # b and x0 times 2^k put residuals below 2^-480, where squares
+        # round as subnormals, and past 1e154, where they overflow; alpha
+        # = 3 diverges, to inf where the limit is the largest float.
+        A, b, x0, _ = case
+        try:
+            prob = IterationProblem(A, np.ldexp(b, k), np.ldexp(x0, k))
+        except IncompatibleBiasError:
+            assume(False)
+        tr = simulate(prob, g, 20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [_norm(prob.b - dynamics._matvec(prob.nonzeros, x)) for x in tr.states]
+        assert np.array_equal(tr.residuals, want, equal_nan=True)
+
+    @pytest.mark.parametrize("k", [-1074, -600, 0, 600, 1000])
+    def test_residuals_at_the_float_limits(self, k):
+        # A path's residuals at each scale: all-zero, subnormal, overflowing.
+        for b, x0 in [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ((1.0, 0.0, -1.0), (0.0, 0.0, 0.0)),
+                      ((0.0, 0.0, 0.0), (1.0, -2.0, 3.0))]:
+            prob = IterationProblem(path3_problem().A, np.ldexp(b, k), np.ldexp(x0, k))
+            tr = simulate(prob, Gains(M=1, alpha=0.5), 10)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [_norm(prob.b - prob.A @ x) for x in tr.states]
+            assert np.array_equal(tr.residuals, want, equal_nan=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_drops(), st.floats(-300.0, 300.0), st.floats(0.05, 3.0), st.booleans())
+    def test_divergence_step_is_the_first_norm_past_the_limit(self, case, e, alpha, drop):
+        # With b = 0 the limit is 1e6 ||x0||, here 10^e.
+        graph, schedule, _, _, x0 = case
+        assume(np.linalg.norm(x0) > 0.1)
+        x0 = x0 / np.linalg.norm(x0) * (10.0 ** e / DIVERGENCE_FACTOR)
+        prob = IterationProblem(laplacian(graph).entries, np.zeros(graph.n), x0)
+        tr = simulate(prob, Gains(M=1, alpha=alpha), 40, drops=schedule if drop else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            limit = min(DIVERGENCE_FACTOR * _norm(prob.x0), np.finfo(float).max)
+            within = [bool(_norm(x) <= limit) for x in tr.states]
+        assert tr.diverged_at == (within.index(False) if False in within else None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from([-2.0 ** -18, -2.0 ** -20, -2.0 ** -21, -2.0 ** -40,
+                                     -2.0 ** -52, 0.0, 2.0 ** -52, 2.0 ** -30]),
+                    min_size=1, max_size=6))
+    def test_states_at_the_limit_are_judged_by_norm(self, e, n, seed, offsets):
+        # States whose norms lie within 2^-18 of the limit, on either side:
+        # the x @ x screen passes none that _norm would flag.
+        limit = 10.0 ** e
+        u = np.random.default_rng(seed).standard_normal(n)
+        u /= np.linalg.norm(u)
+        targets = [u * (limit * (1 + d)) for d in offsets]
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, at = dynamics._recur(u * (limit / 2), Gains(M=1, alpha=1.0), len(targets),
+                                         lambda t, x: targets[t] - x, limit)
+            within = [bool(_norm(x) <= limit) for x in states]
+        assert at == (within.index(False) if False in within else None)
 
 
 def stays_normal(k, *arrays, margin=0):

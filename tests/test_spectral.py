@@ -293,6 +293,32 @@ class TestLaplacianMatrix:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+    def test_labels_of_union_find_over_every_node(self, n, seed):
+        # Repeated edges, self-pairs and isolated nodes: the labels, their
+        # order and dtype included, of union-find run over all n nodes.
+        rng = np.random.default_rng(seed)
+        i, j = rng.integers(0, max(n, 1), (2, int(rng.integers(0, 2 * n + 1)) if n else 0))
+        assert _components(n, i, j).tobytes() == _union_find_labels(n, i, j).tobytes()
+
+    def test_isolated_nodes_cost_no_python_objects(self):
+        # One edge among 10^6 nodes: the nodes an edge touches go through
+        # union-find, and the rest cost a few bytes of arrays each.
+        n = 10 ** 6
+        i, j = np.array([3]), np.array([900000])
+        tracemalloc.start()
+        try:
+            labels = _components(n, i, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = np.arange(n) - (np.arange(n) > 3)
+        want[3] = 899999
+        assert np.array_equal(labels, want) and peak < 24 * n
+
+
 class TestEigenvalues:
     def test_path_graph(self):
         L = laplacian(load_edge_list("0 1 1\n1 2 1"))
@@ -735,6 +761,65 @@ class TestExtremes:
                       _lowest_ritz(a[:j], b2[:j - 1])[2]]:
             assert _lowest_ritz(a, b2, start) == cold
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["clustered", "repeated", "ghosts"]), st.integers(2, 600),
+           st.integers(0, 2 ** 32 - 1))
+    def test_precheck_never_skips_a_check_that_passes(self, kind, k, seed):
+        # The checks of _lanczos_extremes on the leading blocks of a k x k
+        # tridiagonal, n = k + 1 and beta the next off-diagonal entry, each
+        # unkept end started from its pair at the last check: wherever
+        # _cannot_pass says that a check keeps neither end, the certified
+        # _lowest_ritz keeps neither.
+        rng = np.random.default_rng(seed)
+        alphas, betas = _tridiagonal(rng, kind, k + 1)
+        a, b2 = alphas.tolist(), (betas ** 2).tolist()
+        negated = [-x for x in a]
+        bound = (k + 1) * np.finfo(float).eps
+        hi = lo = high = low = top = None
+        check = 1
+        while check <= k and (hi is None or lo is None):
+            beta, squares = float(betas[check - 1]), b2[:check - 1]
+            skip = spectral._cannot_pass(k + 1, beta, squares,
+                                         (negated[:check], high) if hi is None else None,
+                                         (a[:check], low) if lo is None else None, top)
+            if hi is None:
+                theta, s, high = _lowest_ritz(negated[:check], squares, high)
+                top = -theta
+                hi = check if 4 * beta * s <= bound * top else None
+            if lo is None:
+                _, s, low = _lowest_ritz(a[:check], squares, low)
+                lo = check if 4 * beta * s <= bound * top else None
+            if skip is not None:
+                assert check not in (hi, lo)
+                high, low = skip
+            check += max(1, check // 4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(100, 400), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_precheck_changes_no_result(self, n, two, seed):
+        # The graphs of test_benchmark_sized_graphs with and without the
+        # one-solve pre-check: the same floats, or None, at the same stop
+        # step, from at most a third of the certified Ritz solves.
+        L = laplacian(_benchmark_sized_graph(np.random.default_rng(seed), n, two))
+        (ends, steps, solves), (plain_ends, plain_steps, plain_solves) = _with_and_without_precheck(L)
+        assert ends == plain_ends and steps == plain_steps
+        assert 3 * solves <= plain_solves
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_precheck_changes_no_result_on_small_graphs(self, data):
+        # test_match_mpmath's graphs: weights from 1e-10 to 1e3, zero
+        # weights, several components, isolated nodes.
+        n = data.draw(st.integers(3, 30))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60))
+        weight = st.one_of(st.just(0.0), st.floats(-10, 3).map(lambda e: 10.0 ** e))
+        L = laplacian(WeightedGraph(n, tuple((i, j, data.draw(weight)) for i, j in chosen)))
+        if n - L.components < 2:
+            return  # symmetric_eigenvalues runs no Lanczos
+        (ends, steps, solves), (plain_ends, plain_steps, plain_solves) = _with_and_without_precheck(L)
+        assert ends == plain_ends and steps == plain_steps and solves <= plain_solves
+
     def test_start_vector_is_fixed(self):
         v = _start_vector(5)
         assert v.tolist() == _start_vector(8)[:5].tolist()
@@ -751,6 +836,46 @@ def _ends_read(L):
         eigs[:L.components] = 0.0
         ends = eigs[L.components], eigs[-1]
     return ends
+
+
+def _union_find_labels(n, i, j):
+    """Component labels 0, 1, ... in the order of each component's root,
+    by union-find with path halving over all n nodes, as a reference."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(i.tolist(), j.tolist()):
+        parent[find(a)] = find(b)
+    roots = np.array([find(x) for x in range(n)], dtype=np.intp)
+    return (np.cumsum(roots == np.arange(n)) - 1)[roots]
+
+
+def _with_and_without_precheck(L):
+    """(result, Lanczos steps, _lowest_ritz calls) of _lanczos_extremes(L)
+    as it is, then with spectral._cannot_pass never skipping a check."""
+    runs = []
+    lowest, matvec = spectral._lowest_ritz, spectral._matvec
+    for precheck in (spectral._cannot_pass, lambda *args: None):
+        steps, solves = [], []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(spectral, "_cannot_pass", precheck)
+            m.setattr(spectral, "_matvec", lambda *args: steps.append(1) or matvec(*args))
+            m.setattr(spectral, "_lowest_ritz", lambda *args: solves.append(1) or lowest(*args))
+            runs.append((_lanczos_extremes(L), len(steps), len(solves)))
+    return runs
+
+
+def _previous_check(k):
+    """The last step before k at which _lanczos_extremes checks."""
+    check = last = 1
+    while check < k:
+        last, check = check, check + max(1, check // 4)
+    return last
 
 
 def _extremes(eigs, c):
