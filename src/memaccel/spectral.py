@@ -259,9 +259,11 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     Each check's _lowest_ritz for an end starts from the Ritz pair of that
     end's previous check, state local to this call: it skips most pivot
     sweeps and changes no value. Before it, _cannot_pass takes one
-    Rayleigh-quotient step per unkept end; a check that it shows can
-    keep neither end skips _lowest_ritz and keeps that step's pair as
-    the next start. The last step always runs _lowest_ritz."""
+    Rayleigh-quotient step from an unkept end's start; an end that it
+    shows this check cannot keep skips _lowest_ritz and keeps that
+    step's pair as the next start. lambda_2's bound takes lambda_max's
+    estimate, so lambda_max skips only with lambda_2 kept or skipping
+    too. The last step always runs _lowest_ritz."""
     n, cap = L.graph.n, L.graph.n - L.components
     degree, i, j, a = L.nonzeros
     e = int(np.frexp(degree.max())[1])
@@ -289,23 +291,31 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
         beta = math.sqrt(w @ w)
         if k in (check, cap) or beta == 0:
             negated = [-x for x in alphas]
-            starts = k < cap and beta > 0 and _cannot_pass(
-                n, beta, betas2, (negated, high) if hi is None else None,
-                (alphas, low) if lo is None else None, top)
-            if starts:
-                high, low = starts
-            else:
-                if hi is None:
-                    theta, s, high = _lowest_ritz(negated, betas2, high)
-                    top = -theta
-                    if 4 * beta * s <= n * EPS * top:
-                        hi = top + beta * s
-                if lo is None:
-                    theta, s, low = _lowest_ritz(alphas, betas2, low)
-                    if 4 * beta * s <= n * EPS * top:
-                        lo = theta - beta * s
-                if lo is not None and hi is not None:
-                    return math.ldexp(lo, e), math.ldexp(hi, e)
+            pre = k < cap and beta > 0  # the last step always runs _lowest_ritz
+            if pre:
+                offdiag, squares = [0.0] + [b ** 0.5 for b in betas2] + [0.0], [0.0] + betas2
+            up = hi is None and pre and _cannot_pass(n, beta, offdiag, squares, negated, high)
+            # With up, lambda_max's estimate -up[0] is the lower end's top;
+            # if that end may pass, its keeping bound takes the certified top.
+            down = bool(up) and lo is None and _cannot_pass(
+                n, beta, offdiag, squares, alphas, low, -up[0])
+            if up and (down or lo is not None):
+                high = up
+            elif hi is None:
+                theta, s, high = _lowest_ritz(negated, betas2, high)
+                top = -theta
+                if 4 * beta * s <= n * EPS * top:
+                    hi = top + beta * s
+            if not up and lo is None:
+                down = pre and _cannot_pass(n, beta, offdiag, squares, alphas, low, top)
+            if down:
+                low = down
+            elif lo is None:
+                theta, s, low = _lowest_ritz(alphas, betas2, low)
+                if 4 * beta * s <= n * EPS * top:
+                    lo = theta - beta * s
+            if lo is not None and hi is not None:
+                return math.ldexp(lo, e), math.ldexp(hi, e)
             check = k + max(1, k // 4)
         betas2.append(beta * beta)
         q_prev, q = q, w / beta
@@ -335,7 +345,7 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
     beta_k |s_k| / ||s|| is the residual of the Ritz vector that the
     start vector carries. Each sweep or solve
     is O(k); a start cuts their number per call about four-fold.
-    _lanczos_extremes calls it only at checks that _cannot_pass does not
+    _lanczos_extremes calls it only for ends that _cannot_pass does not
     rule out."""
     offdiag = [0.0] + [b ** 0.5 for b in betas2] + [0.0]
     ulp = EPS * (max(map(abs, alphas)) + 2 * max(offdiag))  # |T| <= that / eps
@@ -356,58 +366,50 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
     return lo, abs(s[0]) / norm, (lo, [x / norm for x in reversed(s)])
 
 
-def _cannot_pass(n, beta, betas2, upper, lower, top) -> tuple | None:
-    """The next starts (high, low) of _lanczos_extremes if two shifted
-    solves per unkept end show that this check keeps neither, else None.
-    upper is (-alphas, high) while lambda_max is unkept and None once it
-    is kept, top its kept value; lower is (alphas, low) likewise.
+def _cannot_pass(n, beta, offdiag, squares, alphas, start, top=None) -> tuple | None:
+    """The next start of an unkept end of _lanczos_extremes if two
+    shifted solves show that this check cannot keep it, else None. T is
+    the tridiagonal with diagonal alphas, off-diagonal offdiag[1:-1] and
+    its squares squares[1:]; start is the end's last Ritz pair or None,
+    and top lambda_max's estimate, or None when alphas are its negation.
 
-    Each end takes the first step of _warm_bracket from its start
-    (theta', u), the last check's Ritz pair: (T - sigma I) y = v with
-    sigma = theta' - beta_m |u_m| and v the padded u. If every pivot is
-    positive, sigma is below T's smallest eigenvalue (Sturm), y is one
-    step of inverse iteration towards its eigenvector, and
-    beta |y_k| / ||y|| estimates the residual that _lowest_ritz would
-    certify. That one certifies the vector that e_1 carries, which
-    leaves out the copies of theta that Lanczos forms after convergence,
-    so the same pivots also solve (T - sigma I) z = e_1, and the end
-    cannot pass only when both beta |y_k| / ||y|| and beta |z_k| / ||z||
-    are 16 times the bound n * eps * top / 4 that keeps it: either is
-    the residual to first order where the other is off. top is
-    lambda_max's estimate -(sigma + y^T v / y^T y) while that is unkept,
-    and the end's next start is (sigma + y^T v / y^T y, y / ||y||). An
-    end with no start, a pivot <= 0 or an estimate under 16 times the
-    bound makes the check run _lowest_ritz on every unkept end, so a kept
-    value always comes from the certified Ritz solve, its top included."""
-    offdiag, squares = [0.0] + [b ** 0.5 for b in betas2] + [0.0], [0.0] + betas2
-    starts = []
-    for end in (upper, lower):
-        if end is None:
-            starts.append(None)
-            continue
-        alphas, start = end
-        if start is None:
-            return None
-        theta, u = start
-        k = len(alphas)
-        sigma = theta - offdiag[len(u)] * abs(u[-1])
-        v = u + [0.0] * (k - len(u))
-        pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
-        if y is None or min(pivots) <= 0:
-            return None
-        norm = math.hypot(*y)
-        if not 0 < norm < math.inf:
-            return None
-        step = sum(map(operator.mul, y, reversed(v))) / norm / norm
-        if end is upper:
-            top = -(sigma + step)
-        if not 4 * beta * abs(y[0]) / norm > 64 * n * EPS * top:
-            return None
-        _, z = _shifted_solve(alphas, offdiag, squares, sigma, [1.0] + [0.0] * (k - 1))
-        if not 4 * beta * abs(z[0]) / math.hypot(*z) > 64 * n * EPS * top:
-            return None
-        starts.append((sigma + step, [t / norm for t in reversed(y)]))
-    return tuple(starts)
+    The end takes the first step of _warm_bracket from its start
+    (theta', u): (T - sigma I) y = v with sigma = theta' - beta_m |u_m|
+    and v the padded u. If every pivot is positive, sigma is below T's
+    smallest eigenvalue (Sturm), y is one step of inverse iteration
+    towards its eigenvector, and beta |y_k| / ||y|| estimates the
+    residual that _lowest_ritz would certify. That one certifies the
+    vector that e_1 carries, which leaves out the copies of theta that
+    Lanczos forms after convergence, so the same pivots also solve
+    (T - sigma I) z = e_1, and the end cannot pass only when both
+    beta |y_k| / ||y|| and beta |z_k| / ||z|| are 16 times the bound
+    n * eps * top / 4 that keeps it: either is the residual to first
+    order where the other is off. With top None it is
+    -(sigma + y^T v / y^T y). The next start is
+    (sigma + y^T v / y^T y, y / ||y||). No start, a pivot <= 0 or an
+    estimate under 16 times the bound gives None, so a kept value
+    always comes from the certified Ritz solve."""
+    if start is None:
+        return None
+    theta, u = start
+    k = len(alphas)
+    sigma = theta - offdiag[len(u)] * abs(u[-1])
+    v = u + [0.0] * (k - len(u))
+    pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
+    if y is None or min(pivots) <= 0:
+        return None
+    norm = math.hypot(*y)
+    if not 0 < norm < math.inf:
+        return None
+    step = sum(map(operator.mul, y, reversed(v))) / norm / norm
+    if top is None:
+        top = -(sigma + step)
+    if not 4 * beta * abs(y[0]) / norm > 64 * n * EPS * top:
+        return None
+    _, z = _shifted_solve(alphas, offdiag, squares, sigma, [1.0] + [0.0] * (k - 1))
+    if not 4 * beta * abs(z[0]) / math.hypot(*z) > 64 * n * EPS * top:
+        return None
+    return sigma + step, [t / norm for t in reversed(y)]
 
 
 def _positive_definite(alphas: list, squares: list, x: float) -> bool:
@@ -436,12 +438,42 @@ def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float
     r = beta_m |u_m| in T, so the first shift is theta - r: below theta,
     on the side of the smallest eigenvalue, and off the leading block's
     eigenvalue, where a pivot would vanish. Two sweeps at sigma -+ ulp / 2
-    then close the bracket where the shifts have not. A start that leads
-    the iteration to another eigenvalue, or to none, leaves an end open."""
+    then close the bracket where the shifts have not. Where no shift is
+    below the smallest eigenvalue, the iteration went to another one;
+    shifts stepped down from hi by r, 2r, 4r, ... find a point below it
+    and the iteration starts again there (_rayleigh_bracket). A start
+    that leads it to none leaves an end open."""
     k, m = len(alphas), len(u)
-    sigma = theta - offdiag[m] * abs(u[-1]) if m < k else theta
+    r = offdiag[m] * abs(u[-1]) if m < k else 0.0
     v = u + [0.0] * (k - m)
-    lo, hi = -math.inf, math.inf
+    lo, hi = _rayleigh_bracket(alphas, offdiag, squares, ulp, theta - r, v, -math.inf, math.inf)
+    if lo == -math.inf and hi < math.inf and r > 0:
+        # The iteration went to another eigenvalue than the smallest,
+        # which lies below hi: one newer than the start, far from u. The
+        # first of hi - r, hi - 2r, ... with every pivot positive is below
+        # it; three solves of inverse iteration there draw v towards its
+        # eigenvector before Rayleigh-quotient iteration resumes.
+        for j in range(8):
+            sigma = hi - r * 2 ** j
+            pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
+            if y is None or min(pivots) <= 0:
+                hi = sigma
+                continue
+            for step in range(3):
+                norm = math.hypot(*y)
+                if not 0 < norm < math.inf:
+                    return sigma, hi
+                v = [t / norm for t in reversed(y)]
+                if step < 2:
+                    _, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
+            return _rayleigh_bracket(alphas, offdiag, squares, ulp, sigma, v, sigma, hi)
+    return lo, hi
+
+
+def _rayleigh_bracket(alphas, offdiag, squares, ulp, sigma, v, lo, hi) -> tuple[float, float]:
+    """_warm_bracket's lo < hi from lo and hi after Rayleigh-quotient
+    iteration from the shift sigma and the unit vector v, then two sweeps
+    at sigma -+ ulp / 2 about the last shift."""
     for _ in range(4):
         pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
         if y is not None and min(pivots) > 0:

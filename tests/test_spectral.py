@@ -767,9 +767,10 @@ class TestExtremes:
     def test_precheck_never_skips_a_check_that_passes(self, kind, k, seed):
         # The checks of _lanczos_extremes on the leading blocks of a k x k
         # tridiagonal, n = k + 1 and beta the next off-diagonal entry, each
-        # unkept end started from its pair at the last check: wherever
-        # _cannot_pass says that a check keeps neither end, the certified
-        # _lowest_ritz keeps neither.
+        # unkept end started from the pair that _lanczos_extremes carries
+        # to it, and lambda_2's pre-check taking lambda_max's estimate
+        # where that end's pre-check rules it out, else its certified value: wherever _cannot_pass says that a
+        # check cannot keep an end, the certified _lowest_ritz does not.
         rng = np.random.default_rng(seed)
         alphas, betas = _tridiagonal(rng, kind, k + 1)
         a, b2 = alphas.tolist(), (betas ** 2).tolist()
@@ -779,27 +780,31 @@ class TestExtremes:
         check = 1
         while check <= k and (hi is None or lo is None):
             beta, squares = float(betas[check - 1]), b2[:check - 1]
-            skip = spectral._cannot_pass(k + 1, beta, squares,
-                                         (negated[:check], high) if hi is None else None,
-                                         (a[:check], low) if lo is None else None, top)
+            offdiag, padded = [0.0] + [b ** 0.5 for b in squares] + [0.0], [0.0] + squares
+            up = hi is None and spectral._cannot_pass(k + 1, beta, offdiag, padded,
+                                                      negated[:check], high)
             if hi is None:
                 theta, s, high = _lowest_ritz(negated[:check], squares, high)
                 top = -theta
                 hi = check if 4 * beta * s <= bound * top else None
+                assert not (up and hi)
+            down = lo is None and spectral._cannot_pass(k + 1, beta, offdiag, padded, a[:check],
+                                                        low, -up[0] if up else top)
+            if up and (down or lo is not None):
+                high = up
             if lo is None:
                 _, s, low = _lowest_ritz(a[:check], squares, low)
                 lo = check if 4 * beta * s <= bound * top else None
-            if skip is not None:
-                assert check not in (hi, lo)
-                high, low = skip
+                assert not (down and lo)
+                low = down or low
             check += max(1, check // 4)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(100, 400), st.booleans(), st.integers(0, 2 ** 32 - 1))
     def test_precheck_changes_no_result(self, n, two, seed):
         # The graphs of test_benchmark_sized_graphs with and without the
-        # one-solve pre-check: the same floats, or None, at the same stop
-        # step, from at most a third of the certified Ritz solves.
+        # pre-check: the same floats, or None, at the same stop step, from
+        # at most a third of the certified Ritz solves.
         L = laplacian(_benchmark_sized_graph(np.random.default_rng(seed), n, two))
         (ends, steps, solves), (plain_ends, plain_steps, plain_solves) = _with_and_without_precheck(L)
         assert ends == plain_ends and steps == plain_steps
