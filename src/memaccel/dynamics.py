@@ -125,12 +125,7 @@ class DropSchedule(Record):
         canon, cuts = {}, {}
         for t, edges in self.drops.items():
             _check_index("drop step", t, 0)
-            es = edges
-            # A frozenset of the graph's keys is canonical as given, unless a
-            # pair equals one only by value: numpy ints, bools or floats.
-            if not (type(es) is frozenset and weight.keys() >= es
-                    and all(type(i) is int and type(j) is int for i, j in es)):
-                es = frozenset(_edge_key(i, j) for i, j in edges)
+            es = frozenset(_edge_key(i, j) for i, j in edges)
             if not weight.keys() >= es:
                 raise ValueError(f"dropped edge {min(es - weight.keys())} not in graph")
             canon[int(t)] = es

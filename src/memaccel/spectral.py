@@ -258,12 +258,10 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
     quarter leaves room for the few ulps by which a Ritz value misses.
     Each check's _lowest_ritz for an end starts from the Ritz pair of that
     end's previous check, state local to this call: it skips most pivot
-    sweeps and changes no value. Before it, _cannot_pass takes one
-    Rayleigh-quotient step from an unkept end's start; an end that it
-    shows this check cannot keep skips _lowest_ritz and keeps that
-    step's pair as the next start. lambda_2's bound takes lambda_max's
-    estimate, so lambda_max skips only with lambda_2 kept or skipping
-    too. The last step always runs _lowest_ritz."""
+    sweeps and changes no value. Before the last step, a check that
+    _lowest_ritz finds cannot keep an end skips that end's certified
+    solve. lambda_2 goes first; its bound takes lambda_max's certified
+    value, so lambda_max may skip only where lambda_2 is kept or skips."""
     n, cap = L.graph.n, L.graph.n - L.components
     degree, i, j, a = L.nonzeros
     e = int(np.frexp(degree.max())[1])
@@ -280,53 +278,48 @@ def _lanczos_extremes(L: LaplacianMatrix) -> tuple[float, float] | None:
 
     q = project(_start_vector(n))
     q /= np.linalg.norm(q)
-    q_prev, beta, alphas, betas2, check = np.zeros(n), 0.0, [], [], 1
+    # T's diagonal, its negation, and its off-diagonal and squares padded
+    # with a leading 0, as _lowest_ritz takes them, grown a step at a time.
+    q_prev, beta, alphas, negated, roots, squares, check = np.zeros(n), 0.0, [], [], [0.0], [0.0], 1
     lo = hi = low = high = top = None
     for k in range(1, cap + 1):
         w = _matvec(nonzeros, q)
         alphas.append(float(q @ w))
+        negated.append(-alphas[-1])
         w -= alphas[-1] * q
         w -= beta * q_prev
         project(w)
         beta = math.sqrt(w @ w)
         if k in (check, cap) or beta == 0:
-            negated = [-x for x in alphas]
-            pre = k < cap and beta > 0  # the last step always runs _lowest_ritz
-            if pre:
-                offdiag, squares = [0.0] + [b ** 0.5 for b in betas2] + [0.0], [0.0] + betas2
-            up = hi is None and pre and _cannot_pass(n, beta, offdiag, squares, negated, high)
-            # With up, lambda_max's estimate -up[0] is the lower end's top;
-            # if that end may pass, its keeping bound takes the certified top.
-            down = bool(up) and lo is None and _cannot_pass(
-                n, beta, offdiag, squares, alphas, low, -up[0])
-            if up and (down or lo is not None):
-                high = up
-            elif hi is None:
-                theta, s, high = _lowest_ritz(negated, betas2, high)
-                top = -theta
-                if 4 * beta * s <= n * EPS * top:
-                    hi = top + beta * s
-            if not up and lo is None:
-                down = pre and _cannot_pass(n, beta, offdiag, squares, alphas, low, top)
-            if down:
-                low = down
-            elif lo is None:
-                theta, s, low = _lowest_ritz(alphas, betas2, low)
-                if 4 * beta * s <= n * EPS * top:
-                    lo = theta - beta * s
+            offdiag = roots + [0.0]
+            cut = n * EPS / (4 * beta) if k < cap and beta > 0 else None
+            if lo is None:
+                bottom, s, low = _lowest_ritz(alphas, offdiag, squares, low, cut)
+            if hi is None:
+                theta, s_max, high = _lowest_ritz(negated, offdiag, squares, high,
+                                                  cut if lo is not None or s is None else None)
+                if s_max is not None:
+                    top = -theta
+                    if 4 * beta * s_max <= n * EPS * top:
+                        hi = top + beta * s_max
+            if lo is None and s is not None and 4 * beta * s <= n * EPS * top:
+                lo = bottom - beta * s
             if lo is not None and hi is not None:
                 return math.ldexp(lo, e), math.ldexp(hi, e)
             check = k + max(1, k // 4)
-        betas2.append(beta * beta)
+        squares.append(beta * beta)
+        roots.append(squares[-1] ** 0.5)
         q_prev, q = q, w / beta
     return None
 
 
-def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, tuple]:
+def _lowest_ritz(alphas: list, offdiag: list, squares: list, start=None,
+                 cut: float | None = None) -> tuple[float, float | None, tuple]:
     """(theta, |s_k| / ||s||, (theta, s / ||s||)) for the smallest
-    eigenvalue theta of the k x k tridiagonal T with diagonal alphas and
-    squared off-diagonal betas2; the last item is the Ritz pair that the
-    next check of the same end starts from.
+    eigenvalue theta of the k x k tridiagonal T with diagonal alphas,
+    off-diagonal offdiag[1:-1] and its squares squares[1:] (offdiag has
+    k + 1 entries, 0 at both ends; squares k, 0 first); the last item is
+    the Ritz pair that the next check of the same end starts from.
 
     theta is found by bisection on Sturm's rule, T - x I is positive
     definite iff every pivot of its LDL^T is, and is the lower end of the
@@ -345,13 +338,21 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
     beta_k |s_k| / ||s|| is the residual of the Ritz vector that the
     start vector carries. Each sweep or solve
     is O(k); a start cuts their number per call about four-fold.
-    _lanczos_extremes calls it only for ends that _cannot_pass does not
-    rule out."""
-    offdiag = [0.0] + [b ** 0.5 for b in betas2] + [0.0]
+
+    cut, with a start, is the factor c of a check that keeps this end iff
+    |s_k| / ||s|| <= c lambda_max, lambda_max the largest eigenvalue of
+    T or of -T, at most ulp / eps. Where _warm_bracket's first step
+    estimates the ratio above 16 c ulp / eps, the check cannot keep the
+    end, and the call returns early as (theta'', None, (theta'', y)),
+    theta'' and y that step's Rayleigh quotient and unit vector: an
+    estimate, not a certified value."""
     ulp = EPS * (max(map(abs, alphas)) + 2 * max(offdiag))  # |T| <= that / eps
-    squares = [0.0] + betas2
-    known_lo, known_hi = (_warm_bracket(alphas, offdiag, squares, ulp, *start)
-                          if start is not None else (-math.inf, math.inf))
+    known_lo, known_hi = -math.inf, math.inf
+    if start is not None:
+        floor = None if cut is None else 16 * cut * ulp / EPS
+        known_lo, known_hi, ahead = _warm_bracket(alphas, offdiag, squares, ulp, *start, floor)
+        if ahead is not None:
+            return ahead[0], None, ahead
     # 8 ulp below the Gershgorin bound, T - lo I stays diagonally
     # dominant through rounding, so every pivot at lo is positive.
     lo = min(a - b - c for a, b, c in zip(alphas, offdiag, offdiag[1:])) - 8 * ulp
@@ -361,55 +362,9 @@ def _lowest_ritz(alphas: list, betas2: list, start=None) -> tuple[float, float, 
             lo = mid
         else:
             hi = mid
-    _, s = _shifted_solve(alphas, offdiag, squares, lo, [1.0] + [0.0] * (len(alphas) - 1))
+    _, s, _ = _shifted_solve(alphas, offdiag, squares, lo, [1.0] + [0.0] * (len(alphas) - 1))
     norm = math.hypot(*s)
     return lo, abs(s[0]) / norm, (lo, [x / norm for x in reversed(s)])
-
-
-def _cannot_pass(n, beta, offdiag, squares, alphas, start, top=None) -> tuple | None:
-    """The next start of an unkept end of _lanczos_extremes if two
-    shifted solves show that this check cannot keep it, else None. T is
-    the tridiagonal with diagonal alphas, off-diagonal offdiag[1:-1] and
-    its squares squares[1:]; start is the end's last Ritz pair or None,
-    and top lambda_max's estimate, or None when alphas are its negation.
-
-    The end takes the first step of _warm_bracket from its start
-    (theta', u): (T - sigma I) y = v with sigma = theta' - beta_m |u_m|
-    and v the padded u. If every pivot is positive, sigma is below T's
-    smallest eigenvalue (Sturm), y is one step of inverse iteration
-    towards its eigenvector, and beta |y_k| / ||y|| estimates the
-    residual that _lowest_ritz would certify. That one certifies the
-    vector that e_1 carries, which leaves out the copies of theta that
-    Lanczos forms after convergence, so the same pivots also solve
-    (T - sigma I) z = e_1, and the end cannot pass only when both
-    beta |y_k| / ||y|| and beta |z_k| / ||z|| are 16 times the bound
-    n * eps * top / 4 that keeps it: either is the residual to first
-    order where the other is off. With top None it is
-    -(sigma + y^T v / y^T y). The next start is
-    (sigma + y^T v / y^T y, y / ||y||). No start, a pivot <= 0 or an
-    estimate under 16 times the bound gives None, so a kept value
-    always comes from the certified Ritz solve."""
-    if start is None:
-        return None
-    theta, u = start
-    k = len(alphas)
-    sigma = theta - offdiag[len(u)] * abs(u[-1])
-    v = u + [0.0] * (k - len(u))
-    pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
-    if y is None or min(pivots) <= 0:
-        return None
-    norm = math.hypot(*y)
-    if not 0 < norm < math.inf:
-        return None
-    step = sum(map(operator.mul, y, reversed(v))) / norm / norm
-    if top is None:
-        top = -(sigma + step)
-    if not 4 * beta * abs(y[0]) / norm > 64 * n * EPS * top:
-        return None
-    _, z = _shifted_solve(alphas, offdiag, squares, sigma, [1.0] + [0.0] * (k - 1))
-    if not 4 * beta * abs(z[0]) / math.hypot(*z) > 64 * n * EPS * top:
-        return None
-    return sigma + step, [t / norm for t in reversed(y)]
 
 
 def _positive_definite(alphas: list, squares: list, x: float) -> bool:
@@ -424,11 +379,12 @@ def _positive_definite(alphas: list, squares: list, x: float) -> bool:
     return True
 
 
-def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float]:
-    """Points lo < hi about the smallest eigenvalue of the tridiagonal T
-    that sweeps certify from the start (theta, u), a Ritz value and unit
-    Ritz vector of a leading m x m block of T: every pivot of T - lo I is
-    positive and one of T - hi I is not; -inf or inf at an end not reached.
+def _warm_bracket(alphas, offdiag, squares, ulp, theta, u, floor=None) -> tuple:
+    """(lo, hi, None): points lo < hi about the smallest eigenvalue of the
+    tridiagonal T that sweeps certify from the start (theta, u), a Ritz
+    value and unit Ritz vector of a leading m x m block of T: every pivot
+    of T - lo I is positive and one of T - hi I is not; -inf or inf at an
+    end not reached.
 
     Rayleigh-quotient iteration runs on T from u padded with zeros: at
     most 4 steps, each one _shifted_solve (T - sigma I) y = v, whose
@@ -438,45 +394,26 @@ def _warm_bracket(alphas, offdiag, squares, ulp, theta, u) -> tuple[float, float
     r = beta_m |u_m| in T, so the first shift is theta - r: below theta,
     on the side of the smallest eigenvalue, and off the leading block's
     eigenvalue, where a pivot would vanish. Two sweeps at sigma -+ ulp / 2
-    then close the bracket where the shifts have not. Where no shift is
-    below the smallest eigenvalue, the iteration went to another one;
-    shifts stepped down from hi by r, 2r, 4r, ... find a point below it
-    and the iteration starts again there (_rayleigh_bracket). A start
-    that leads it to none leaves an end open."""
+    then close the bracket where the shifts have not. A start that leads
+    the iteration to another eigenvalue, or to none, leaves an end open.
+
+    With floor, the first solve also solves (T - sigma I) z = e_1 on the
+    same pivots. If every pivot is positive, sigma is below T's smallest
+    eigenvalue, y and z are a step of inverse iteration towards its
+    eigenvector, and |y_k| / ||y|| and |z_k| / ||z|| estimate the ratio
+    that _lowest_ritz certifies: z as it does, from e_1, which leaves out
+    the copies of theta that Lanczos forms after convergence, and y where
+    z is off, with sigma far below theta relative to the gap. Where both
+    exceed floor the result is (lo, hi, (sigma + y^T v / y^T y, y / ||y||))
+    and the iteration stops there."""
     k, m = len(alphas), len(u)
-    r = offdiag[m] * abs(u[-1]) if m < k else 0.0
+    sigma = theta - offdiag[m] * abs(u[-1]) if m < k else theta
     v = u + [0.0] * (k - m)
-    lo, hi = _rayleigh_bracket(alphas, offdiag, squares, ulp, theta - r, v, -math.inf, math.inf)
-    if lo == -math.inf and hi < math.inf and r > 0:
-        # The iteration went to another eigenvalue than the smallest,
-        # which lies below hi: one newer than the start, far from u. The
-        # first of hi - r, hi - 2r, ... with every pivot positive is below
-        # it; three solves of inverse iteration there draw v towards its
-        # eigenvector before Rayleigh-quotient iteration resumes.
-        for j in range(8):
-            sigma = hi - r * 2 ** j
-            pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
-            if y is None or min(pivots) <= 0:
-                hi = sigma
-                continue
-            for step in range(3):
-                norm = math.hypot(*y)
-                if not 0 < norm < math.inf:
-                    return sigma, hi
-                v = [t / norm for t in reversed(y)]
-                if step < 2:
-                    _, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
-            return _rayleigh_bracket(alphas, offdiag, squares, ulp, sigma, v, sigma, hi)
-    return lo, hi
-
-
-def _rayleigh_bracket(alphas, offdiag, squares, ulp, sigma, v, lo, hi) -> tuple[float, float]:
-    """_warm_bracket's lo < hi from lo and hi after Rayleigh-quotient
-    iteration from the shift sigma and the unit vector v, then two sweeps
-    at sigma -+ ulp / 2 about the last shift."""
+    lo, hi = -math.inf, math.inf
     for _ in range(4):
-        pivots, y = _shifted_solve(alphas, offdiag, squares, sigma, v)
-        if y is not None and min(pivots) > 0:
+        pivots, y, z = _shifted_solve(alphas, offdiag, squares, sigma, v, floor is not None)
+        positive = y is not None and min(pivots) > 0
+        if positive:
             lo = max(lo, sigma)
         else:
             hi = min(hi, sigma)
@@ -486,6 +423,10 @@ def _rayleigh_bracket(alphas, offdiag, squares, ulp, sigma, v, lo, hi) -> tuple[
         if not 0 < norm < math.inf:  # a zero start, or an overflow
             break
         step = sum(map(operator.mul, y, reversed(v))) / norm / norm
+        if (floor is not None and positive and abs(y[0]) > floor * norm
+                and abs(z[0]) > floor * math.hypot(*z)):
+            return lo, hi, (sigma + step, [t / norm for t in reversed(y)])
+        floor = None
         sigma += step
         if abs(step) <= ulp:
             break
@@ -496,28 +437,46 @@ def _rayleigh_bracket(alphas, offdiag, squares, ulp, sigma, v, lo, hi) -> tuple[
                 lo = x
             else:
                 hi = x
-    return lo, hi
+    return lo, hi, None
 
 
-def _shifted_solve(alphas, offdiag, squares, sigma, v) -> tuple[list, list | None]:
-    """(pivots, y) of the LDL^T solve (T - sigma I) y = v, T the
+def _shifted_solve(alphas, offdiag, squares, sigma, v, first=False) -> tuple:
+    """(pivots, y, z) of the LDL^T solve (T - sigma I) y = v, T the
     tridiagonal with diagonal alphas, off-diagonal offdiag[1:-1] and its
-    squares squares[1:]: L z = v forward, then D L^T y = z backward, y
-    listed from its last entry. The pivots are a Sturm sweep at sigma.
-    At a zero pivot, sigma an eigenvalue to working precision, the sweep
-    stops there and y is None. O(k)."""
-    pivots, z, d, zj = [], [], 1.0, 0.0
-    for a, b, b2, x in zip(alphas, offdiag, squares, v):
-        zj = x - b / d * zj
+    squares squares[1:]: L x = v forward, then D L^T y = x backward, y
+    listed from its last entry. With first, the same sweeps solve
+    (T - sigma I) z = e_1 too, else z is None. The pivots are a Sturm
+    sweep at sigma. At a zero pivot, sigma an eigenvalue to working
+    precision, the sweep stops there and y and z are None. O(k)."""
+    pivots, x, d, xj = [], [], 1.0, 0.0
+    if first:
+        f, fj, ej = [], 0.0, 1.0
+        for a, b, b2, vj in zip(alphas, offdiag, squares, v):
+            m = b / d
+            xj = vj - m * xj
+            fj, ej = ej - m * fj, 0.0
+            d = a - sigma - b2 / d
+            if d == 0:
+                return pivots, None, None
+            pivots.append(d)
+            x.append(xj)
+            f.append(fj)
+        y, z = [x[-1] / pivots[-1]], [f[-1] / pivots[-1]]
+        for xj, fj, b, d in zip(x[-2::-1], f[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
+            y.append((xj - b * y[-1]) / d)
+            z.append((fj - b * z[-1]) / d)
+        return pivots, y, z
+    for a, b, b2, vj in zip(alphas, offdiag, squares, v):
+        xj = vj - b / d * xj
         d = a - sigma - b2 / d
         if d == 0:
-            return pivots, None
+            return pivots, None, None
         pivots.append(d)
-        z.append(zj)
-    y = [z[-1] / pivots[-1]]
-    for zj, b, d in zip(z[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
-        y.append((zj - b * y[-1]) / d)
-    return pivots, y
+        x.append(xj)
+    y = [x[-1] / pivots[-1]]
+    for xj, b, d in zip(x[-2::-1], offdiag[-2:0:-1], pivots[-2::-1]):
+        y.append((xj - b * y[-1]) / d)
+    return pivots, y, None
 
 
 def _start_vector(n: int) -> np.ndarray:

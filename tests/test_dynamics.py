@@ -565,15 +565,6 @@ class TestDropScheduleInput:
         assert schedule.drops == {0: frozenset({(0, 1), (1, 2)})}
         assert {type(v) for e in schedule.drops[0] for v in e} == {int}
 
-    def test_canonical_step_stored_as_given(self):
-        # A frozenset of the graph's own keys is its stored form already;
-        # one equal to them only by value is rebuilt from plain ints.
-        step = frozenset({(0, 1), (1, 2)})
-        assert DropSchedule(PATH3, {0: step}).drops[0] is step
-        by_value = DropSchedule(PATH3, {0: frozenset({(np.int64(0), np.int64(1))})})
-        assert by_value.drops == {0: frozenset({(0, 1)})}
-        assert {type(v) for e in by_value.drops[0] for v in e} == {int}
-
     def test_fraction_weight_runs_with_drops(self):
         # The Fraction weight made an object array of the dropped weights,
         # and every drop run on its graph raised numpy's TypeError.

@@ -639,10 +639,10 @@ class TestExtremes:
         for warm in (True, False):
             checks, starts, sweeps = [], [], []
 
-            def ritz(alphas, betas2, start=None, warm=warm):
+            def ritz(alphas, offdiag, squares, start=None, cut=None, warm=warm):
                 checks.append(len(alphas))
                 starts.append(start is not None)
-                return lowest(alphas, betas2, start if warm else None)
+                return lowest(alphas, offdiag, squares, start if warm else None, cut)
 
             def counted(*args):
                 sweeps.append(1)
@@ -714,7 +714,7 @@ class TestExtremes:
             alphas, betas = rng.uniform(0.5, 2.0, k), rng.uniform(0.1, 1.0, k - 1)
             T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             w, v = np.linalg.eigh(T)
-            theta, last, (value, u) = _lowest_ritz(alphas.tolist(), (betas ** 2).tolist())
+            theta, last, (value, u) = _lowest_ritz(alphas.tolist(), *_padded((betas ** 2).tolist()))
             assert theta <= w[0] <= theta + 1e-14
             assert last == pytest.approx(abs(v[-1, 0]), rel=1e-6, abs=1e-12)
             assert value == theta and len(u) == k
@@ -739,11 +739,11 @@ class TestExtremes:
         a, b2 = alphas.tolist(), (betas ** 2).tolist()
         T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         w, v = np.linalg.eigh(T)
-        beta_max = max([b ** 0.5 for b in b2], default=0.0)  # as _lowest_ritz rounds it
+        beta_max = max([b ** 0.5 for b in b2], default=0.0)  # as _padded rounds it
         ulp = np.finfo(float).eps * (max(map(abs, a)) + 2 * beta_max)
         lapack = scipy_linalg.eigvalsh_tridiagonal(alphas, betas, select="i", select_range=(0, 0),
                                                    lapack_driver="stebz", tol=0.0)[0]
-        cold = theta, ratio, (value, u) = _lowest_ritz(a, b2)
+        cold = theta, ratio, (value, u) = _lowest_ritz(a, *_padded(b2))
         assert min(_pivots(a, b2, theta)) > 0
         assert min(_pivots(a, b2, max(theta + ulp / 16, np.nextafter(theta, np.inf)))) <= 0
         assert abs(theta - lapack) <= 4 * ulp
@@ -758,8 +758,8 @@ class TestExtremes:
                       (float(perturbed @ T @ perturbed), perturbed.tolist()),
                       (w[second], v[:, second].tolist()),
                       (w[0], [0.0] * k),
-                      _lowest_ritz(a[:j], b2[:j - 1])[2]]:
-            assert _lowest_ritz(a, b2, start) == cold
+                      _lowest_ritz(a[:j], *_padded(b2[:j - 1]))[2]]:
+            assert _lowest_ritz(a, *_padded(b2), start) == cold
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["clustered", "repeated", "ghosts"]), st.integers(2, 600),
@@ -768,35 +768,33 @@ class TestExtremes:
         # The checks of _lanczos_extremes on the leading blocks of a k x k
         # tridiagonal, n = k + 1 and beta the next off-diagonal entry, each
         # unkept end started from the pair that _lanczos_extremes carries
-        # to it, and lambda_2's pre-check taking lambda_max's estimate
-        # where that end's pre-check rules it out, else its certified value: wherever _cannot_pass says that a
-        # check cannot keep an end, the certified _lowest_ritz does not.
+        # to it, and lambda_max given its cut only where lambda_2 is kept
+        # or skips: wherever a call with a cut returns an estimate, the
+        # certified solve at that check does not keep the end.
         rng = np.random.default_rng(seed)
         alphas, betas = _tridiagonal(rng, kind, k + 1)
         a, b2 = alphas.tolist(), (betas ** 2).tolist()
         negated = [-x for x in a]
-        bound = (k + 1) * np.finfo(float).eps
-        hi = lo = high = low = top = None
+        eps = np.finfo(float).eps
+        hi = lo = high = low = None
         check = 1
         while check <= k and (hi is None or lo is None):
-            beta, squares = float(betas[check - 1]), b2[:check - 1]
-            offdiag, padded = [0.0] + [b ** 0.5 for b in squares] + [0.0], [0.0] + squares
-            up = hi is None and spectral._cannot_pass(k + 1, beta, offdiag, padded,
-                                                      negated[:check], high)
-            if hi is None:
-                theta, s, high = _lowest_ritz(negated[:check], squares, high)
-                top = -theta
-                hi = check if 4 * beta * s <= bound * top else None
-                assert not (up and hi)
-            down = lo is None and spectral._cannot_pass(k + 1, beta, offdiag, padded, a[:check],
-                                                        low, -up[0] if up else top)
-            if up and (down or lo is not None):
-                high = up
+            beta, tri = float(betas[check - 1]), _padded(b2[:check - 1])
+            cut = (k + 1) * eps / (4 * beta)
+            theta, s_max, _ = _lowest_ritz(negated[:check], *tri)
+            _, s, _ = _lowest_ritz(a[:check], *tri)
+            keeps = [4 * beta * r <= (k + 1) * eps * -theta for r in (s, s_max)]
+            skipped = False
             if lo is None:
-                _, s, low = _lowest_ritz(a[:check], squares, low)
-                lo = check if 4 * beta * s <= bound * top else None
-                assert not (down and lo)
-                low = down or low
+                _, est, low = _lowest_ritz(a[:check], *tri, low, cut)
+                assert est is not None or not keeps[0]
+                skipped = est is None
+                lo = check if keeps[0] else None
+            if hi is None:
+                _, est, high = _lowest_ritz(negated[:check], *tri, high,
+                                            cut if lo is not None or skipped else None)
+                assert est is not None or not keeps[1]
+                hi = check if keeps[1] else None
             check += max(1, check // 4)
 
     @settings(max_examples=10, deadline=None)
@@ -861,26 +859,30 @@ def _union_find_labels(n, i, j):
 
 
 def _with_and_without_precheck(L):
-    """(result, Lanczos steps, _lowest_ritz calls) of _lanczos_extremes(L)
-    as it is, then with spectral._cannot_pass never skipping a check."""
+    """(result, Lanczos steps, certified _lowest_ritz solves) of
+    _lanczos_extremes(L) as it is, then with every cut dropped, so that
+    no check is skipped."""
     runs = []
     lowest, matvec = spectral._lowest_ritz, spectral._matvec
-    for precheck in (spectral._cannot_pass, lambda *args: None):
+    for precheck in (True, False):
         steps, solves = [], []
+
+        def ritz(alphas, offdiag, squares, start=None, cut=None, precheck=precheck):
+            out = lowest(alphas, offdiag, squares, start, cut if precheck else None)
+            solves.append(out[1] is not None)
+            return out
+
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(spectral, "_cannot_pass", precheck)
             m.setattr(spectral, "_matvec", lambda *args: steps.append(1) or matvec(*args))
-            m.setattr(spectral, "_lowest_ritz", lambda *args: solves.append(1) or lowest(*args))
-            runs.append((_lanczos_extremes(L), len(steps), len(solves)))
+            m.setattr(spectral, "_lowest_ritz", ritz)
+            runs.append((_lanczos_extremes(L), len(steps), sum(solves)))
     return runs
 
 
-def _previous_check(k):
-    """The last step before k at which _lanczos_extremes checks."""
-    check = last = 1
-    while check < k:
-        last, check = check, check + max(1, check // 4)
-    return last
+def _padded(b2):
+    """The off-diagonal and its squares of a tridiagonal with squared
+    off-diagonal b2, padded as _lowest_ritz takes them."""
+    return [0.0] + [b ** 0.5 for b in b2] + [0.0], [0.0] + b2
 
 
 def _extremes(eigs, c):
