@@ -440,12 +440,13 @@ def _warm_bracket(alphas, offdiag, squares, ulp, theta, u, floor=None) -> tuple:
     return lo, hi, None
 
 
-def _shifted_solve(alphas, offdiag, squares, sigma, v, first=False) -> tuple:
+def _shifted_solve(alphas, offdiag, squares, sigma, v,
+                   first=False) -> tuple[list, list | None, list | None]:
     """(pivots, y, z) of the LDL^T solve (T - sigma I) y = v, T the
     tridiagonal with diagonal alphas, off-diagonal offdiag[1:-1] and its
     squares squares[1:]: L x = v forward, then D L^T y = x backward, y
     listed from its last entry. With first, the same sweeps solve
-    (T - sigma I) z = e_1 too, else z is None. The pivots are a Sturm
+    (T - sigma I) z = e_1 too, z listed as y is, else z is None. The pivots are a Sturm
     sweep at sigma. At a zero pivot, sigma an eigenvalue to working
     precision, the sweep stops there and y and z are None. O(k)."""
     pivots, x, d, xj = [], [], 1.0, 0.0
